@@ -21,8 +21,6 @@ import numpy as np
 from .config import (
     FEATURES,
     MODEL_TYPES,
-    RNN_DIRECTIONS,
-    RNN_TYPES,
     RunConfig,
     apply_overrides,
     load_config,
@@ -36,7 +34,6 @@ from .data import (
     load_csv_series,
     load_manifest,
     load_wav_pcm16,
-    to_sequence_layout,
     write_manifest,
 )
 from .dsp import (
@@ -60,7 +57,15 @@ from .evaluation import (
     write_fold_report,
     write_predictions,
 )
-from .models import ACTIVATIONS, Recurrent, init_model
+from .models import (
+    ACTIVATIONS,
+    DIRECTIONS,
+    RECURRENT_CELLS,
+    Recurrent,
+    cnn_to_rnn_reshape,
+    init_model,
+)
+from .tensor import Tensor
 from .training import (
     OPTIMIZERS,
     best_epoch_index,
@@ -120,8 +125,8 @@ def _add_config_flags(p: argparse.ArgumentParser):
                        metavar="N,N,...")
     model.add_argument("--cnn-padding", type=_arg_int_list, dest="cnn_padding",
                        metavar="N,N,...")
-    model.add_argument("--rnn-type", choices=RNN_TYPES, dest="rnn_type")
-    model.add_argument("--rnn-direction", choices=RNN_DIRECTIONS, dest="rnn_direction")
+    model.add_argument("--rnn-type", choices=RECURRENT_CELLS, dest="rnn_type")
+    model.add_argument("--rnn-direction", choices=DIRECTIONS, dest="rnn_direction")
     model.add_argument("--rnn-hidden-layers", type=int, dest="rnn_hidden_layers")
     model.add_argument("--rnn-hidden-nodes", type=int, dest="rnn_hidden_nodes")
     pre = p.add_argument_group("preprocess")
@@ -202,7 +207,7 @@ def _manifest(cfg: RunConfig) -> DatasetManifest:
 def _dataset(cfg: RunConfig, rows, label_map, sequence: bool):
     x, y, ids = assemble_dataset(rows, label_map, cfg.sample_rate, cfg.fixed_length)
     if sequence:
-        x = to_sequence_layout(x)
+        x = cnn_to_rnn_reshape(Tensor(x)).data  # features need no grad: nothing is taped
     return x, y, ids
 
 

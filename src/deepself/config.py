@@ -12,12 +12,10 @@ import hashlib
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
-from .models import Conv, Dense, ModelSpec, Recurrent
-from .training import OPTIMIZERS, TrainConfig
+from .models import ACTIVATIONS, Conv, Dense, ModelSpec, Recurrent
+from .training import TrainConfig
 
 MODEL_TYPES = ("nn", "cnn", "rnn", "cnn+rnn")
-RNN_TYPES = ("rnn", "lstm", "gru")
-RNN_DIRECTIONS = ("uni", "bi")
 FEATURES = ("none", "spectrogram", "logmel", "scalogram")
 
 
@@ -65,20 +63,13 @@ class RunConfig:
     activation: str = "relu"
 
     def validate(self) -> "RunConfig":
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
+        # the spec objects own the domains of the keys they are built from
+        _in_section("general", self.train_config)
         if self.model_type not in MODEL_TYPES:
             raise ConfigError(f"model type must be one of {MODEL_TYPES}, got {self.model_type!r}")
         if self.nn_hidden_layers < 1:
             raise ConfigError(f"nn hidden_layers must be >= 1, got {self.nn_hidden_layers}")
-        if self.nn_hidden_nodes < 1:
-            raise ConfigError(f"nn hidden_nodes must be >= 1, got {self.nn_hidden_nodes}")
+        _in_section("nn", Dense, self.nn_hidden_nodes)
         lists = {
             "channels": self.cnn_channels, "kernel": self.cnn_kernel,
             "stride": self.cnn_stride, "padding": self.cnn_padding,
@@ -90,21 +81,14 @@ class RunConfig:
                     f"cnn lists must have one entry per layer: channels has {n_conv}, "
                     f"{name} has {len(values)}"
                 )
-            floor = 0 if name == "padding" else 1
-            for v in values:
-                if v < floor:
-                    raise ConfigError(f"cnn {name} entries must be >= {floor}, got {v}")
+        for i, entry in enumerate(zip(*lists.values())):
+            _in_section(f"cnn layer {i}", Conv, 1, *entry)
         if n_conv < 1 and self.model_type in ("cnn", "cnn+rnn"):
             raise ConfigError("cnn models need at least one convolutional layer")
-        if self.rnn_type not in RNN_TYPES:
-            raise ConfigError(f"rnn type must be one of {RNN_TYPES}, got {self.rnn_type!r}")
-        if self.rnn_direction not in RNN_DIRECTIONS:
-            raise ConfigError(
-                f"rnn direction must be one of {RNN_DIRECTIONS}, got {self.rnn_direction!r}")
-        if self.rnn_hidden_layers < 1:
-            raise ConfigError(f"rnn hidden_layers must be >= 1, got {self.rnn_hidden_layers}")
-        if self.rnn_hidden_nodes < 1:
-            raise ConfigError(f"rnn hidden_nodes must be >= 1, got {self.rnn_hidden_nodes}")
+        _in_section("rnn", Recurrent, self.rnn_type, self.rnn_hidden_nodes,
+                    self.rnn_hidden_layers, self.rnn_direction)
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         if self.feature not in FEATURES:
             raise ConfigError(f"feature must be one of {FEATURES}, got {self.feature!r}")
         if self.filter:
@@ -185,6 +169,14 @@ class RunConfig:
                 continue
             lines.append(f"{f.name}={getattr(self, f.name)!r}")
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _in_section(section: str, build, *args):
+    """Build a spec object from config values, naming the section in its errors."""
+    try:
+        build(*args)
+    except ConfigError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -397,19 +397,3 @@ def assemble_dataset(rows, label_map: dict, sample_rate: float | None = None,
     labels = np.array([label_map[r.label] for r in rows], dtype=np.int64)
     ids = [r.raw_path for r in rows]
     return features, labels, ids
-
-
-def to_sequence_layout(features: np.ndarray) -> np.ndarray:
-    """Batch version of the CNN->RNN ordering: time-major, channel-major features.
-
-    [N x C x T] -> [N x T x C]; [N x C x F x T] -> [N x T x C*F].
-    """
-    if features.ndim == 3:
-        return np.ascontiguousarray(np.transpose(features, (0, 2, 1)))
-    if features.ndim == 4:
-        n, c, f, t = features.shape
-        return np.ascontiguousarray(
-            np.transpose(features, (0, 3, 1, 2)).reshape(n, t, c * f))
-    raise ConfigError(
-        f"sequence layout needs [N x C x T] or [N x C x F x T] data, got {features.shape}"
-    )

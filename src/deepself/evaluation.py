@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, MetricError, ShapeError
+from .models import init_model
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +207,7 @@ def kfold_cross_validate(features, labels, folds, spec, config, jobs: int = 1) -
     and shuffling, so folds can run in any order (or in parallel) without
     changing results.
     """
-    from .training import train  # local import: trainer depends on this module
+    from .training import predict_batches, train  # local import: trainer depends on this module
 
     features = np.asarray(features)
     labels = np.asarray(labels, dtype=np.int64)
@@ -228,13 +229,11 @@ def kfold_cross_validate(features, labels, folds, spec, config, jobs: int = 1) -
                 f"fold {test_fold}: no training instances remain after holding out "
                 f"test fold {test_fold} and dev fold {dev_fold}"
             )
-        from .models import init_model
         fold_spec = replace(spec, seed=spec.seed + i)
         fold_config = replace(config, seed=config.seed + i)
         model = init_model(fold_spec)
         best, _ = train(model, (features[train_mask], labels[train_mask]),
                         (features[dev_mask], labels[dev_mask]), fold_config)
-        from .training import predict_batches
         pred, _ = predict_batches(best, features[test_mask], config.batch_size)
         test_uar = uar_from_labels(labels[test_mask], pred, spec.n_classes)
         return test_uar, np.flatnonzero(test_mask)

@@ -28,6 +28,7 @@ from .tensor import (
     add,
     concat,
     conv_nd_batched,
+    infer_conv_output_size,
     matmul,
     mul,
     reshape,
@@ -37,6 +38,7 @@ from .tensor import (
     tanh,
     sigmoid,
     transpose,
+    _per_axis,
 )
 
 RECURRENT_CELLS = ("rnn", "lstm", "gru")
@@ -54,16 +56,6 @@ def _positive(value, name) -> int:
     if value < 1:
         raise ConfigError(f"{name} must be a positive integer, got {value}")
     return value
-
-
-def _per_axis(value, rank, name) -> tuple[int, ...]:
-    if isinstance(value, (int, np.integer)):
-        out = (int(value),) * rank
-    else:
-        out = tuple(int(v) for v in value)
-    if len(out) != rank:
-        raise ConfigError(f"{name} needs one entry per axis (rank {rank}), got {out}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -251,22 +243,13 @@ def _layer_from_text(text: str) -> LayerSpec:
 # ---------------------------------------------------------------------------
 
 
-def infer_conv_output_size(in_extent: int, kernel: int, stride: int, padding: int) -> int:
-    """floor((in + 2*padding - kernel)/stride) + 1, rejected when below 1."""
-    in_extent, kernel = int(in_extent), int(kernel)
-    stride, padding = int(stride), int(padding)
-    if in_extent < 1 or kernel < 1 or stride < 1 or padding < 0:
-        raise ConfigError(
-            f"conv size arguments out of range: in={in_extent}, kernel={kernel}, "
-            f"stride={stride}, padding={padding}"
-        )
-    out = (in_extent + 2 * padding - kernel) // stride + 1
-    if out < 1:
-        raise ConfigError(
-            f"convolution output extent {out} < 1 "
-            f"(input {in_extent}, kernel {kernel}, stride {stride}, padding {padding})"
-        )
-    return out
+def _sequence_shape(shape, context) -> tuple[int, int]:
+    """CNN->RNN layout: [C, T] -> [T, C], [C, F, T] -> [T, C*F]; time stays the sequence axis."""
+    if len(shape) == 2:
+        return shape[1], shape[0]
+    if len(shape) == 3:
+        return shape[2], shape[0] * shape[1]
+    raise ConfigError(f"{context}: a sequence needs a [C x T] or [C x F x T] input, got {shape}")
 
 
 @dataclass(frozen=True)
@@ -331,26 +314,15 @@ def plan_shapes(spec: ModelSpec) -> ShapePlan:
                     f"layer {i}: rank-{layer.rank} convolution needs a "
                     f"[channels x {layer.rank} spatial] input, got shape {shape}"
                 )
-            out_spatial = []
-            for axis in range(layer.rank):
-                try:
-                    out_spatial.append(infer_conv_output_size(
-                        shape[1 + axis], layer.kernel[axis], layer.stride[axis], layer.padding[axis]
-                    ))
-                except ConfigError as exc:
-                    raise ConfigError(f"layer {i}, spatial axis {axis}: {exc}") from None
+            try:
+                out_spatial = [infer_conv_output_size(*geometry, axis=axis) for axis, geometry in
+                               enumerate(zip(shape[1:], layer.kernel, layer.stride, layer.padding))]
+            except ConfigError as exc:
+                raise ConfigError(f"layer {i}: {exc}") from None
             emit(layer, (layer.out_channels, *out_spatial), prefix, new_kind="grid")
         elif isinstance(layer, Recurrent):
             if kind == "grid":
-                if len(shape) == 3:
-                    emit(CnnToRnnReshape(), (shape[2], shape[0] * shape[1]), new_kind="seq")
-                elif len(shape) == 2:
-                    emit(CnnToRnnReshape(), (shape[1], shape[0]), new_kind="seq")
-                else:
-                    raise ConfigError(
-                        f"layer {i}: cannot reshape a {len(shape)}-D grid into a sequence; "
-                        "only [C x T] and [C x F x T] conv outputs are supported"
-                    )
+                emit(CnnToRnnReshape(), _sequence_shape(shape, f"layer {i}"), new_kind="seq")
             elif kind == "input":
                 if len(shape) != 2:
                     raise ConfigError(
@@ -374,14 +346,7 @@ def plan_shapes(spec: ModelSpec) -> ShapePlan:
         elif isinstance(layer, CnnToRnnReshape):
             if kind == "seq":
                 raise ConfigError(f"layer {i}: input is already a sequence")
-            if len(shape) == 3:
-                emit(layer, (shape[2], shape[0] * shape[1]), new_kind="seq")
-            elif len(shape) == 2:
-                emit(layer, (shape[1], shape[0]), new_kind="seq")
-            else:
-                raise ConfigError(
-                    f"layer {i}: cnn_to_rnn needs a [C x T] or [C x F x T] input, got {shape}"
-                )
+            emit(layer, _sequence_shape(shape, f"layer {i}"), new_kind="seq")
         else:
             raise ConfigError(f"layer {i}: unknown layer specification {layer!r}")
 
@@ -570,7 +535,7 @@ def _assemble_sequence(steps) -> Tensor:
     return concat([reshape(s, (batch, 1, width)) for s in steps], axis=1)
 
 
-def forward(model: Model, batch, training: bool = False):
+def forward(model: Model, batch):
     """Run the planned stages; returns (logits Tensor [B x C], probabilities Tensor)."""
     x = batch if isinstance(batch, Tensor) else Tensor(batch)
     expected = model.spec.input_shape

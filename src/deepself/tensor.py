@@ -399,25 +399,31 @@ def _per_axis(value, rank, name) -> tuple[int, ...]:
     else:
         out = tuple(int(v) for v in value)
     if len(out) != rank:
-        raise ShapeError(f"{name} must have one entry per spatial axis ({rank}), got {out}")
+        raise ConfigError(f"{name} needs one entry per spatial axis (rank {rank}), got {out}")
     return out
 
 
-def conv_output_extent(in_extent: int, kernel: int, stride: int, padding: int) -> int:
-    return (in_extent + 2 * padding - kernel) // stride + 1
+def infer_conv_output_size(in_extent: int, kernel: int, stride: int, padding: int,
+                           axis: int | None = None) -> int:
+    """floor((in + 2*padding - kernel)/stride) + 1, rejected when below 1.
 
-
-def _conv_geometry(spatial, kernel_sp, stride, padding):
-    out_sp = []
-    for axis, (n, k, s, p) in enumerate(zip(spatial, kernel_sp, stride, padding)):
-        extent = conv_output_extent(n, k, s, p)
-        if extent < 1:
-            raise ConfigError(
-                f"convolution output extent {extent} < 1 on spatial axis {axis} "
-                f"(input {n}, kernel {k}, stride {s}, padding {p})"
-            )
-        out_sp.append(extent)
-    return tuple(out_sp)
+    ``axis`` only names the spatial axis in the error message.
+    """
+    in_extent, kernel = int(in_extent), int(kernel)
+    stride, padding = int(stride), int(padding)
+    where = "" if axis is None else f" on spatial axis {axis}"
+    if in_extent < 1 or kernel < 1 or stride < 1 or padding < 0:
+        raise ConfigError(
+            f"conv size arguments out of range{where}: in={in_extent}, kernel={kernel}, "
+            f"stride={stride}, padding={padding}"
+        )
+    out = (in_extent + 2 * padding - kernel) // stride + 1
+    if out < 1:
+        raise ConfigError(
+            f"convolution output extent {out} < 1{where} "
+            f"(input {in_extent}, kernel {kernel}, stride {stride}, padding {padding})"
+        )
+    return out
 
 
 def _window_indices(padded_sp, out_sp, kernel_sp, stride):
@@ -459,11 +465,8 @@ def conv_nd_batched(x, kernels, stride, padding, bias=None) -> Tensor:
     kernel_sp = kernels.shape[2:]
     stride = _per_axis(stride, rank, "stride")
     padding = _per_axis(padding, rank, "padding")
-    if any(s < 1 for s in stride):
-        raise ConfigError(f"stride entries must be positive, got {stride}")
-    if any(p < 0 for p in padding):
-        raise ConfigError(f"padding entries must be non-negative, got {padding}")
-    out_sp = _conv_geometry(spatial, kernel_sp, stride, padding)
+    out_sp = tuple(infer_conv_output_size(*geometry, axis=axis)
+                   for axis, geometry in enumerate(zip(spatial, kernel_sp, stride, padding)))
 
     if bias is None:
         bias = Tensor(np.zeros(c_out, dtype=x.dtype))

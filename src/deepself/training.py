@@ -151,7 +151,7 @@ def predict_batches(model: Model, features, batch_size: int = 64):
     out_probs = []
     with no_grad():
         for start in range(0, features.shape[0], batch_size):
-            _, probs = forward(model, features[start:start + batch_size], training=False)
+            _, probs = forward(model, features[start:start + batch_size])
             out_probs.append(probs.data.copy())
             out_labels.append(np.argmax(probs.data, axis=1))
     return np.concatenate(out_labels), np.concatenate(out_probs)
@@ -201,20 +201,22 @@ def train(model: Model, train_set, dev_set, config: TrainConfig):
             rows = order[start:start + config.batch_size]
             xb, yb = x_train[rows], y_train[rows]
             try:
-                logits, _ = forward(model, xb, training=True)
+                logits, _ = forward(model, xb)
                 loss, probs = softmax_cross_entropy(logits, yb)
                 backward(loss)
             except NumericError as exc:
                 raise NumericError(
                     f"non-finite value at epoch {epoch}, batch {batch_no}: {exc}"
                 ) from exc
-            grads = {name: p.grad for name, p in _trainable(model).items()
-                     if p.grad is not None}
+            trainable = _trainable(model)
+            grads = {name: p.grad for name, p in trainable.items() if p.grad is not None}
             if config.optimizer == "sgd":
                 sgd_step(model.params, grads, config.learning_rate)
             else:
                 adam_step(model.params, grads, adam_state, config.learning_rate,
                           config.beta1, config.beta2, config.epsilon)
+            for p in trainable.values():
+                p.grad = None  # backward accumulates into grad: each step applies only its batch
             loss_sum += loss.item() * len(rows)
             epoch_pred[cursor:cursor + len(rows)] = np.argmax(probs.data, axis=1)
             epoch_true[cursor:cursor + len(rows)] = yb

@@ -349,8 +349,8 @@ def test_criterion_6_determinism_persistence(capsys, tmp_path):
     save_checkpoint(model, {}, same_meta_path)
     reloaded, _ = load_checkpoint(same_meta_path)
     with no_grad():
-        logits_a, _ = forward(model, x_de, training=False)
-        logits_b, _ = forward(reloaded, x_de, training=False)
+        logits_a, _ = forward(model, x_de)
+        logits_b, _ = forward(reloaded, x_de)
     bit_identical = np.array_equal(logits_a.data, logits_b.data)
 
     ok = identical and bit_identical

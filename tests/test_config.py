@@ -144,6 +144,10 @@ class TestDomains:
         with pytest.raises(ConfigError, match="bi"):
             self.base(rnn_direction="both")
 
+    def test_activation_domain(self):
+        with pytest.raises(ConfigError, match="sigmoid"):
+            self.base(activation="swish")
+
     def test_feature_domain(self):
         with pytest.raises(ConfigError, match="scalogram"):
             self.base(feature="mfcc")

@@ -16,7 +16,6 @@ from deepself.data import (
     load_pgm_image,
     load_sample,
     load_wav_pcm16,
-    to_sequence_layout,
     write_manifest,
     write_wav_pcm16,
 )
@@ -457,26 +456,3 @@ class TestLoadSampleAndAssembly:
         with pytest.raises(DataError):
             assemble_dataset([], {})
 
-
-class TestSequenceLayout:
-    def test_rank2_transpose(self):
-        x = np.arange(24, dtype=np.float32).reshape(2, 3, 4)  # [N,C,T]
-        out = to_sequence_layout(x)
-        assert out.shape == (2, 4, 3)
-        for n in range(2):
-            for t in range(4):
-                for c in range(3):
-                    assert out[n, t, c] == x[n, c, t]
-
-    def test_rank3_channel_major_features(self):
-        x = np.arange(2 * 2 * 3 * 4, dtype=np.float32).reshape(2, 2, 3, 4)  # [N,C,F,T]
-        out = to_sequence_layout(x)
-        assert out.shape == (2, 4, 6)
-        for n in range(2):
-            for t in range(4):
-                expected = [x[n, c, f, t] for c in range(2) for f in range(3)]
-                np.testing.assert_array_equal(out[n, t], expected)
-
-    def test_bad_rank(self):
-        with pytest.raises(ConfigError):
-            to_sequence_layout(np.zeros((2, 3)))

@@ -17,14 +17,13 @@ from deepself.models import (
     cnn_to_rnn_reshape,
     forward,
     gru_cell,
-    infer_conv_output_size,
     init_model,
     lstm_cell,
     plan_shapes,
     rnn_cell,
     run_recurrent_layer,
 )
-from deepself.tensor import Tensor
+from deepself.tensor import Tensor, infer_conv_output_size
 
 
 def conv1d(channels, kernel, stride=1, padding=0):
@@ -339,6 +338,10 @@ class TestCnnToRnnReshape:
         out = cnn_to_rnn_reshape(Tensor(x))
         assert out.shape == (2, 9, 6)
         np.testing.assert_array_equal(out.data, np.transpose(x, (0, 2, 1)))
+
+    def test_bad_rank(self):
+        with pytest.raises(ShapeError):
+            cnn_to_rnn_reshape(Tensor(np.zeros((2, 3))))
 
 
 class TestModelSpecText:

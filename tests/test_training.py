@@ -183,6 +183,31 @@ class TestTrainLoop:
         losses = [rec.train_loss for rec in history]
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
+    def test_each_sgd_step_applies_only_its_own_batch_gradient(self):
+        rng = np.random.default_rng(4)
+        features = rng.standard_normal((8, 2))
+        labels = np.array([0, 1, 1, 0, 1, 0, 0, 1])
+        model = init_model(ModelSpec((2,), (Dense(3),), 2, seed=4), dtype=np.float64)
+        p = model.clone_parameters()
+        lr = 0.5
+        for rows in (slice(0, 4), slice(4, 8)):
+            # relu(x W0 + b0) W1 + b1, mean cross-entropy, gradients by hand
+            x, y = features[rows], labels[rows]
+            z = x @ p["layer0.weight"] + p["layer0.bias"]
+            h = np.maximum(z, 0.0)
+            logits = h @ p["head.weight"] + p["head.bias"]
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            d = (e / e.sum(axis=1, keepdims=True) - np.eye(2)[y]) / len(y)
+            dz = (d @ p["head.weight"].T) * (z > 0)
+            grads = {"head.weight": h.T @ d, "head.bias": d.sum(axis=0),
+                     "layer0.weight": x.T @ dz, "layer0.bias": dz.sum(axis=0)}
+            p = {name: p[name] - lr * grads[name] for name in p}
+        config = TrainConfig(learning_rate=lr, batch_size=4, epochs=1,
+                             optimizer="sgd", shuffle=False)
+        trained, _ = train(model, (features, labels), (features, labels), config)
+        for name, expected in p.items():
+            np.testing.assert_allclose(trained.params[name].data, expected, rtol=1e-12, atol=1e-12)
+
     def test_empty_dataset_rejected(self):
         model = init_model(ModelSpec((2,), (Dense(4),), 2))
         empty = (np.zeros((0, 2), dtype=np.float32), np.zeros(0, dtype=np.int64))
