@@ -212,7 +212,13 @@ def _dataset(cfg: RunConfig, rows, label_map, sequence: bool):
 
 
 def _is_sequence_model(spec) -> bool:
+    """Whether the model reads features in the CNN->RNN [T, C*F] layout."""
     return bool(spec.layers) and isinstance(spec.layers[0], Recurrent)
+
+
+def _is_sequence_config(cfg: RunConfig) -> bool:
+    """``_is_sequence_model`` for the spec ``cfg`` builds, before any data fixes its input shape."""
+    return cfg.model_type == "rnn"
 
 
 def _checkpoint_label_map(metadata: dict, n_classes: int, rows) -> dict:
@@ -348,7 +354,7 @@ def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     manifest = _manifest(cfg)
     train_rows, dev_rows = _train_dev_rows(manifest, args.dev_fraction, cfg.seed)
-    sequence = cfg.model_type == "rnn"
+    sequence = _is_sequence_config(cfg)
     x_train, y_train, _ = _dataset(cfg, train_rows, manifest.label_map, sequence)
     x_dev, y_dev, _ = _dataset(cfg, dev_rows, manifest.label_map, sequence)
 
@@ -367,7 +373,6 @@ def cmd_train(args) -> int:
         "config_digest": cfg.digest(),
         "classes": ",".join(classes),
         "model_type": cfg.model_type,
-        "sequence_layout": "1" if sequence else "0",
     }
     ckpt_path = os.path.join(cfg.output_dir, "best.ckpt")
     save_checkpoint(model, metadata, ckpt_path)
@@ -398,8 +403,7 @@ def cmd_evaluate(args) -> int:
     manifest = _manifest(cfg)
 
     if args.cv:
-        sequence = cfg.model_type == "rnn"
-        x, y, _ = _dataset(cfg, manifest.rows, manifest.label_map, sequence)
+        x, y, _ = _dataset(cfg, manifest.rows, manifest.label_map, _is_sequence_config(cfg))
         folds = manifest.folds()
         spec = cfg.model_spec(x.shape[1:], manifest.n_classes)
         report = kfold_cross_validate(x, y, folds, spec, cfg.train_config(), jobs=cfg.jobs)

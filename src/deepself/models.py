@@ -8,8 +8,9 @@ sequence axis), and ``SequenceHead`` between the last Recurrent and the
 classifier (last hidden state for uni-directional stacks, the concatenation
 of each direction's final state for bi-directional ones).
 
-Grid values are channels-first ``[C, *spatial]`` with time as the trailing
-spatial axis; sequences are ``[T, F]``.
+Grid values are channels-first ``[B, C, *spatial]`` with time as the trailing
+spatial axis; sequences are ``[B, T, F]`` tensors end to end, and each
+direction of a recurrent layer is one fused ``tensor.recurrent`` op.
 """
 
 from __future__ import annotations
@@ -22,34 +23,24 @@ import numpy as np
 from .errors import ConfigError, FormatError, ShapeError
 from .tensor import (
     ACTIVATIONS,
+    RECURRENT_GATES,
     Tensor,
     activation,
     add_bias,
-    add,
     concat,
     conv_nd_batched,
     infer_conv_output_size,
     matmul,
-    mul,
+    recurrent,
     reshape,
     select,
     softmax,
-    sub,
-    tanh,
-    sigmoid,
     transpose,
     _per_axis,
 )
 
 RECURRENT_CELLS = ("rnn", "lstm", "gru")
 DIRECTIONS = ("uni", "bi")
-
-_GATES = {
-    "rnn": ("",),
-    "gru": ("r", "z", "n"),
-    "lstm": ("i", "f", "g", "o"),
-}
-
 
 def _positive(value, name) -> int:
     value = int(value)
@@ -395,15 +386,19 @@ def _glorot(rng, fan_in, fan_out, shape, dtype):
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
+def _gate_param(prefix, kind, gate) -> str:
+    """Checkpoint name of one gate's W, U or b, e.g. ``layer0.l0.fwd.W_r``."""
+    return f"{prefix}.{kind}_{gate}" if gate else f"{prefix}.{kind}"
+
+
 def _init_cell_params(rng, params, prefix, cell, in_features, hidden, dtype):
-    for gate in _GATES[cell]:
-        suffix = f"_{gate}" if gate else ""
+    for gate in RECURRENT_GATES[cell]:
         w = _glorot(rng, in_features, hidden, (in_features, hidden), dtype)
         u = _glorot(rng, hidden, hidden, (hidden, hidden), dtype)
         b = np.ones(hidden, dtype) if (cell == "lstm" and gate == "f") else np.zeros(hidden, dtype)
-        params[f"{prefix}.W{suffix}"] = Tensor(w, requires_grad=True)
-        params[f"{prefix}.U{suffix}"] = Tensor(u, requires_grad=True)
-        params[f"{prefix}.b{suffix}"] = Tensor(b, requires_grad=True)
+        params[_gate_param(prefix, "W", gate)] = Tensor(w, requires_grad=True)
+        params[_gate_param(prefix, "U", gate)] = Tensor(u, requires_grad=True)
+        params[_gate_param(prefix, "b", gate)] = Tensor(b, requires_grad=True)
 
 
 def init_model(spec: ModelSpec, dtype=np.float32) -> Model:
@@ -440,75 +435,31 @@ def init_model(spec: ModelSpec, dtype=np.float32) -> Model:
 
 
 # ---------------------------------------------------------------------------
-# Recurrent cells
+# Recurrent layers
 # ---------------------------------------------------------------------------
 
 
-def _affine(x, h, w, u, b):
-    return add_bias(add(matmul(x, w), matmul(h, u)), b)
+def _direction(x, params, prefix, cell, reverse):
+    """One direction as one fused op; per-gate parameters are stacked here."""
+    stacked = []
+    for kind, axis in (("W", 1), ("U", 1), ("b", 0)):
+        gates = [params[_gate_param(prefix, kind, g)] for g in RECURRENT_GATES[cell]]
+        stacked.append(gates[0] if len(gates) == 1 else concat(gates, axis=axis))
+    return recurrent(x, *stacked, cell, reverse=reverse)
 
 
-def rnn_cell(x, h, p, prefix):
-    """h' = tanh(W x + U h + b)."""
-    return tanh(_affine(x, h, p[f"{prefix}.W"], p[f"{prefix}.U"], p[f"{prefix}.b"]))
-
-
-def gru_cell(x, h, p, prefix):
-    """r/z gates sigmoid, candidate n = tanh(W_n x + U_n (r*h) + b_n)."""
-    r = sigmoid(_affine(x, h, p[f"{prefix}.W_r"], p[f"{prefix}.U_r"], p[f"{prefix}.b_r"]))
-    z = sigmoid(_affine(x, h, p[f"{prefix}.W_z"], p[f"{prefix}.U_z"], p[f"{prefix}.b_z"]))
-    n = tanh(add_bias(add(matmul(x, p[f"{prefix}.W_n"]), matmul(mul(r, h), p[f"{prefix}.U_n"])),
-                      p[f"{prefix}.b_n"]))
-    # (1 - z) * n + z * h  ==  n + z * (h - n)
-    return add(n, mul(z, sub(h, n)))
-
-
-def lstm_cell(x, h, c, p, prefix):
-    i = sigmoid(_affine(x, h, p[f"{prefix}.W_i"], p[f"{prefix}.U_i"], p[f"{prefix}.b_i"]))
-    f = sigmoid(_affine(x, h, p[f"{prefix}.W_f"], p[f"{prefix}.U_f"], p[f"{prefix}.b_f"]))
-    g = tanh(_affine(x, h, p[f"{prefix}.W_g"], p[f"{prefix}.U_g"], p[f"{prefix}.b_g"]))
-    o = sigmoid(_affine(x, h, p[f"{prefix}.W_o"], p[f"{prefix}.U_o"], p[f"{prefix}.b_o"]))
-    c_new = add(mul(f, c), mul(i, g))
-    h_new = mul(o, tanh(c_new))
-    return h_new, c_new
-
-
-def _run_direction(steps, params, prefix, cell, hidden, reverse):
-    """Run one direction; returns per-position hidden states (position order)."""
-    batch = steps[0].shape[0]
-    dtype = steps[0].data.dtype
-    h = Tensor(np.zeros((batch, hidden), dtype=dtype))
-    c = Tensor(np.zeros((batch, hidden), dtype=dtype))
-    order = range(len(steps) - 1, -1, -1) if reverse else range(len(steps))
-    out: list = [None] * len(steps)
-    for t in order:
-        if cell == "lstm":
-            h, c = lstm_cell(steps[t], h, c, params, prefix)
-        elif cell == "gru":
-            h = gru_cell(steps[t], h, params, prefix)
-        else:
-            h = rnn_cell(steps[t], h, params, prefix)
-        out[t] = h
-    return out
-
-
-def run_recurrent_layer(steps, params, prefix, layer: Recurrent):
-    """Full sub-stack; returns (per-position outputs, classifier head state)."""
-    if not steps:
-        raise ShapeError("recurrent layer received an empty sequence")
-    head = None
+def run_recurrent_layer(x: Tensor, params, prefix, layer: Recurrent):
+    """Full sub-stack on a [B, T, F] tensor; returns ([B, T, width] outputs, [B, width] head state)."""
     for sub in range(layer.layers):
-        fwd = _run_direction(steps, params, f"{prefix}.l{sub}.fwd", layer.cell,
-                             layer.hidden_nodes, reverse=False)
-        if layer.direction == "bi":
-            bwd = _run_direction(steps, params, f"{prefix}.l{sub}.bwd", layer.cell,
-                                 layer.hidden_nodes, reverse=True)
-            steps = [concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
-            head = concat([fwd[-1], bwd[0]], axis=1)
-        else:
-            steps = fwd
-            head = fwd[-1]
-    return steps, head
+        fwd = _direction(x, params, f"{prefix}.l{sub}.fwd", layer.cell, reverse=False)
+        if layer.direction == "uni":
+            x = fwd
+            continue
+        bwd = _direction(x, params, f"{prefix}.l{sub}.bwd", layer.cell, reverse=True)
+        x = concat([fwd, bwd], axis=2)
+    last = select(fwd, fwd.shape[1] - 1, axis=1)
+    head = last if layer.direction == "uni" else concat([last, select(bwd, 0, axis=1)], axis=1)
+    return x, head
 
 
 def cnn_to_rnn_reshape(x: Tensor) -> Tensor:
@@ -526,15 +477,6 @@ def cnn_to_rnn_reshape(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _sequence_steps(x: Tensor) -> list:
-    return [select(x, t, axis=1) for t in range(x.shape[1])]
-
-
-def _assemble_sequence(steps) -> Tensor:
-    batch, width = steps[0].shape
-    return concat([reshape(s, (batch, 1, width)) for s in steps], axis=1)
-
-
 def forward(model: Model, batch):
     """Run the planned stages; returns (logits Tensor [B x C], probabilities Tensor)."""
     x = batch if isinstance(batch, Tensor) else Tensor(batch)
@@ -547,8 +489,7 @@ def forward(model: Model, batch):
     params = model.params
     value = x
     pending_head = None
-    stages = model.plan.stages
-    for idx, stage in enumerate(stages):
+    for idx, stage in enumerate(model.plan.stages):
         layer = stage.layer
         if isinstance(layer, Dense):
             value = add_bias(matmul(value, params[f"{stage.param_prefix}.weight"]),
@@ -561,13 +502,7 @@ def forward(model: Model, batch):
                                     bias=params[f"{stage.param_prefix}.bias"])
             value = activation(value, model.spec.activation)
         elif isinstance(layer, Recurrent):
-            steps = _sequence_steps(value)
-            steps, pending_head = run_recurrent_layer(steps, params, stage.param_prefix, layer)
-            # assembling [B,T,H] is wasted work when only the head state is consumed next
-            if idx + 1 < len(stages) and isinstance(stages[idx + 1].layer, SequenceHead):
-                value = pending_head
-                continue
-            value = _assemble_sequence(steps)
+            value, pending_head = run_recurrent_layer(value, params, stage.param_prefix, layer)
         elif isinstance(layer, SequenceHead):
             if pending_head is None:
                 raise ShapeError("sequence head requested but no recurrent layer ran")

@@ -291,6 +291,11 @@ def add_bias(x, bias) -> Tensor:
 ACTIVATIONS = ("relu", "sigmoid", "tanh")
 
 
+def _sigmoid(x):
+    # tanh form saturates instead of overflowing exp()
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
 def activation(x, kind: str) -> Tensor:
     """Elementwise nonlinearity; ``kind`` is one of relu, sigmoid, tanh."""
     x = _as_tensor(x)
@@ -299,8 +304,7 @@ def activation(x, kind: str) -> Tensor:
         out = np.maximum(xd, 0)
         return _make_result("relu", out, (x,), lambda g: (g * (xd > 0),))
     if kind == "sigmoid":
-        # tanh form saturates instead of overflowing exp()
-        s = 0.5 * (1.0 + np.tanh(0.5 * xd))
+        s = _sigmoid(xd)
         return _make_result("sigmoid", s, (x,), lambda g: (g * s * (1.0 - s),))
     if kind == "tanh":
         t = np.tanh(xd)
@@ -516,6 +520,138 @@ def convolve_nd(x, kernels, stride=1, padding=0, bias=None) -> Tensor:
     batched = reshape(x, (1,) + tuple(x.shape))
     out = conv_nd_batched(batched, kernels, stride, padding, bias=bias)
     return reshape(out, tuple(out.shape)[1:])
+
+
+# ---------------------------------------------------------------------------
+# Recurrent layers: one tape record per direction
+# ---------------------------------------------------------------------------
+
+# gate order of the stacked W/U/b columns of each cell
+RECURRENT_GATES = {
+    "rnn": ("",),
+    "gru": ("r", "z", "n"),
+    "lstm": ("i", "f", "g", "o"),
+}
+
+
+def recurrent(x, w, u, b, cell: str, reverse: bool = False) -> Tensor:
+    """Scan one recurrent direction over a [B, T, F] sequence; returns [B, T, H].
+
+    ``w`` [F, G*H], ``u`` [H, G*H] and ``b`` [G*H] hold the G gates of
+    ``RECURRENT_GATES[cell]`` side by side in that order.  The state starts
+    at zero; ``reverse`` scans from the last position to the first, and the
+    outputs stay in position order.  With sigmoid in its tanh form:
+
+    * rnn:  h' = tanh(W x + U h + b)
+    * gru:  r, z = sigmoid(W x + U h + b), n = tanh(W_n x + U_n (r*h) + b_n),
+      h' = n + z*(h - n)
+    * lstm: i, f, o = sigmoid(W x + U h + b), g = tanh(W_g x + U_g h + b_g),
+      c' = f*c + i*g, h' = o*tanh(c')
+
+    The input projection of all steps is one matmul and each step does one
+    matmul on the state (gru two: its candidate reads r*h).  The backward
+    pass is hand-written backpropagation through time.  All pre-activations
+    are checked for finiteness once, after the scan.
+    """
+    if cell not in RECURRENT_GATES:
+        raise ConfigError(f"unknown recurrent cell {cell!r}; choose one of {tuple(RECURRENT_GATES)}")
+    x, w, u, b = _as_tensor(x), _as_tensor(w), _as_tensor(u), _as_tensor(b)
+    hid = u.shape[0] if u.data.ndim == 2 else 0
+    width = len(RECURRENT_GATES[cell]) * hid
+    if (x.data.ndim != 3 or x.shape[1] < 1 or hid < 1
+            or (w.shape, u.shape, b.shape) != ((x.shape[2], width), (hid, width), (width,))):
+        raise ShapeError(f"{cell}: needs a non-empty [B, T, F] input, W [F, G*H], U [H, G*H] "
+                         f"and b [G*H] with H >= 1; got {tuple(x.shape)}, {tuple(w.shape)}, "
+                         f"{tuple(u.shape)} and {tuple(b.shape)}")
+    batch, steps, features = x.shape
+    order = -1 if reverse else 1
+    dtype = np.result_type(x.data, w.data, u.data, b.data)
+    # every buffer is indexed by scan step s; hs[s] and cs[s] are the states step s reads
+    seq = np.ascontiguousarray(x.data.transpose(1, 0, 2)[::order], dtype=dtype)
+    seq = seq.reshape(steps * batch, features)
+    pre = (seq @ w.data).reshape(steps, batch, width)  # W x; U h and b are added per step
+    act = np.empty_like(pre)
+    hs = np.zeros((steps + 1, batch, hid), dtype)
+    cs = np.zeros_like(hs)  # lstm only
+    rh = np.empty((steps, batch, hid), dtype)  # gru only: r*h, what U_n reads
+    n_h = 2 * hid if cell == "gru" else width  # gate columns fed by U h
+    u_h, u_n = np.ascontiguousarray(u.data[:, :n_h]), np.ascontiguousarray(u.data[:, n_h:])
+    for s in range(steps):
+        h, a, gates = hs[s], pre[s], act[s]
+        a_h = a[:, :n_h]
+        a_h += h @ u_h
+        a_h += b.data[:n_h]
+        if cell == "rnn":
+            np.tanh(a, out=hs[s + 1])
+        elif cell == "gru":
+            gates[:, :n_h] = _sigmoid(a_h)
+            r, z, n = gates[:, :hid], gates[:, hid:n_h], gates[:, n_h:]
+            np.multiply(r, h, out=rh[s])
+            a_n = a[:, n_h:]
+            a_n += rh[s] @ u_n
+            a_n += b.data[n_h:]
+            np.tanh(a_n, out=n)
+            hs[s + 1] = n + z * (h - n)
+        else:
+            gates[...] = _sigmoid(a)
+            i, f, g, o = (gates[:, k * hid:(k + 1) * hid] for k in range(4))
+            np.tanh(a[:, 2 * hid:3 * hid], out=g)
+            cs[s + 1] = f * cs[s] + i * g
+            np.multiply(o, np.tanh(cs[s + 1]), out=hs[s + 1])
+    if not np.all(np.isfinite(pre)):
+        raise NumericError(f"{cell} produced non-finite values")
+
+    def _backward(grad):
+        d_out = grad.transpose(1, 0, 2)[::order]
+        d_pre = np.empty((steps, batch, width), dtype)
+        d_gates = d_pre.reshape(steps, batch, -1, hid)  # a view: d_pre is contiguous
+        gate = act.reshape(steps, batch, -1, hid)
+        h_in = hs[:-1]
+        # the local derivatives that do not depend on the incoming gradient, all steps at once
+        if cell == "rnn":
+            fac = 1.0 - hs[1:] * hs[1:]
+        elif cell == "gru":
+            r, z, n = gate[:, :, 0], gate[:, :, 1], gate[:, :, 2]
+            # times dL/d(r*h), dL/dh', dL/dh'
+            fac = np.stack([h_in * r * (1.0 - r), (h_in - n) * z * (1.0 - z),
+                            (1.0 - z) * (1.0 - n * n)], axis=2)
+        else:
+            i, f, g, o = (gate[:, :, k] for k in range(4))
+            tanh_c = np.tanh(cs[1:])
+            # times dL/dc for i, f and g, times dL/dh' for o
+            fac = np.stack([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - g * g),
+                            tanh_c * o * (1.0 - o)], axis=2)
+            o_dtanh = o * (1.0 - tanh_c * tanh_c)
+        carry = np.zeros((batch, hid), dtype)  # dL/dh from later steps
+        dc = np.zeros((batch, hid), dtype)  # dL/dc from later steps (lstm)
+        for s in range(steps - 1, -1, -1):
+            dh, da = d_out[s] + carry, d_gates[s]
+            if cell == "rnn":
+                np.multiply(dh, fac[s], out=da[:, 0])
+            elif cell == "gru":
+                np.multiply(dh, fac[s, :, 2], out=da[:, 2])
+                d_rh = da[:, 2] @ u_n.T
+                np.multiply(d_rh, fac[s, :, 0], out=da[:, 0])
+                np.multiply(dh, fac[s, :, 1], out=da[:, 1])
+            else:
+                dc += dh * o_dtanh[s]
+                np.multiply(dc[:, None, :], fac[s, :, :3], out=da[:, :3])
+                np.multiply(dh, fac[s, :, 3], out=da[:, 3])
+                dc *= f[s]
+            carry = d_pre[s, :, :n_h] @ u_h.T
+            if cell == "gru":
+                carry += dh * z[s] + d_rh * r[s]
+        d_flat = d_pre.reshape(steps * batch, width)
+        d_u = h_in.reshape(-1, hid).T @ d_flat[:, :n_h]
+        if cell == "gru":
+            d_u = np.concatenate([d_u, rh.reshape(-1, hid).T @ d_flat[:, n_h:]], axis=1)
+        d_x = None
+        if x.requires_grad:
+            d_seq = (d_flat @ w.data.T).reshape(steps, batch, features)[::order]
+            d_x = np.ascontiguousarray(d_seq.transpose(1, 0, 2))
+        return d_x, seq.T @ d_flat, d_u, d_flat.sum(axis=0)
+
+    return _make_result(cell, hs[1:][::order].transpose(1, 0, 2), (x, w, u, b), _backward)
 
 
 # ---------------------------------------------------------------------------

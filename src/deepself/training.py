@@ -8,7 +8,9 @@ parameters as little-endian float32 and round-trip bit-exactly.
 
 from __future__ import annotations
 
+import logging
 import struct
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,6 +30,8 @@ from .models import Dense, Model, ModelSpec, forward, init_model, plan_shapes
 from .tensor import backward, no_grad, softmax_cross_entropy
 
 OPTIMIZERS = ("sgd", "adam")
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -192,6 +196,7 @@ def train(model: Model, train_set, dev_set, config: TrainConfig):
     n = x_train.shape[0]
 
     for epoch in range(1, config.epochs + 1):
+        started = time.perf_counter()
         order = rng.permutation(n) if config.shuffle else np.arange(n)
         loss_sum = 0.0
         epoch_pred = np.empty(n, dtype=np.int64)
@@ -225,6 +230,9 @@ def train(model: Model, train_set, dev_set, config: TrainConfig):
         train_uar = uar_from_labels(epoch_true, epoch_pred, model.n_classes)
         dev_uar = evaluate_uar(model, (x_dev, y_dev), config.batch_size)
         history.append(EpochRecord(epoch, loss_sum / n, train_uar, dev_uar))
+        seconds = time.perf_counter() - started  # includes the dev evaluation
+        log.info("epoch %d: train loss %.6f, train UAR %.2f, dev UAR %.2f, %.2f s, %.1f samples/s",
+                 epoch, loss_sum / n, train_uar, dev_uar, seconds, n / seconds)
         if dev_uar > best_uar:
             best_uar = dev_uar
             best_params = model.clone_parameters()

@@ -2,11 +2,13 @@
 
 import csv
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from deepself.cli import main
+from deepself.cli import _is_sequence_config, _is_sequence_model, main
+from deepself.config import MODEL_TYPES, RunConfig
 from deepself.data import load_manifest, load_sample
 from deepself.dsp import Signal, apply_iir, design_butterworth_bandpass, read_feature_map
 from deepself.evaluation import read_predictions, uar_from_labels
@@ -197,6 +199,12 @@ class TestTrain:
         model, meta = load_checkpoint(tmp_path / "out" / "best.ckpt")
         assert model.spec.input_shape == (10, 1)  # sequence layout [T x F]
         assert meta["model_type"] == "rnn"
+        assert "sequence_layout" not in meta  # the embedded spec decides the layout
+
+    @pytest.mark.parametrize("model_type", MODEL_TYPES)
+    def test_config_and_spec_agree_on_sequence_layout(self, model_type):
+        cfg = replace(RunConfig(), model_type=model_type)
+        assert _is_sequence_config(cfg) == _is_sequence_model(cfg.model_spec((1, 16), 2))
 
     def test_no_split_needs_dev_fraction(self, tmp_path, capsys):
         manifest = toy_dataset(tmp_path, folds=True)  # fold column, no splits

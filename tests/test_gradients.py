@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from deepself.models import (
+    RECURRENT_CELLS,
     Conv,
     Dense,
     ModelSpec,
@@ -18,10 +19,14 @@ from deepself.models import (
     init_model,
 )
 from deepself.tensor import (
+    RECURRENT_GATES,
     Tensor,
     backward,
     finite_diff_grad,
+    mul,
+    recurrent,
     softmax_cross_entropy,
+    tensor_sum,
 )
 
 TOL = 1e-4
@@ -115,6 +120,39 @@ class TestRecurrentGradients:
 
     def test_lstm_bi(self):
         check_spec(ModelSpec((4, 3), (Recurrent("lstm", 3, 1, "bi"),), 2, seed=12))
+
+    def test_lstm_bi_two_layers(self):
+        check_spec(ModelSpec((4, 3), (Recurrent("lstm", 3, 2, "bi"),), 2, seed=18))
+
+    def test_rnn_bi_two_layers(self):
+        check_spec(ModelSpec((4, 3), (Recurrent("rnn", 3, 2, "bi"),), 2, seed=19))
+
+    @pytest.mark.parametrize("cell", RECURRENT_CELLS)
+    def test_single_step_sequence(self, cell):
+        check_spec(ModelSpec((1, 3), (Recurrent(cell, 3, 1, "bi"),), 2, seed=20))
+
+    @pytest.mark.parametrize("cell", RECURRENT_CELLS)
+    def test_reversed_direction_op(self, cell):
+        # the op alone, with an upstream gradient at every position rather than
+        # only at the head state a classifier reads
+        rng = np.random.default_rng(21)
+        width = 3 * len(RECURRENT_GATES[cell])
+        arrays = [rng.standard_normal((2, 4, 3)), 0.5 * rng.standard_normal((3, width)),
+                  0.5 * rng.standard_normal((3, width)), 0.1 * rng.standard_normal(width)]
+        upstream = Tensor(rng.standard_normal((2, 4, 3)))
+
+        def loss(args):
+            return tensor_sum(mul(recurrent(*args, cell, reverse=True), upstream))
+
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        backward(loss(inputs))
+        for k, (name, t) in enumerate(zip(("x", "W", "U", "b"), inputs)):
+            def f(v, _k=k):
+                args = [Tensor(a) for a in arrays]
+                args[_k] = v
+                return loss(args)
+            err = max_rel_error(t.grad, finite_diff_grad(f, t, h=1e-5))
+            assert err <= TOL, f"{cell} {name}: max relative error {err:.3e}"
 
 
 class TestStackedGradients:

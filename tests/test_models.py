@@ -16,11 +16,8 @@ from deepself.models import (
     SequenceHead,
     cnn_to_rnn_reshape,
     forward,
-    gru_cell,
     init_model,
-    lstm_cell,
     plan_shapes,
-    rnn_cell,
     run_recurrent_layer,
 )
 from deepself.tensor import Tensor, infer_conv_output_size
@@ -205,52 +202,70 @@ class TestForward:
         np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-6)
 
 
-def _cell_params(names, shape_w=(1, 1), value=0.0):
+_GATE_SUFFIXES = {"rnn": ("",), "gru": ("_r", "_z", "_n"), "lstm": ("_i", "_f", "_g", "_o")}
+
+
+def _cell_params(cell, **values):
+    """One uni-directional 1-in/1-hidden layer named ``c``; parameters zero unless given."""
     params = {}
-    for name in names:
-        if name.startswith("W") or name.startswith("U"):
-            params[f"c.{name}"] = Tensor(np.full(shape_w, value))
-        else:
-            params[f"c.{name}"] = Tensor(np.full(shape_w[1], value))
+    for gate in _GATE_SUFFIXES[cell]:
+        for kind in ("W", "U", "b"):
+            shape = (1,) if kind == "b" else (1, 1)
+            value = values.get(f"{kind}{gate}", 0.0)
+            params[f"c.l0.fwd.{kind}{gate}"] = Tensor(np.full(shape, value))
     return params
+
+
+def _run_cell(cell, params, inputs):
+    """Hidden state after each step of a one-feature sequence, batch of one."""
+    x = Tensor(np.array(inputs, dtype=np.float64).reshape(1, len(inputs), 1))
+    out, _ = run_recurrent_layer(x, params, "c", Recurrent(cell, 1))
+    return out.data[0, :, 0]
+
+
+# a first step driven only through W (its input is 1, the state before it 0)
+# sets up the state the step under test starts from; a zero second input
+# makes W irrelevant there, so that step runs on zero parameters
+_SATURATED = 50.0  # sigmoid(-50) == 0 and sigmoid(50) == 1 in float64
 
 
 class TestCells:
     def test_gru_all_zero_parameters_and_state(self):
-        p = _cell_params(["W_r", "U_r", "b_r", "W_z", "U_z", "b_z", "W_n", "U_n", "b_n"])
-        out = gru_cell(Tensor([[3.0]]), Tensor([[0.0]]), p, "c")
-        np.testing.assert_array_equal(out.data, 0.0)
+        out = _run_cell("gru", _cell_params("gru"), [3.0])
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_gru_zero_params_halve_the_state(self):
-        p = _cell_params(["W_r", "U_r", "b_r", "W_z", "U_z", "b_z", "W_n", "U_n", "b_n"])
-        out = gru_cell(Tensor([[7.0]]), Tensor([[0.8]]), p, "c")
-        np.testing.assert_allclose(out.data, [[0.4]], rtol=1e-6)
+        # step 1: z = 0, n = tanh(ln 3) = 0.8  ->  h = 0.8
+        p = _cell_params("gru", W_n=math.log(3.0), W_z=-_SATURATED)
+        out = _run_cell("gru", p, [1.0, 0.0])
+        np.testing.assert_allclose(out[0], 0.8, rtol=1e-6)
+        np.testing.assert_allclose(out[1], 0.4, rtol=1e-6)
 
     def test_gru_candidate_path(self):
-        p = _cell_params(["W_r", "U_r", "b_r", "W_z", "U_z", "b_z", "W_n", "U_n", "b_n"])
-        p["c.W_n"] = Tensor([[1.0]])
-        out = gru_cell(Tensor([[1.0]]), Tensor([[0.0]]), p, "c")
-        np.testing.assert_allclose(out.data, [[0.5 * math.tanh(1.0)]], rtol=1e-6)
+        out = _run_cell("gru", _cell_params("gru", W_n=1.0), [1.0])
+        np.testing.assert_allclose(out, [0.5 * math.tanh(1.0)], rtol=1e-6)
 
     def test_rnn_cell_equation(self):
-        p = {"c.W": Tensor([[1.0]]), "c.U": Tensor([[2.0]]), "c.b": Tensor([0.5])}
-        out = rnn_cell(Tensor([[0.3]]), Tensor([[0.1]]), p, "c")
-        np.testing.assert_allclose(out.data, [[math.tanh(0.3 + 0.2 + 0.5)]], rtol=1e-6)
+        # step 1 sets h = tanh(atanh(0.1) - 0.5 + 0.5) = 0.1
+        p = _cell_params("rnn", W=1.0, U=2.0, b=0.5)
+        out = _run_cell("rnn", p, [math.atanh(0.1) - 0.5, 0.3])
+        np.testing.assert_allclose(out[0], 0.1, rtol=1e-6)
+        np.testing.assert_allclose(out[1], math.tanh(0.3 + 0.2 + 0.5), rtol=1e-6)
 
     def test_lstm_zero_params(self):
-        names = [f"{k}_{g}" for g in "ifgo" for k in ("W", "U", "b")]
-        p = _cell_params(names)
-        h, c = lstm_cell(Tensor([[2.0]]), Tensor([[0.0]]), Tensor([[0.6]]), p, "c")
-        # i=f=o=0.5, g=0  ->  c' = 0.3, h' = 0.5*tanh(0.3)
-        np.testing.assert_allclose(c.data, [[0.3]], rtol=1e-6)
-        np.testing.assert_allclose(h.data, [[0.5 * math.tanh(0.3)]], rtol=1e-6)
+        # step 1: i = 1, o = 0.5, g = tanh(ln 2) = 0.6  ->  c = 0.6, h = 0.5*tanh(0.6)
+        p = _cell_params("lstm", W_i=_SATURATED, W_g=math.log(2.0))
+        out = _run_cell("lstm", p, [1.0, 0.0])
+        np.testing.assert_allclose(out[0], 0.5 * math.tanh(0.6), rtol=1e-6)
+        # step 2: i=f=o=0.5, g=0  ->  c' = 0.3, h' = 0.5*tanh(0.3); the op
+        # returns hidden states only, so c' is checked through h'
+        np.testing.assert_allclose(out[1], 0.5 * math.tanh(0.3), rtol=1e-6)
 
 
 def _tied_bi_params(rng, features, hidden, cell="gru"):
     """Bidirectional parameter set whose two directions share values."""
-    gates = {"rnn": ("",), "gru": ("_r", "_z", "_n"), "lstm": ("_i", "_f", "_g", "_o")}[cell]
     params = {}
-    for gate in gates:
+    for gate in _GATE_SUFFIXES[cell]:
         w = rng.standard_normal((features, hidden)) * 0.4
         u = rng.standard_normal((hidden, hidden)) * 0.4
         b = rng.standard_normal(hidden) * 0.1
@@ -264,33 +279,32 @@ def _tied_bi_params(rng, features, hidden, cell="gru"):
 class TestBidirectional:
     def test_output_width_doubles(self):
         rng = np.random.default_rng(4)
-        steps = [Tensor(rng.standard_normal((3, 5))) for _ in range(6)]
+        x = Tensor(rng.standard_normal((3, 6, 5)))
         model = init_model(ModelSpec((6, 5), (Recurrent("gru", 7, 1, "bi"),), 2, seed=0),
                            dtype=np.float64)
-        outputs, head = run_recurrent_layer(steps, model.params, "layer0",
+        outputs, head = run_recurrent_layer(x, model.params, "layer0",
                                             Recurrent("gru", 7, 1, "bi"))
-        assert len(outputs) == 6
-        assert outputs[0].shape == (3, 14)
+        assert outputs.shape == (3, 6, 14)
         assert head.shape == (3, 14)
 
     def test_reversed_input_swaps_directions_under_tied_weights(self):
         rng = np.random.default_rng(8)
         layer = Recurrent("gru", 4, 1, "bi")
         params = _tied_bi_params(rng, 3, 4)
-        steps = [Tensor(rng.standard_normal((2, 3))) for _ in range(5)]
-        out_fwd_order, _ = run_recurrent_layer(steps, params, "r", layer)
-        out_rev_order, _ = run_recurrent_layer(steps[::-1], params, "r", layer)
+        x = rng.standard_normal((2, 5, 3))
+        out_fwd_order, _ = run_recurrent_layer(Tensor(x), params, "r", layer)
+        out_rev_order, _ = run_recurrent_layer(Tensor(x[:, ::-1]), params, "r", layer)
         for t in range(5):
-            fwd_half_on_reversed = out_rev_order[t].data[:, :4]
-            bwd_half_original = out_fwd_order[4 - t].data[:, 4:]
+            fwd_half_on_reversed = out_rev_order.data[:, t, :4]
+            bwd_half_original = out_fwd_order.data[:, 4 - t, 4:]
             np.testing.assert_allclose(fwd_half_on_reversed, bwd_half_original, rtol=1e-12)
 
     def test_single_step_sequence(self):
         rng = np.random.default_rng(1)
         layer = Recurrent("rnn", 4, 1, "bi")
         params = _tied_bi_params(rng, 3, 4, cell="rnn")
-        outputs, head = run_recurrent_layer([Tensor(rng.standard_normal((2, 3)))], params, "r", layer)
-        assert len(outputs) == 1
+        outputs, head = run_recurrent_layer(Tensor(rng.standard_normal((2, 1, 3))), params, "r", layer)
+        assert outputs.shape[1] == 1
         np.testing.assert_array_equal(head.data[:, :4], head.data[:, 4:])
 
     def test_unidirectional_causality(self):
@@ -300,13 +314,11 @@ class TestBidirectional:
         base = rng.standard_normal((8, 3))
         perturbed = base.copy()
         perturbed[4] += 10.0
-        out_a, _ = run_recurrent_layer([Tensor(base[t][None, :]) for t in range(8)],
-                                       model.params, "layer0", layer)
-        out_b, _ = run_recurrent_layer([Tensor(perturbed[t][None, :]) for t in range(8)],
-                                       model.params, "layer0", layer)
+        out_a, _ = run_recurrent_layer(Tensor(base[None]), model.params, "layer0", layer)
+        out_b, _ = run_recurrent_layer(Tensor(perturbed[None]), model.params, "layer0", layer)
         for t in range(4):
-            np.testing.assert_array_equal(out_a[t].data, out_b[t].data)
-        assert not np.allclose(out_a[4].data, out_b[4].data)
+            np.testing.assert_array_equal(out_a.data[:, t], out_b.data[:, t])
+        assert not np.allclose(out_a.data[:, 4], out_b.data[:, 4])
 
 
 class TestCnnToRnnReshape:

@@ -294,3 +294,35 @@ class TestShapeOps:
         assert y.shape == (4, 2, 3)
         (y * y).sum().backward()
         np.testing.assert_allclose(x.grad, 2 * x.data)
+
+
+class TestRecurrent:
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("cell", ["rnn", "gru", "lstm"])
+    def test_overflowing_preactivation_names_the_cell(self, cell):
+        width = 2 * len(T.RECURRENT_GATES[cell])
+        x = Tensor(np.full((2, 3, 2), 1e10, dtype=np.float32))
+        w = Tensor(np.full((2, width), 1e30, dtype=np.float32), requires_grad=True)
+        u = Tensor(np.zeros((2, width), dtype=np.float32), requires_grad=True)
+        b = Tensor(np.zeros(width, dtype=np.float32), requires_grad=True)
+        with pytest.raises(NumericError, match=f"^{cell} produced non-finite values"):
+            T.recurrent(x, w, u, b, cell)
+
+    def test_shapes_checked(self):
+        x = Tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(ShapeError, match="gru"):
+            T.recurrent(x, np.zeros((4, 5)), np.zeros((2, 6)), np.zeros(6), "gru")
+        with pytest.raises(ShapeError):
+            T.recurrent(Tensor(np.zeros((2, 0, 4))), np.zeros((4, 2)), np.zeros((2, 2)),
+                        np.zeros(2), "rnn")
+        with pytest.raises(ConfigError):
+            T.recurrent(x, np.zeros((4, 2)), np.zeros((2, 2)), np.zeros(2), "conv")
+
+    def test_one_tape_record_per_direction(self):
+        x = Tensor(np.ones((2, 5, 3)), requires_grad=True)
+        w, u, b = (Tensor(np.zeros(s), requires_grad=True) for s in ((3, 8), (2, 8), (8,)))
+        T.clear_tape()
+        out = T.recurrent(x, w, u, b, "lstm", reverse=True)
+        assert out.shape == (2, 5, 2)
+        assert [rec.op for rec in T.active_tape().records] == ["lstm"]
+        T.clear_tape()

@@ -1,5 +1,7 @@
 """Optimizer, training-loop, checkpoint, and fine-tuning tests."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,26 @@ class TestTrainLoop:
                              optimizer="sgd", seed=1)
         with pytest.raises(NumericError, match="epoch"):
             train(model, (features, labels), (features, labels), config)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_recurrent_divergence_names_cell_epoch_and_batch(self):
+        model = init_model(ModelSpec((3, 2), (Recurrent("gru", 4),), 2, seed=1))
+        model.params["layer0.l0.fwd.W_z"].data[:] = 1e30
+        features = np.full((8, 3, 2), 1e10, dtype=np.float32)
+        labels = np.zeros(8, dtype=np.int64)
+        config = TrainConfig(batch_size=4, epochs=1, seed=1)
+        with pytest.raises(NumericError, match="epoch 1, batch 1: gru produced non-finite"):
+            train(model, (features, labels), (features, labels), config)
+
+    def test_logs_one_info_line_per_epoch(self, caplog):
+        caplog.set_level(logging.INFO, logger="deepself")
+        _, history, _ = self._train_blobs(epochs=3)
+        lines = [r.getMessage() for r in caplog.records if r.name == "deepself.training"]
+        assert len(lines) == 3
+        for rec, line in zip(history, lines):
+            assert line.startswith(f"epoch {rec.epoch}: train loss {rec.train_loss:.6f}, "
+                                   f"train UAR {rec.train_uar:.2f}, dev UAR {rec.dev_uar:.2f}, ")
+            assert line.endswith(" samples/s")
 
     def test_write_history(self, tmp_path):
         _, history, _ = self._train_blobs(epochs=3)
