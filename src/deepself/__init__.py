@@ -67,4 +67,18 @@ from .training import (
     train,
 )
 
+__all__ = [
+    "RunConfig", "load_config", "DatasetManifest", "assemble_dataset", "load_csv_series",
+    "load_manifest", "load_pgm_image", "load_sample", "load_wav_pcm16", "FeatureMap",
+    "FilterCascade", "Signal", "apply_iir", "design_butterworth_bandpass", "log_mel_spectrogram",
+    "read_feature_map", "scalogram", "spectrogram", "write_feature_map", "ConfigError",
+    "DataError", "DeepSelfError", "FormatError", "IntegrityError", "MetricError", "NumericError",
+    "ShapeError", "TruncatedFileError", "UnsupportedFormatError", "VersionError",
+    "ConfusionMatrix", "FoldReport", "PredictionSet", "confusion_matrix", "fuse_predictions",
+    "kfold_cross_validate", "read_predictions", "uar", "uar_from_labels", "write_predictions",
+    "Conv", "Dense", "Model", "ModelSpec", "Recurrent", "forward", "init_model", "plan_shapes",
+    "Tensor", "backward", "finite_diff_grad", "no_grad", "TrainConfig", "fine_tune",
+    "load_checkpoint", "predict_batches", "save_checkpoint", "train"
+]
+
 __version__ = "0.1.0"

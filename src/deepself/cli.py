@@ -315,6 +315,8 @@ def cmd_preprocess(args) -> int:
                 lambda pair: _transform_row(pair[0], pair[1], cfg, cascades),
                 enumerate(manifest.rows)))
     else:
+        # jobs = 1 stays on the calling thread: perfbench's per-file dsp and
+        # data metrics count only the spans on the thread of the CLI call
         cascades = {}
         new_rows = [_transform_row(i, row, cfg, cascades)
                     for i, row in enumerate(manifest.rows)]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -8,6 +8,7 @@ excluded.  Argmax ties break to the lowest class index everywhere.
 from __future__ import annotations
 
 import csv
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -238,13 +239,8 @@ def kfold_cross_validate(features, labels, folds, spec, config, jobs: int = 1) -
         test_uar = uar_from_labels(labels[test_mask], pred, spec.n_classes)
         return test_uar, np.flatnonzero(test_mask)
 
-    indices = list(range(len(fold_ids)))
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_fold, indices))
-    else:
-        results = [run_fold(i) for i in indices]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        results = list(pool.map(run_fold, range(len(fold_ids))))
     return FoldReport(fold_ids, [float(u) for u, _ in results], [idx for _, idx in results])
 
 

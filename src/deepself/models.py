@@ -370,13 +370,16 @@ class Model:
 
     def load_parameters(self, arrays: dict[str, np.ndarray]):
         if set(arrays) != set(self.params):
-            missing = set(self.params) ^ set(arrays)
-            raise ShapeError(f"parameter name sets differ: {sorted(missing)}")
+            missing = sorted(set(self.params) - set(arrays))
+            extra = sorted(set(arrays) - set(self.params))
+            raise ShapeError(
+                f"parameter set does not match the model spec (missing {missing}, unexpected {extra})"
+            )
         for name, arr in arrays.items():
             target = self.params[name]
             if tuple(arr.shape) != tuple(target.shape):
                 raise ShapeError(
-                    f"parameter {name}: shape {tuple(arr.shape)} does not match {tuple(target.shape)}"
+                    f"parameter {name} has shape {tuple(arr.shape)}, spec needs {tuple(target.shape)}"
                 )
             target.data = np.asarray(arr, dtype=target.data.dtype).copy()
 

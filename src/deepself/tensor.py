@@ -1,10 +1,13 @@
 """Reverse-mode automatic differentiation over dense n-dimensional arrays.
 
 Every operation that touches a tensor with ``requires_grad`` appends a record
-to a per-thread tape: the input/output tensors plus a closure mapping the
-output gradient to input gradients.  ``backward`` replays the records
-newest-first (execution order is already topological), accumulates gradients
-by summation, and clears the tape, so a tape serves exactly one forward pass.
+to a per-thread tape, a plain list: the input/output tensors plus a closure
+mapping the output gradient to input gradients.  ``backward`` replays the
+records newest-first (execution order is already topological) and clears the
+tape, so a tape serves exactly one forward pass.  Each call gives every
+requires_grad tensor on its tape exactly this loss's gradient: replay starts
+from no gradient, so nothing carries over from an earlier call and callers
+never clear ``grad`` themselves.
 
 Arithmetic defaults to float32; verification code builds float64 tensors
 instead.  There is no broadcasting beyond bias addition: elementwise
@@ -55,17 +58,10 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def backward(self):
         backward(self)
@@ -77,29 +73,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self):
         return tensor_sum(self)
-
-    def mean(self):
-        return tensor_mean(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -117,35 +95,15 @@ class _TapeRecord:
         self.backward_fn = backward_fn
 
 
-class Tape:
-    """Ordered log of recorded operations for one forward pass."""
-
-    def __init__(self):
-        self.records: list[_TapeRecord] = []
-
-    def record(self, op, inputs, output, backward_fn):
-        self.records.append(_TapeRecord(op, inputs, output, backward_fn))
-
-    def clear(self):
-        self.records.clear()
-
-    def __len__(self):
-        return len(self.records)
-
-
 _state = threading.local()
 
 
-def active_tape() -> Tape:
+def active_tape() -> list[_TapeRecord]:
+    """This thread's tape: the records of the current forward pass, oldest first."""
     tape = getattr(_state, "tape", None)
     if tape is None:
-        tape = Tape()
-        _state.tape = tape
+        tape = _state.tape = []
     return tape
-
-
-def clear_tape():
-    active_tape().clear()
 
 
 def _recording() -> bool:
@@ -176,7 +134,7 @@ def _make_result(op, arr, inputs, backward_fn):
     track = _recording() and any(t.requires_grad for t in inputs)
     out.requires_grad = track
     if track:
-        active_tape().record(op, inputs, out, backward_fn)
+        active_tape().append(_TapeRecord(op, inputs, out, backward_fn))
     return out
 
 
@@ -186,34 +144,43 @@ def _make_result(op, arr, inputs, backward_fn):
 
 
 def backward(loss: Tensor):
-    """Populate ``grad`` on every requires_grad tensor reachable on the tape.
+    """Set ``grad`` on every requires_grad tensor on the tape to d loss / d tensor.
 
-    ``loss`` must be a scalar produced on the current tape.  Gradients of
-    tensors used more than once accumulate by summation.  The tape is cleared
-    afterwards whether or not the replay succeeds.
+    ``loss`` must be a scalar produced on the current tape.  Each call gives
+    every requires_grad tensor on its tape exactly this loss's gradient,
+    whatever ``grad`` held before; contributions of a tensor used more than
+    once are summed, and an input the loss does not depend on gets zeros.
+    The tape is cleared afterwards whether or not the replay succeeds.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {tuple(loss.shape)}")
     tape = active_tape()
     try:
-        records = tape.records
-        if not any(rec.output is loss for rec in records):
+        if not any(rec.output is loss for rec in tape):
             raise DeepSelfError("loss was not produced on the active tape")
-        for rec in records:
+        for rec in tape:
+            rec.output.grad = None
             for t in rec.inputs:
-                if t.requires_grad and t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-            if rec.output.grad is None:
-                rec.output.grad = np.zeros_like(rec.output.data)
+                t.grad = None
         loss.grad = np.ones_like(loss.data)
-        for rec in reversed(records):
+        for rec in reversed(tape):
+            if rec.output.grad is None:
+                continue  # the loss does not depend on this record
             grads = rec.backward_fn(rec.output.grad)
             for t, g in zip(rec.inputs, grads):
                 if g is None or not t.requires_grad:
                     continue
                 if not np.all(np.isfinite(g)):
                     raise NumericError(f"non-finite gradient in backward of {rec.op}")
-                t.grad += g
+                if t.grad is None:
+                    # a C-ordered copy: an op may return one array for several inputs (add)
+                    t.grad = np.array(g, dtype=t.data.dtype, order="C")
+                else:
+                    t.grad += g
+        for rec in tape:
+            for t in rec.inputs:
+                if t.requires_grad and t.grad is None:
+                    t.grad = np.zeros_like(t.data)
     finally:
         tape.clear()
 
@@ -238,12 +205,6 @@ def add(a, b) -> Tensor:
     return _make_result("add", a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_shape("sub", a, b)
-    return _make_result("sub", a.data - b.data, (a, b), lambda g: (g, -g))
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_same_shape("mul", a, b)
@@ -251,29 +212,10 @@ def mul(a, b) -> Tensor:
     return _make_result("mul", ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    return _make_result("neg", -a.data, (a,), lambda g: (-g,))
-
-
-def power(a, exponent) -> Tensor:
-    a = _as_tensor(a)
-    p = float(exponent)
-    ad = a.data
-    return _make_result("power", ad**p, (a,), lambda g: (g * p * ad ** (p - 1.0),))
-
-
 def tensor_sum(a) -> Tensor:
     a = _as_tensor(a)
     out = np.asarray(a.data.sum(), dtype=a.dtype)
     return _make_result("sum", out, (a,), lambda g: (np.broadcast_to(g, a.shape).astype(a.dtype, copy=True),))
-
-
-def tensor_mean(a) -> Tensor:
-    a = _as_tensor(a)
-    n = a.data.size
-    out = np.asarray(a.data.mean(), dtype=a.dtype)
-    return _make_result("mean", out, (a,), lambda g: ((np.broadcast_to(g, a.shape) / n).astype(a.dtype, copy=True),))
 
 
 def add_bias(x, bias) -> Tensor:
@@ -310,18 +252,6 @@ def activation(x, kind: str) -> Tensor:
         t = np.tanh(xd)
         return _make_result("tanh", t, (x,), lambda g: (g * (1.0 - t * t),))
     raise ConfigError(f"unknown activation {kind!r}; choose one of {ACTIVATIONS}")
-
-
-def relu(x):
-    return activation(x, "relu")
-
-
-def sigmoid(x):
-    return activation(x, "sigmoid")
-
-
-def tanh(x):
-    return activation(x, "tanh")
 
 
 # ---------------------------------------------------------------------------
@@ -510,16 +440,6 @@ def conv_nd_batched(x, kernels, stride, padding, bias=None) -> Tensor:
         return (d_x, d_kernels, d_bias)
 
     return _make_result("conv", out, (x, kernels, bias), _backward)
-
-
-def convolve_nd(x, kernels, stride=1, padding=0, bias=None) -> Tensor:
-    """Single-sample cross-correlation: [C_in, *sp] with [C_out, C_in, *k]."""
-    x = _as_tensor(x)
-    if x.data.ndim < 2 or x.data.ndim > 4:
-        raise ShapeError(f"convolve_nd input must be [C_in, 1..3 spatial axes], got shape {tuple(x.shape)}")
-    batched = reshape(x, (1,) + tuple(x.shape))
-    out = conv_nd_batched(batched, kernels, stride, padding, bias=bias)
-    return reshape(out, tuple(out.shape)[1:])
 
 
 # ---------------------------------------------------------------------------

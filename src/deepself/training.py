@@ -26,7 +26,7 @@ from .errors import (
     VersionError,
 )
 from .evaluation import uar_from_labels
-from .models import Dense, Model, ModelSpec, forward, init_model, plan_shapes
+from .models import Model, ModelSpec, forward, init_model
 from .tensor import backward, no_grad, softmax_cross_entropy
 
 OPTIMIZERS = ("sgd", "adam")
@@ -167,10 +167,6 @@ def evaluate_uar(model: Model, dataset, batch_size: int = 64) -> float:
     return uar_from_labels(labels, pred, model.n_classes)
 
 
-def _trainable(model: Model) -> dict:
-    return {name: p for name, p in model.params.items() if p.requires_grad}
-
-
 def best_epoch_index(dev_uars) -> int:
     """Argmax over the dev-UAR history, first occurrence on ties."""
     values = list(dev_uars)
@@ -213,15 +209,13 @@ def train(model: Model, train_set, dev_set, config: TrainConfig):
                 raise NumericError(
                     f"non-finite value at epoch {epoch}, batch {batch_no}: {exc}"
                 ) from exc
-            trainable = _trainable(model)
-            grads = {name: p.grad for name, p in trainable.items() if p.grad is not None}
+            grads = {name: p.grad for name, p in model.params.items()
+                     if p.requires_grad and p.grad is not None}
             if config.optimizer == "sgd":
                 sgd_step(model.params, grads, config.learning_rate)
             else:
                 adam_step(model.params, grads, adam_state, config.learning_rate,
                           config.beta1, config.beta2, config.epsilon)
-            for p in trainable.values():
-                p.grad = None  # backward accumulates into grad: each step applies only its batch
             loss_sum += loss.item() * len(rows)
             epoch_pred[cursor:cursor + len(rows)] = np.argmax(probs.data, axis=1)
             epoch_true[cursor:cursor + len(rows)] = yb
@@ -347,20 +341,10 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         model = init_model(spec)
     except (FormatError, ConfigError) as exc:
         raise IntegrityError(f"{path}: embedded model spec is invalid: {exc}") from exc
-    if set(ckpt.params) != set(model.params):
-        missing = sorted(set(model.params) - set(ckpt.params))
-        extra = sorted(set(ckpt.params) - set(model.params))
-        raise IntegrityError(
-            f"{path}: parameter set does not match the embedded spec "
-            f"(missing {missing}, unexpected {extra})"
-        )
-    for name, arr in ckpt.params.items():
-        expected = tuple(model.params[name].shape)
-        if tuple(arr.shape) != expected:
-            raise IntegrityError(
-                f"{path}: parameter {name} has shape {tuple(arr.shape)}, spec needs {expected}"
-            )
-    model.load_parameters(ckpt.params)
+    try:
+        model.load_parameters(ckpt.params)
+    except ShapeError as exc:
+        raise IntegrityError(f"{path}: {exc}") from exc
     return model, ckpt.metadata
 
 

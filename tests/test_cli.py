@@ -10,7 +10,7 @@ import pytest
 from deepself.cli import _is_sequence_config, _is_sequence_model, main
 from deepself.config import MODEL_TYPES, RunConfig
 from deepself.data import load_manifest, load_sample
-from deepself.dsp import Signal, apply_iir, design_butterworth_bandpass, read_feature_map
+from deepself.dsp import apply_iir, design_butterworth_bandpass, read_feature_map
 from deepself.evaluation import read_predictions, uar_from_labels
 from deepself.training import load_checkpoint
 

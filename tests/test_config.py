@@ -1,6 +1,5 @@
 """RunConfig: INI parsing, domain validation, model-spec assembly."""
 
-import numpy as np
 import pytest
 
 from deepself.config import RunConfig, apply_overrides, load_config

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from deepself.data import (
-    DatasetManifest,
     assemble_dataset,
     fixed_length,
     load_csv_series,

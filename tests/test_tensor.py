@@ -84,27 +84,33 @@ class TestMatmul:
             np.testing.assert_allclose(left, right, rtol=1e-4, atol=1e-5)
 
 
+def convolve_one(x, kernels, stride=1, padding=0, bias=None):
+    """Cross-correlate one [C_in, *sp] sample: conv_nd_batched on a batch of one."""
+    batch = T.reshape(x, (1,) + x.shape)
+    return T.conv_nd_batched(batch, kernels, stride, padding, bias=bias).data[0]
+
+
 class TestConvolveNd:
     def test_identity_kernel_1d(self):
         x = Tensor([[1.0, 2.0, 3.0]])
         k = Tensor([[[1.0]]])
-        out = T.convolve_nd(x, k, stride=1, padding=0)
-        np.testing.assert_allclose(out.data, [[1.0, 2.0, 3.0]])
+        out = convolve_one(x, k, stride=1, padding=0)
+        np.testing.assert_allclose(out, [[1.0, 2.0, 3.0]])
 
     def test_sliding_window_sum(self):
         # oracle: out[j] = sum of the kernel-width window starting at j
         x = np.array([[1.0, 2.0, 3.0]])
         k = np.array([[[1.0, 1.0]]])
         expected = [[x[0, 0] + x[0, 1], x[0, 1] + x[0, 2]]]
-        out = T.convolve_nd(Tensor(x), Tensor(k), stride=1, padding=0)
-        np.testing.assert_allclose(out.data, expected)
-        np.testing.assert_allclose(out.data, [[3.0, 5.0]])
+        out = convolve_one(Tensor(x), Tensor(k), stride=1, padding=0)
+        np.testing.assert_allclose(out, expected)
+        np.testing.assert_allclose(out, [[3.0, 5.0]])
 
     def test_kernel_exceeding_input_is_config_error(self):
         x = Tensor(np.zeros((1, 3)))
         k = Tensor(np.zeros((1, 1, 5)))
         with pytest.raises(ConfigError) as err:
-            T.convolve_nd(x, k, stride=1, padding=0)
+            convolve_one(x, k, stride=1, padding=0)
         assert "axis 0" in str(err.value)
 
     def test_identity_map_property(self):
@@ -113,8 +119,8 @@ class TestConvolveNd:
         for spatial in [(9,), (4, 5), (3, 4, 2)]:
             x = rng.standard_normal((1,) + spatial)
             k = np.ones((1, 1) + (1,) * len(spatial))
-            out = T.convolve_nd(Tensor(x, dtype=np.float64), Tensor(k, dtype=np.float64))
-            np.testing.assert_allclose(out.data, x)
+            out = convolve_one(Tensor(x, dtype=np.float64), Tensor(k, dtype=np.float64))
+            np.testing.assert_allclose(out, x)
 
     def test_against_direct_2d_oracle(self):
         rng = np.random.default_rng(5)
@@ -122,10 +128,10 @@ class TestConvolveNd:
         k = rng.standard_normal((3, 2, 3, 2))
         bias = rng.standard_normal(3)
         stride, pad = (2, 1), (1, 1)
-        out = T.convolve_nd(
+        out = convolve_one(
             Tensor(x, dtype=np.float64), Tensor(k, dtype=np.float64), stride=stride, padding=pad,
             bias=Tensor(bias, dtype=np.float64),
-        ).data
+        )
         padded = np.pad(x, [(0, 0), (1, 1), (1, 1)])
         oh = (6 + 2 - 3) // 2 + 1
         ow = (5 + 2 - 2) // 1 + 1
@@ -141,23 +147,23 @@ class TestConvolveNd:
         x = Tensor(np.zeros((1, 4)))
         k = Tensor(np.zeros((1, 1, 2)))
         with pytest.raises(ConfigError):
-            T.convolve_nd(x, k, stride=0, padding=0)
+            convolve_one(x, k, stride=0, padding=0)
         with pytest.raises(ConfigError):
-            T.convolve_nd(x, k, stride=1, padding=-1)
+            convolve_one(x, k, stride=1, padding=-1)
 
 
 class TestActivations:
     def test_relu_negative(self):
-        assert T.relu(Tensor([-1.0])).data[0] == 0.0
+        assert T.activation(Tensor([-1.0]), "relu").data[0] == 0.0
 
     def test_sigmoid_zero(self):
-        assert T.sigmoid(Tensor([0.0])).data[0] == pytest.approx(0.5)
+        assert T.activation(Tensor([0.0]), "sigmoid").data[0] == pytest.approx(0.5)
 
     def test_tanh_zero(self):
-        assert T.tanh(Tensor([0.0])).data[0] == 0.0
+        assert T.activation(Tensor([0.0]), "tanh").data[0] == 0.0
 
     def test_sigmoid_saturation_is_finite(self):
-        out = T.sigmoid(Tensor([-1000.0, 1000.0])).data
+        out = T.activation(Tensor([-1000.0, 1000.0]), "sigmoid").data
         np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
 
     def test_unknown_kind(self):
@@ -216,11 +222,27 @@ class TestBackward:
         loss.backward()
         np.testing.assert_allclose(x.grad, [0.0, 0.0])
 
+    def test_each_call_gives_its_own_loss_gradient(self):
+        # a grad left by an earlier backward is replaced, not added to
+        x = Tensor([3.0], requires_grad=True, dtype=np.float64)
+        grads = []
+        for _ in range(3):
+            (x * x).sum().backward()
+            grads.append(x.grad.copy())
+        np.testing.assert_array_equal(grads, [[6.0], [6.0], [6.0]])
+
     def test_reuse_accumulates(self):
         y = Tensor([1.0], requires_grad=True)
         loss = (y + y).sum()
         loss.backward()
         np.testing.assert_allclose(y.grad, [2.0])
+        # add hands a and b one array; a's later contribution (from t) must not reach b
+        a = Tensor([2.0], requires_grad=True, dtype=np.float64)
+        b = Tensor([5.0], requires_grad=True, dtype=np.float64)
+        t = a * Tensor([3.0], dtype=np.float64)
+        ((a + b) * t).sum().backward()  # (a + b) * 3a
+        np.testing.assert_allclose(a.grad, [27.0])  # 3 (2a + b)
+        np.testing.assert_allclose(b.grad, [6.0])  # 3a
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -321,8 +343,9 @@ class TestRecurrent:
     def test_one_tape_record_per_direction(self):
         x = Tensor(np.ones((2, 5, 3)), requires_grad=True)
         w, u, b = (Tensor(np.zeros(s), requires_grad=True) for s in ((3, 8), (2, 8), (8,)))
-        T.clear_tape()
+        tape = T.active_tape()
+        tape.clear()
         out = T.recurrent(x, w, u, b, "lstm", reverse=True)
         assert out.shape == (2, 5, 2)
-        assert [rec.op for rec in T.active_tape().records] == ["lstm"]
-        T.clear_tape()
+        assert [rec.op for rec in tape] == ["lstm"]
+        tape.clear()

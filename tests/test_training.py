@@ -16,7 +16,7 @@ from deepself.errors import (
     VersionError,
 )
 from deepself.models import Dense, ModelSpec, Recurrent, forward, init_model
-from deepself.tensor import Tensor
+from deepself.tensor import Tensor, backward, softmax_cross_entropy
 from deepself.training import (
     AdamState,
     TrainConfig,
@@ -207,8 +207,16 @@ class TestTrainLoop:
         config = TrainConfig(learning_rate=lr, batch_size=4, epochs=1,
                              optimizer="sgd", shuffle=False)
         trained, _ = train(model, (features, labels), (features, labels), config)
-        for name, expected in p.items():
-            np.testing.assert_allclose(trained.params[name].data, expected, rtol=1e-12, atol=1e-12)
+        # the benchmark's step loop, which never clears a grad between steps
+        stepped = init_model(ModelSpec((2,), (Dense(3),), 2, seed=4), dtype=np.float64)
+        for rows in (slice(0, 4), slice(4, 8)):
+            logits, _ = forward(stepped, features[rows])
+            loss, _ = softmax_cross_entropy(logits, labels[rows])
+            backward(loss)
+            sgd_step(stepped.params, {name: q.grad for name, q in stepped.params.items()}, lr)
+        for got in (trained, stepped):
+            for name, expected in p.items():
+                np.testing.assert_allclose(got.params[name].data, expected, rtol=1e-12, atol=1e-12)
 
     def test_empty_dataset_rejected(self):
         model = init_model(ModelSpec((2,), (Dense(4),), 2))
