@@ -426,15 +426,16 @@ def conv_nd_batched(x, kernels, stride, padding, bias=None) -> Tensor:
         g2 = g.reshape(batch, c_out, n_win).transpose(0, 2, 1).reshape(batch * n_win, c_out)
         d_kernels = (g2.T @ pmat).reshape(kernels.shape)
         d_bias = g2.sum(axis=0)
+        if not x.requires_grad:
+            return (None, d_kernels, d_bias)
         d_pmat = g2 @ kmat  # [B*O, C_in*K]
-        d_patches = d_pmat.reshape(batch, n_win, c_in, win_size).transpose(0, 2, 1, 3)
-        d_padded = np.zeros((batch, c_in, int(np.prod(padded_sp))), dtype=g.dtype)
-        np.add.at(
-            d_padded,
-            (np.arange(batch)[:, None, None, None], np.arange(c_in)[None, :, None, None], win[None, None, :, :]),
-            d_patches,
-        )
-        d_padded = d_padded.reshape(batch, c_in, *padded_sp)
+        # col2im: [B, C_in, *O] slab of kernel offset k lands on k + s*o of each axis
+        d_cols = np.moveaxis(d_pmat.reshape(batch, *out_sp, c_in, *kernel_sp), rank + 1, 1)
+        d_padded = np.zeros((batch, c_in, *padded_sp), dtype=g.dtype)
+        # last offset first: each position sums its windows in ascending order, like np.add.at
+        for k in reversed(list(np.ndindex(*kernel_sp))):
+            window = tuple(slice(k_i, k_i + s * (n - 1) + 1, s) for k_i, s, n in zip(k, stride, out_sp))
+            d_padded[(slice(None), slice(None)) + window] += d_cols[(Ellipsis,) + k]
         unpad = tuple(slice(p, p + n) for p, n in zip(padding, spatial))
         d_x = np.ascontiguousarray(d_padded[(slice(None), slice(None)) + unpad])
         return (d_x, d_kernels, d_bias)

@@ -296,6 +296,15 @@ class _Reader:
         self.pos += count
         return out
 
+    def text(self, count: int, field: str) -> str:
+        raw = self.take(count)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"{self.path}: {field} is not valid UTF-8 ({exc.reason} at byte {exc.start} of the field)"
+            ) from None
+
     def u8(self):
         return self.take(1)[0]
 
@@ -316,17 +325,17 @@ def read_checkpoint(path) -> Checkpoint:
     version = reader.u32()
     if version != CHECKPOINT_VERSION:
         raise VersionError(f"{path}: unsupported checkpoint version {version}")
-    spec_text = reader.take(reader.u32()).decode("utf-8")
+    spec_text = reader.text(reader.u32(), "model spec")
     params = {}
     for _ in range(reader.u32()):
-        name = reader.take(reader.u16()).decode("utf-8")
+        name = reader.text(reader.u16(), "parameter name")
         rank = reader.u8()
         shape = struct.unpack(f"<{rank}I", reader.take(4 * rank))
         count = int(np.prod(shape)) if shape else 1
         data = np.frombuffer(reader.take(4 * count), dtype="<f4").reshape(shape)
         params[name] = data.copy()
     metadata = {}
-    for line in reader.take(reader.u32()).decode("utf-8").splitlines():
+    for line in reader.text(reader.u32(), "metadata").splitlines():
         if line:
             key, _, value = line.partition("=")
             metadata[key] = value

@@ -1,10 +1,13 @@
-"""Recurrent checkpoints written before the fused kernels still load and agree.
+"""Checkpoints written by earlier implementations still load, agree and retrain.
 
 ``tests/data`` holds a bi-LSTM and a 2-layer bi-GRU checkpoint, plus dev
 inputs and logits, written by the per-time-step implementation (see
-``tests/data/make_recurrent_checkpoints.py``).
+``tests/data/make_recurrent_checkpoints.py``), and a 1-D and a 2-D CNN
+checkpoint trained while the conv backward scattered with ``np.add.at`` (see
+``tests/data/make_conv_checkpoints.py``).
 """
 
+import importlib.util
 import os
 
 import numpy as np
@@ -15,6 +18,17 @@ from deepself.tensor import no_grad
 from deepself.training import CHECKPOINT_VERSION, load_checkpoint, read_checkpoint, save_checkpoint
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _load_conv_fixtures():
+    spec = importlib.util.spec_from_file_location(
+        "make_conv_checkpoints", os.path.join(DATA, "make_conv_checkpoints.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+conv_fixtures = _load_conv_fixtures()
 
 
 def _names(gates, sublayers):
@@ -53,3 +67,11 @@ class TestRecurrentCheckpointCompat:
             logits, _ = forward(model, dev["x"])
         np.testing.assert_array_equal(np.argmax(logits.data, axis=1), np.argmax(dev["logits"], axis=1))
         np.testing.assert_allclose(logits.data, dev["logits"], rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("name", sorted(conv_fixtures.FIXTURES))
+def test_conv_retrain_reproduces_checkpoint_bytes(name, tmp_path):
+    model, metadata = conv_fixtures.train_fixture(name)
+    save_checkpoint(model, metadata, tmp_path / "again.ckpt")
+    with open(os.path.join(DATA, f"{name}.ckpt"), "rb") as fh:
+        assert (tmp_path / "again.ckpt").read_bytes() == fh.read()

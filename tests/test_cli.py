@@ -243,6 +243,17 @@ class TestEvaluate:
         assert run(["evaluate", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 1
         assert "zebra" in capsys.readouterr().err
 
+    def test_checkpoint_with_invalid_utf8_is_one_error_line(self, tmp_path, capsys):
+        cfg, ckpt, _ = self.train_toy(tmp_path, epochs=1)
+        blob = bytearray(ckpt.read_bytes())
+        blob[12] = 0xFF  # first byte of the embedded model spec
+        ckpt.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert run(["evaluate", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not valid UTF-8" in err
+        assert len(err.splitlines()) == 1
+
     def test_needs_checkpoint_or_cv(self, tmp_path, capsys):
         cfg, _, _ = self.train_toy(tmp_path, epochs=2)
         assert run(["evaluate", "--config", str(cfg)]) == 1

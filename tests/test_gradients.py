@@ -1,6 +1,7 @@
 """Backpropagation vs. central finite differences for every layer family.
 
-All checks run in 64-bit with h=1e-5 on dimensions <= 8.  Relative error uses
+All checks run in 64-bit with h=1e-5 on dimensions <= 8 (40 samples for the
+k8 s4 + k4 s4 conv stack).  Relative error uses
 max(|analytic|, |numeric|, 1e-6) as the denominator so near-zero gradients are
 compared absolutely at the 1e-10 scale, which is within central-difference
 truncation error for these losses.
@@ -100,6 +101,20 @@ class TestConvGradients:
     def test_conv3d(self):
         layers = (Conv(3, 2, (2, 3, 2), (1, 2, 1), (0, 1, 0)),)
         check_spec(ModelSpec((1, 4, 5, 4), layers, 2, seed=6))
+
+    def test_stride_above_kernel_leaves_gaps(self):
+        # k2 s3 over padded extents 12 and 9x10: every third position is in no window
+        check_spec(ModelSpec((2, 10), (Conv(1, 3, (2,), (3,), (1,)),), 2, seed=7))
+        check_spec(ModelSpec((1, 7, 8), (Conv(2, 2, (2, 2), (3, 3), (1, 1)),), 2, seed=8))
+
+    def test_stride_equal_to_kernel_stack(self):
+        # the k8 s4 + k4 s4 stack of the benchmark's 1-D CNN, on 40 samples
+        layers = (Conv(1, 3, (8,), (4,), (0,)), Conv(1, 2, (4,), (4,), (0,)))
+        check_spec(ModelSpec((1, 40), layers, 2, seed=9))
+
+    def test_conv2d_stack_overlap_and_padding(self):
+        layers = (Conv(2, 3, (3, 3), (2, 2), (1, 1)), Conv(2, 2, (3, 2), (1, 2), (1, 1)))
+        check_spec(ModelSpec((2, 7, 8), layers, 3, seed=10))
 
 
 class TestRecurrentGradients:

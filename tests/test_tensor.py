@@ -152,6 +152,71 @@ class TestConvolveNd:
             convolve_one(x, k, stride=1, padding=-1)
 
 
+def scatter_conv_input_grad(g, kernels, spatial, stride, padding):
+    """d loss / d x of a conv by the np.add.at scatter of every window gradient.
+
+    The oracle for conv_nd_batched's col2im: the same matmul, then one
+    unbuffered add per (batch, channel, window, offset) in C order.
+    """
+    batch, c_out, *out_sp = g.shape
+    c_in, kernel_sp = kernels.shape[1], kernels.shape[2:]
+    padded_sp = tuple(n + 2 * p for n, p in zip(spatial, padding))
+    starts = np.indices(out_sp).reshape(len(out_sp), -1, 1) * np.reshape(stride, (-1, 1, 1))
+    offsets = np.indices(kernel_sp).reshape(len(kernel_sp), 1, -1)
+    win = np.ravel_multi_index(tuple(starts + offsets), padded_sp)  # [O, K]
+    g2 = g.reshape(batch, c_out, -1).transpose(0, 2, 1).reshape(-1, c_out)
+    d_pmat = g2 @ kernels.reshape(c_out, -1)
+    d_patches = d_pmat.reshape(batch, win.shape[0], c_in, win.shape[1]).transpose(0, 2, 1, 3)
+    d_padded = np.zeros((batch, c_in, int(np.prod(padded_sp))), dtype=g.dtype)
+    np.add.at(
+        d_padded,
+        (np.arange(batch)[:, None, None, None], np.arange(c_in)[None, :, None, None], win[None, None]),
+        d_patches,
+    )
+    unpad = tuple(slice(p, p + n) for p, n in zip(padding, spatial))
+    return d_padded.reshape(batch, c_in, *padded_sp)[(slice(None), slice(None)) + unpad]
+
+
+# [B, C_in, *sp], [C_out, C_in, *k], stride, padding
+CONV_GEOMETRIES = {
+    "1d-overlap-padded": ((3, 2, 29), (4, 2, 5), (2,), (2,)),
+    "1d-k8s4-k4s4": ((2, 3, 40), (4, 3, 8), (4,), (0,)),
+    "1d-gaps": ((2, 2, 17), (3, 2, 2), (3,), (1,)),
+    "2d-overlap-padded": ((2, 3, 9, 10), (4, 3, 3, 3), (1, 2), (1, 1)),
+    "3d-overlap-padded": ((2, 2, 5, 6, 5), (3, 2, 3, 2, 3), (1, 2, 1), (1, 0, 1)),
+}
+
+
+class TestConvBackward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(CONV_GEOMETRIES))
+    def test_input_grad_equals_add_at_scatter(self, name, dtype):
+        x_shape, k_shape, stride, padding = CONV_GEOMETRIES[name]
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.standard_normal(x_shape).astype(dtype), requires_grad=True)
+        k = Tensor(rng.standard_normal(k_shape).astype(dtype), requires_grad=True)
+        y = T.conv_nd_batched(x, k, stride, padding)
+        upstream = rng.standard_normal(y.shape).astype(dtype)
+        T.backward(T.tensor_sum(T.mul(y, Tensor(upstream))))
+        expected = scatter_conv_input_grad(upstream, k.data, x_shape[2:], stride, padding)
+        assert x.grad.dtype == expected.dtype
+        np.testing.assert_array_equal(x.grad, expected)
+
+    def test_input_without_grad_gets_none(self):
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.standard_normal((2, 3, 11)))
+        k = Tensor(rng.standard_normal((4, 3, 3)), requires_grad=True)
+        tape = T.active_tape()
+        tape.clear()
+        y = T.conv_nd_batched(x, k, 2, 1)
+        d_x, d_k, d_bias = tape[-1].backward_fn(np.ones(y.shape, dtype=y.dtype))
+        assert d_x is None
+        assert d_k.shape == k.shape and d_bias.shape == (4,)
+        T.backward(y.sum())
+        assert x.grad is None
+        assert k.grad.shape == k.shape
+
+
 class TestActivations:
     def test_relu_negative(self):
         assert T.activation(Tensor([-1.0]), "relu").data[0] == 0.0

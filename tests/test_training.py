@@ -330,6 +330,24 @@ class TestCheckpoint:
         with pytest.raises(TruncatedFileError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field", ["model spec", "parameter name", "metadata"])
+    def test_invalid_utf8_is_format_error_naming_the_field(self, tmp_path, field):
+        model = self._model()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, {"run": "x"}, path)
+        blob = bytearray(path.read_bytes())
+        spec_len = int.from_bytes(blob[8:12], "little")
+        offset = {
+            "model spec": 12,
+            "parameter name": 12 + spec_len + 4 + 2,  # after the spec, the count and the name length
+            "metadata": len(blob) - len(b"run=x\n"),
+        }[field]
+        blob[offset] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"{field} is not valid UTF-8") as info:
+            read_checkpoint(path)
+        assert str(path) in str(info.value)
+
     def test_shape_mismatch_is_integrity_error(self, tmp_path):
         model = self._model()
         model.params["head.bias"] = Tensor(np.zeros(7), requires_grad=True)
