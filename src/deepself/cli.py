@@ -31,9 +31,8 @@ from .data import (
     DatasetManifest,
     ManifestRow,
     assemble_dataset,
-    load_csv_series,
     load_manifest,
-    load_wav_pcm16,
+    load_signal,
     write_manifest,
 )
 from .dsp import (
@@ -253,30 +252,15 @@ def _check_input_shape(x, spec):
 # ---------------------------------------------------------------------------
 
 
-def _load_raw_signal(row: ManifestRow, cfg: RunConfig):
-    ext = os.path.splitext(row.path)[1].lower()
-    if ext == ".wav":
-        return load_wav_pcm16(row.path)
-    if ext in (".csv", ".txt"):
-        if cfg.sample_rate is None:
-            raise ConfigError(
-                f"{row.raw_path}: CSV/text series need [data] sample_rate or --sample-rate")
-        return load_csv_series(row.path, cfg.sample_rate)
-    raise ConfigError(
-        f"{row.raw_path}: preprocess expects raw signals (.wav/.csv/.txt), got {ext!r}")
-
-
 def _transform_row(index: int, row: ManifestRow, cfg: RunConfig, cascades: dict):
-    signal = _load_raw_signal(row, cfg)
+    signal = load_signal(row.path, cfg.sample_rate)
     if cfg.filter:
         rate = signal.sample_rate
         if rate not in cascades:
             cascades[rate] = design_butterworth_bandpass(cfg.filter_low, cfg.filter_high, rate)
         signal = apply_iir(signal, cascades[rate])
     if cfg.feature == "none":
-        channels = signal.samples.shape[0]
-        fm = FeatureMap(signal.samples, np.zeros(channels),
-                        1.0 / signal.sample_rate, kind="series")
+        fm = FeatureMap(signal.samples, np.zeros(len(signal.samples)), 1.0 / signal.sample_rate)
     elif cfg.feature == "spectrogram":
         fm = spectrogram(signal, cfg.window_size, cfg.hop_size)
     elif cfg.feature == "logmel":

@@ -162,12 +162,16 @@ class RunConfig:
         )
 
     def digest(self) -> str:
-        """Hash of every result-affecting key (not output_dir/jobs)."""
+        """Hash of every result-affecting key (not output_dir/jobs); the manifest by its bytes."""
         lines = []
         for f in fields(self):
             if f.name in ("output_dir", "jobs"):
                 continue
-            lines.append(f"{f.name}={getattr(self, f.name)!r}")
+            value = getattr(self, f.name)
+            if f.name == "manifest" and value is not None:  # not its path: runs move directories
+                with open(value, "rb") as fh:
+                    value = hashlib.sha256(fh.read()).hexdigest()
+            lines.append(f"{f.name}={value!r}")
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 

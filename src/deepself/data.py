@@ -352,17 +352,23 @@ def fixed_length(samples: np.ndarray, target: int) -> np.ndarray:
     return out
 
 
-def load_sample(path, sample_rate: float | None = None) -> np.ndarray:
-    """Extension-dispatched load to a channels-first float array."""
+def load_signal(path, sample_rate: float | None = None) -> Signal:
+    """Extension-dispatched load of a raw signal; CSV/text series take ``sample_rate``."""
     ext = os.path.splitext(str(path))[1].lower()
     if ext == ".wav":
-        return load_wav_pcm16(path).samples
+        return load_wav_pcm16(path)
     if ext in (".csv", ".txt"):
         if sample_rate is None:
             raise ConfigError(
-                f"{path}: CSV/text series carry no sample rate; set one in the data config"
+                f"{path}: CSV/text series carry no sample rate; set [data] sample_rate or --sample-rate"
             )
-        return load_csv_series(path, sample_rate).samples
+        return load_csv_series(path, sample_rate)
+    raise UnsupportedFormatError(f"{path}: unsupported input extension {ext!r}")
+
+
+def load_sample(path, sample_rate: float | None = None) -> np.ndarray:
+    """Extension-dispatched load to a channels-first float array."""
+    ext = os.path.splitext(str(path))[1].lower()
     if ext == ".pgm":
         return load_pgm_image(path)
     if ext == ".dsfm":
@@ -370,7 +376,7 @@ def load_sample(path, sample_rate: float | None = None) -> np.ndarray:
         if fm.rows == 1:  # a 1 x N map is a single-channel series
             return fm.values
         return fm.values[None, :, :]
-    raise UnsupportedFormatError(f"{path}: unsupported input extension {ext!r}")
+    return load_signal(path, sample_rate).samples
 
 
 def assemble_dataset(rows, label_map: dict, sample_rate: float | None = None,

@@ -206,7 +206,6 @@ class FeatureMap:
     values: np.ndarray
     row_axis_hz: np.ndarray
     seconds_per_frame: float
-    kind: str = "spectrogram"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -256,7 +255,7 @@ def spectrogram(signal: Signal, window_len: int, hop: int) -> FeatureMap:
     power = np.abs(spectrum) ** 2
     bins = window_len // 2 + 1
     bin_hz = np.arange(bins) * signal.sample_rate / window_len
-    return FeatureMap(power.T, bin_hz, hop / signal.sample_rate, kind="spectrogram")
+    return FeatureMap(power.T, bin_hz, hop / signal.sample_rate)
 
 
 def hz_to_mel(freq_hz) -> np.ndarray:
@@ -314,7 +313,7 @@ def log_mel_spectrogram(signal: Signal, window_len: int, hop: int, n_mels: int,
     bank = mel_filterbank(n_mels, power.rows, signal.sample_rate, fmin_hz, fmax_hz)
     values = np.log(bank @ power.values + LOG_EPS)
     centers = mel_band_centers(n_mels, fmin_hz, fmax_hz)
-    return FeatureMap(values, centers, power.seconds_per_frame, kind="logmel")
+    return FeatureMap(values, centers, power.seconds_per_frame)
 
 
 def _next_pow2(n: int) -> int:
@@ -358,7 +357,7 @@ def scalogram(signal: Signal, n_voices: int, fmin_hz: float, fmax_hz: float) -> 
         )
         coeff = np.fft.ifft(spectrum * psi_hat)
         values[row] = np.abs(coeff[:n])
-    return FeatureMap(values, freqs, 1.0 / signal.sample_rate, kind="scalogram")
+    return FeatureMap(values, freqs, 1.0 / signal.sample_rate)
 
 
 # ---------------------------------------------------------------------------

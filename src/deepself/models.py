@@ -9,8 +9,10 @@ classifier (last hidden state for uni-directional stacks, the concatenation
 of each direction's final state for bi-directional ones).
 
 Grid values are channels-first ``[B, C, *spatial]`` with time as the trailing
-spatial axis; sequences are ``[B, T, F]`` tensors end to end, and each
-direction of a recurrent layer is one fused ``tensor.recurrent`` op.
+spatial axis; sequences are ``[B, T, F]`` tensors end to end.  Each
+recurrent sub-layer, with both its directions, is one fused
+``tensor.recurrent`` op, and the head state is one ``tensor.final_states``
+op.
 """
 
 from __future__ import annotations
@@ -27,13 +29,12 @@ from .tensor import (
     Tensor,
     activation,
     add_bias,
-    concat,
     conv_nd_batched,
+    final_states,
     infer_conv_output_size,
     matmul,
     recurrent,
     reshape,
-    select,
     softmax,
     transpose,
     _per_axis,
@@ -101,6 +102,10 @@ class Recurrent:
         _positive(self.hidden_nodes, "Recurrent hidden_nodes")
         _positive(self.layers, "Recurrent layers")
 
+    @property
+    def directions(self) -> int:
+        return 2 if self.direction == "bi" else 1
+
 
 @dataclass(frozen=True)
 class Flatten:
@@ -114,7 +119,9 @@ class CnnToRnnReshape:
 
 @dataclass(frozen=True)
 class SequenceHead:
-    """Implicit: reduce a sequence to the classifier input state."""
+    """Implicit: reduce a sequence to the final state of each of its ``directions``."""
+
+    directions: int
 
 
 LayerSpec = Dense | Conv | Recurrent | Flatten | CnnToRnnReshape
@@ -278,14 +285,15 @@ def plan_shapes(spec: ModelSpec) -> ShapePlan:
         if new_kind:
             kind = new_kind
 
-    def to_flat(context):
-        nonlocal shape, kind
+    def to_flat(i):
+        """Flat features for spec layer ``i`` (the classifier when past the last)."""
+        nonlocal kind
         if kind == "seq":
-            raise ConfigError(
-                f"{context}: a sequence feeds the classifier through its head state, "
-                "not through Flatten"
-            )
-        if len(shape) > 1:
+            last = stages[-1].layer  # a Recurrent or the CnnToRnnReshape at i - 1
+            if not isinstance(last, Recurrent):
+                raise ConfigError(f"layer {i - 1}: CnnToRnnReshape must be followed by a recurrent layer")
+            emit(SequenceHead(last.directions), (shape[1],), new_kind="flat")
+        elif len(shape) > 1:
             emit(Flatten(), (int(np.prod(shape)),), new_kind="flat")
         else:
             kind = "flat"
@@ -323,17 +331,17 @@ def plan_shapes(spec: ModelSpec) -> ShapePlan:
                 kind = "seq"
             elif kind == "flat":
                 raise ConfigError(f"layer {i}: a recurrent layer cannot consume flattened features")
-            t, _ = shape
-            width = layer.hidden_nodes * (2 if layer.direction == "bi" else 1)
-            emit(layer, (t, width), prefix, new_kind="seq")
+            emit(layer, (shape[0], layer.hidden_nodes * layer.directions), prefix, new_kind="seq")
         elif isinstance(layer, Dense):
-            if kind == "seq":
-                emit(SequenceHead(), (shape[1],), new_kind="flat")
-            else:
-                to_flat(f"layer {i}")
+            to_flat(i)
             emit(layer, (layer.nodes,), prefix, new_kind="flat")
         elif isinstance(layer, Flatten):
-            to_flat(f"layer {i}")
+            if kind == "seq":
+                raise ConfigError(
+                    f"layer {i}: a sequence feeds the classifier through its head state, "
+                    "not through Flatten"
+                )
+            to_flat(i)
         elif isinstance(layer, CnnToRnnReshape):
             if kind == "seq":
                 raise ConfigError(f"layer {i}: input is already a sequence")
@@ -341,11 +349,7 @@ def plan_shapes(spec: ModelSpec) -> ShapePlan:
         else:
             raise ConfigError(f"layer {i}: unknown layer specification {layer!r}")
 
-    # classifier head
-    if kind == "seq":
-        emit(SequenceHead(), (shape[1],), new_kind="flat")
-    else:
-        to_flat("classifier head")
+    to_flat(len(spec.layers))  # classifier head
     emit(Dense(spec.n_classes), (spec.n_classes,), "head", is_head=True)
     return ShapePlan(spec, tuple(stages))
 
@@ -389,6 +393,9 @@ def _glorot(rng, fan_in, fan_out, shape, dtype):
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
+_DIRECTION_NAMES = ("fwd", "bwd")  # parameter-name part of direction 0 and 1
+
+
 def _gate_param(prefix, kind, gate) -> str:
     """Checkpoint name of one gate's W, U or b, e.g. ``layer0.l0.fwd.W_r``."""
     return f"{prefix}.{kind}_{gate}" if gate else f"{prefix}.{kind}"
@@ -428,12 +435,11 @@ def init_model(spec: ModelSpec, dtype=np.float32) -> Model:
             params[f"{prefix}.bias"] = Tensor(np.zeros(layer.out_channels, dtype), requires_grad=True)
         elif isinstance(layer, Recurrent):
             in_features = stage.in_shape[1]
-            dirs = ("fwd", "bwd") if layer.direction == "bi" else ("fwd",)
             for sub in range(layer.layers):
-                for d in dirs:
+                for d in _DIRECTION_NAMES[:layer.directions]:
                     _init_cell_params(rng, params, f"{prefix}.l{sub}.{d}", layer.cell,
                                       in_features, layer.hidden_nodes, dtype)
-                in_features = layer.hidden_nodes * len(dirs)
+                in_features = layer.hidden_nodes * layer.directions
     return Model(spec, plan, params)
 
 
@@ -442,27 +448,14 @@ def init_model(spec: ModelSpec, dtype=np.float32) -> Model:
 # ---------------------------------------------------------------------------
 
 
-def _direction(x, params, prefix, cell, reverse):
-    """One direction as one fused op; per-gate parameters are stacked here."""
-    stacked = []
-    for kind, axis in (("W", 1), ("U", 1), ("b", 0)):
-        gates = [params[_gate_param(prefix, kind, g)] for g in RECURRENT_GATES[cell]]
-        stacked.append(gates[0] if len(gates) == 1 else concat(gates, axis=axis))
-    return recurrent(x, *stacked, cell, reverse=reverse)
-
-
-def run_recurrent_layer(x: Tensor, params, prefix, layer: Recurrent):
-    """Full sub-stack on a [B, T, F] tensor; returns ([B, T, width] outputs, [B, width] head state)."""
+def run_recurrent_layer(x: Tensor, params, prefix, layer: Recurrent) -> Tensor:
+    """Full sub-stack on a [B, T, F] tensor; returns its [B, T, width] outputs."""
+    gates = RECURRENT_GATES[layer.cell]
     for sub in range(layer.layers):
-        fwd = _direction(x, params, f"{prefix}.l{sub}.fwd", layer.cell, reverse=False)
-        if layer.direction == "uni":
-            x = fwd
-            continue
-        bwd = _direction(x, params, f"{prefix}.l{sub}.bwd", layer.cell, reverse=True)
-        x = concat([fwd, bwd], axis=2)
-    last = select(fwd, fwd.shape[1] - 1, axis=1)
-    head = last if layer.direction == "uni" else concat([last, select(bwd, 0, axis=1)], axis=1)
-    return x, head
+        directions = [[[params[_gate_param(f"{prefix}.l{sub}.{d}", kind, g)] for g in gates]
+                       for kind in ("W", "U", "b")] for d in _DIRECTION_NAMES[:layer.directions]]
+        x = recurrent(x, directions, layer.cell)
+    return x
 
 
 def cnn_to_rnn_reshape(x: Tensor) -> Tensor:
@@ -491,7 +484,6 @@ def forward(model: Model, batch):
         )
     params = model.params
     value = x
-    pending_head = None
     for idx, stage in enumerate(model.plan.stages):
         layer = stage.layer
         if isinstance(layer, Dense):
@@ -505,11 +497,9 @@ def forward(model: Model, batch):
                                     bias=params[f"{stage.param_prefix}.bias"])
             value = activation(value, model.spec.activation)
         elif isinstance(layer, Recurrent):
-            value, pending_head = run_recurrent_layer(value, params, stage.param_prefix, layer)
+            value = run_recurrent_layer(value, params, stage.param_prefix, layer)
         elif isinstance(layer, SequenceHead):
-            if pending_head is None:
-                raise ShapeError("sequence head requested but no recurrent layer ran")
-            value = pending_head
+            value = final_states(value, layer.directions)
         elif isinstance(layer, Flatten):
             value = reshape(value, (value.shape[0], int(np.prod(stage.out_shape))))
         elif isinstance(layer, CnnToRnnReshape):

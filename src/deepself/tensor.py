@@ -277,36 +277,6 @@ def transpose(x, axes) -> Tensor:
     return _make_result("transpose", np.transpose(x.data, axes), (x,), lambda g: (np.transpose(g, inverse),))
 
 
-def concat(tensors, axis: int) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("concat needs at least one tensor")
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def _backward(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=axis))
-
-    return _make_result("concat", np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), _backward)
-
-
-def select(x, index: int, axis: int) -> Tensor:
-    """Take one slice along ``axis``, dropping that axis."""
-    x = _as_tensor(x)
-    index = int(index)
-    in_shape = x.shape
-    sel = [slice(None)] * x.data.ndim
-    sel[axis] = index
-    sel = tuple(sel)
-
-    def _backward(g):
-        full = np.zeros(in_shape, dtype=g.dtype)
-        full[sel] = g
-        return (full,)
-
-    return _make_result("select", x.data[sel].copy(), (x,), _backward)
-
-
 # ---------------------------------------------------------------------------
 # Matrix multiplication
 # ---------------------------------------------------------------------------
@@ -444,10 +414,10 @@ def conv_nd_batched(x, kernels, stride, padding, bias=None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Recurrent layers: one tape record per direction
+# Recurrent layers: one tape record per layer, both directions in one scan
 # ---------------------------------------------------------------------------
 
-# gate order of the stacked W/U/b columns of each cell
+# gate order of each cell: the order of its per-gate W/U/b tensors
 RECURRENT_GATES = {
     "rnn": ("",),
     "gru": ("r", "z", "n"),
@@ -455,13 +425,20 @@ RECURRENT_GATES = {
 }
 
 
-def recurrent(x, w, u, b, cell: str, reverse: bool = False) -> Tensor:
-    """Scan one recurrent direction over a [B, T, F] sequence; returns [B, T, H].
+def _scan_order(a):
+    """Reverse direction 1 of a [D, T, ...] array in time: positions to scan steps and back."""
+    return a if len(a) == 1 else np.stack([a[0], a[1, ::-1]])
 
-    ``w`` [F, G*H], ``u`` [H, G*H] and ``b`` [G*H] hold the G gates of
-    ``RECURRENT_GATES[cell]`` side by side in that order.  The state starts
-    at zero; ``reverse`` scans from the last position to the first, and the
-    outputs stay in position order.  With sigmoid in its tanh form:
+
+def recurrent(x, params, cell: str) -> Tensor:
+    """Scan a recurrent layer over a [B, T, F] sequence; returns [B, T, D*H].
+
+    ``params[d]`` is direction d's ``(W, U, b)``, each a sequence of one
+    tensor per gate of ``RECURRENT_GATES[cell]``: W [F, H], U [H, H], b [H].
+    Direction 0 scans first to last and direction 1 (D = 2) last to first,
+    both from a zero state, together as one scan on a [D, B, H] state.  The
+    outputs are in position order, direction d in columns d*H to (d+1)*H.
+    With sigmoid in its tanh form:
 
     * rnn:  h' = tanh(W x + U h + b)
     * gru:  r, z = sigmoid(W x + U h + b), n = tanh(W_n x + U_n (r*h) + b_n),
@@ -469,110 +446,144 @@ def recurrent(x, w, u, b, cell: str, reverse: bool = False) -> Tensor:
     * lstm: i, f, o = sigmoid(W x + U h + b), g = tanh(W_g x + U_g h + b_g),
       c' = f*c + i*g, h' = o*tanh(c')
 
-    The input projection of all steps is one matmul and each step does one
-    matmul on the state (gru two: its candidate reads r*h).  The backward
-    pass is hand-written backpropagation through time.  All pre-activations
-    are checked for finiteness once, after the scan.
+    The gates and directions are stacked here, off the tape.  The input
+    projection of all steps is one stacked matmul and each step does one on
+    the state (gru two: its candidate reads r*h).  The hand-written backward
+    pass returns one gradient per gate tensor.  All pre-activations are
+    checked for finiteness once, after the scan.
     """
     if cell not in RECURRENT_GATES:
         raise ConfigError(f"unknown recurrent cell {cell!r}; choose one of {tuple(RECURRENT_GATES)}")
-    x, w, u, b = _as_tensor(x), _as_tensor(w), _as_tensor(u), _as_tensor(b)
-    hid = u.shape[0] if u.data.ndim == 2 else 0
-    width = len(RECURRENT_GATES[cell]) * hid
-    if (x.data.ndim != 3 or x.shape[1] < 1 or hid < 1
-            or (w.shape, u.shape, b.shape) != ((x.shape[2], width), (hid, width), (width,))):
-        raise ShapeError(f"{cell}: needs a non-empty [B, T, F] input, W [F, G*H], U [H, G*H] "
-                         f"and b [G*H] with H >= 1; got {tuple(x.shape)}, {tuple(w.shape)}, "
-                         f"{tuple(u.shape)} and {tuple(b.shape)}")
-    batch, steps, features = x.shape
-    order = -1 if reverse else 1
-    dtype = np.result_type(x.data, w.data, u.data, b.data)
-    # every buffer is indexed by scan step s; hs[s] and cs[s] are the states step s reads
-    seq = np.ascontiguousarray(x.data.transpose(1, 0, 2)[::order], dtype=dtype)
-    seq = seq.reshape(steps * batch, features)
-    pre = (seq @ w.data).reshape(steps, batch, width)  # W x; U h and b are added per step
+    x = _as_tensor(x)
+    n_dirs, n_gates = len(params), len(RECURRENT_GATES[cell])
+    groups = [[_as_tensor(t) for t in group] for direction in params for group in direction]
+    got = [tuple(tuple(t.shape) for t in group) for group in groups]
+    features = x.shape[2] if x.data.ndim == 3 else 0
+    hid = got[2][0][0] if len(got) > 2 and got[2] and got[2][0] else 0
+    want = [((features, hid),) * n_gates, ((hid, hid),) * n_gates, ((hid,),) * n_gates] * n_dirs
+    if n_dirs not in (1, 2) or x.data.ndim != 3 or x.shape[1] < 1 or hid < 1 or got != want:
+        raise ShapeError(f"{cell}: needs a non-empty [B, T, F] input and 1 or 2 directions of "
+                         f"{n_gates} per-gate W [F, H], U [H, H] and b [H] with H >= 1; "
+                         f"got {tuple(x.shape)} and {got}")
+    batch, steps, _ = x.shape
+    width = n_gates * hid
+    tensors = [t for group in groups for t in group]
+    dtype = np.result_type(x.data, *(t.data for t in tensors))
+    # [D, F, G*H], [D, H, G*H] and [D, G*H]: each direction's gates side by side
+    w, u, b = (np.stack([np.concatenate([t.data for t in groups[3 * d + k]], axis=-1)
+                         for d in range(n_dirs)]) for k in range(3))
+    # every buffer is [D, T, B, .] indexed by scan step s; hs[:, s] and cs[:, s] are what step s reads
+    xt = x.data.transpose(1, 0, 2)
+    seq = np.stack([xt, xt[::-1]][:n_dirs]).astype(dtype, copy=False).reshape(n_dirs, -1, features)
+    pre = (seq @ w).reshape(n_dirs, steps, batch, width)  # W x; U h and b are added per step
     act = np.empty_like(pre)
-    hs = np.zeros((steps + 1, batch, hid), dtype)
+    hs = np.zeros((n_dirs, steps + 1, batch, hid), dtype)
     cs = np.zeros_like(hs)  # lstm only
-    rh = np.empty((steps, batch, hid), dtype)  # gru only: r*h, what U_n reads
+    rh = np.empty((n_dirs, steps, batch, hid), dtype)  # gru only: r*h, what U_n reads
     n_h = 2 * hid if cell == "gru" else width  # gate columns fed by U h
-    u_h, u_n = np.ascontiguousarray(u.data[:, :n_h]), np.ascontiguousarray(u.data[:, n_h:])
+    u_h, u_n = np.ascontiguousarray(u[..., :n_h]), np.ascontiguousarray(u[..., n_h:])
     for s in range(steps):
-        h, a, gates = hs[s], pre[s], act[s]
-        a_h = a[:, :n_h]
+        h, a, gates = hs[:, s], pre[:, s], act[:, s]
+        a_h = a[..., :n_h]
         a_h += h @ u_h
-        a_h += b.data[:n_h]
+        a_h += b[:, None, :n_h]
         if cell == "rnn":
-            np.tanh(a, out=hs[s + 1])
+            np.tanh(a, out=hs[:, s + 1])
         elif cell == "gru":
-            gates[:, :n_h] = _sigmoid(a_h)
-            r, z, n = gates[:, :hid], gates[:, hid:n_h], gates[:, n_h:]
-            np.multiply(r, h, out=rh[s])
-            a_n = a[:, n_h:]
-            a_n += rh[s] @ u_n
-            a_n += b.data[n_h:]
+            gates[..., :n_h] = _sigmoid(a_h)
+            r, z, n = gates[..., :hid], gates[..., hid:n_h], gates[..., n_h:]
+            np.multiply(r, h, out=rh[:, s])
+            a_n = a[..., n_h:]
+            a_n += rh[:, s] @ u_n
+            a_n += b[:, None, n_h:]
             np.tanh(a_n, out=n)
-            hs[s + 1] = n + z * (h - n)
+            hs[:, s + 1] = n + z * (h - n)
         else:
             gates[...] = _sigmoid(a)
-            i, f, g, o = (gates[:, k * hid:(k + 1) * hid] for k in range(4))
-            np.tanh(a[:, 2 * hid:3 * hid], out=g)
-            cs[s + 1] = f * cs[s] + i * g
-            np.multiply(o, np.tanh(cs[s + 1]), out=hs[s + 1])
+            i, f, g, o = (gates[..., k * hid:(k + 1) * hid] for k in range(4))
+            np.tanh(a[..., 2 * hid:3 * hid], out=g)
+            cs[:, s + 1] = f * cs[:, s] + i * g
+            np.multiply(o, np.tanh(cs[:, s + 1]), out=hs[:, s + 1])
     if not np.all(np.isfinite(pre)):
         raise NumericError(f"{cell} produced non-finite values")
 
     def _backward(grad):
-        d_out = grad.transpose(1, 0, 2)[::order]
-        d_pre = np.empty((steps, batch, width), dtype)
-        d_gates = d_pre.reshape(steps, batch, -1, hid)  # a view: d_pre is contiguous
-        gate = act.reshape(steps, batch, -1, hid)
-        h_in = hs[:-1]
+        d_out = _scan_order(grad.reshape(batch, steps, n_dirs, hid).transpose(2, 1, 0, 3))
+        d_pre = np.empty((n_dirs, steps, batch, width), dtype)
+        d_gates = d_pre.reshape(n_dirs, steps, batch, -1, hid)  # a view: d_pre is contiguous
+        gate = act.reshape(n_dirs, steps, batch, -1, hid)
+        h_in = hs[:, :-1]
         # the local derivatives that do not depend on the incoming gradient, all steps at once
         if cell == "rnn":
-            fac = 1.0 - hs[1:] * hs[1:]
+            fac = 1.0 - hs[:, 1:] * hs[:, 1:]
         elif cell == "gru":
-            r, z, n = gate[:, :, 0], gate[:, :, 1], gate[:, :, 2]
+            r, z, n = (gate[..., k, :] for k in range(3))
             # times dL/d(r*h), dL/dh', dL/dh'
             fac = np.stack([h_in * r * (1.0 - r), (h_in - n) * z * (1.0 - z),
-                            (1.0 - z) * (1.0 - n * n)], axis=2)
+                            (1.0 - z) * (1.0 - n * n)], axis=3)
         else:
-            i, f, g, o = (gate[:, :, k] for k in range(4))
-            tanh_c = np.tanh(cs[1:])
+            i, f, g, o = (gate[..., k, :] for k in range(4))
+            tanh_c = np.tanh(cs[:, 1:])
             # times dL/dc for i, f and g, times dL/dh' for o
-            fac = np.stack([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - g * g),
-                            tanh_c * o * (1.0 - o)], axis=2)
+            fac = np.stack([g * i * (1.0 - i), cs[:, :-1] * f * (1.0 - f), i * (1.0 - g * g),
+                            tanh_c * o * (1.0 - o)], axis=3)
             o_dtanh = o * (1.0 - tanh_c * tanh_c)
-        carry = np.zeros((batch, hid), dtype)  # dL/dh from later steps
-        dc = np.zeros((batch, hid), dtype)  # dL/dc from later steps (lstm)
+        carry = np.zeros((n_dirs, batch, hid), dtype)  # dL/dh from later steps
+        dc = np.zeros((n_dirs, batch, hid), dtype)  # dL/dc from later steps (lstm)
         for s in range(steps - 1, -1, -1):
-            dh, da = d_out[s] + carry, d_gates[s]
+            dh, da, fs = d_out[:, s] + carry, d_gates[:, s], fac[:, s]
             if cell == "rnn":
-                np.multiply(dh, fac[s], out=da[:, 0])
+                np.multiply(dh, fs, out=da[..., 0, :])
             elif cell == "gru":
-                np.multiply(dh, fac[s, :, 2], out=da[:, 2])
-                d_rh = da[:, 2] @ u_n.T
-                np.multiply(d_rh, fac[s, :, 0], out=da[:, 0])
-                np.multiply(dh, fac[s, :, 1], out=da[:, 1])
+                np.multiply(dh, fs[..., 2, :], out=da[..., 2, :])
+                d_rh = da[..., 2, :] @ u_n.transpose(0, 2, 1)
+                np.multiply(d_rh, fs[..., 0, :], out=da[..., 0, :])
+                np.multiply(dh, fs[..., 1, :], out=da[..., 1, :])
             else:
-                dc += dh * o_dtanh[s]
-                np.multiply(dc[:, None, :], fac[s, :, :3], out=da[:, :3])
-                np.multiply(dh, fac[s, :, 3], out=da[:, 3])
-                dc *= f[s]
-            carry = d_pre[s, :, :n_h] @ u_h.T
+                dc += dh * o_dtanh[:, s]
+                np.multiply(dc[..., None, :], fs[..., :3, :], out=da[..., :3, :])
+                np.multiply(dh, fs[..., 3, :], out=da[..., 3, :])
+                dc *= f[:, s]
+            carry = d_pre[:, s, :, :n_h] @ u_h.transpose(0, 2, 1)
             if cell == "gru":
-                carry += dh * z[s] + d_rh * r[s]
-        d_flat = d_pre.reshape(steps * batch, width)
-        d_u = h_in.reshape(-1, hid).T @ d_flat[:, :n_h]
+                carry += dh * z[:, s] + d_rh * r[:, s]
+        d_flat = d_pre.reshape(n_dirs, steps * batch, width)
+        d_u = h_in.reshape(n_dirs, -1, hid).transpose(0, 2, 1) @ d_flat[..., :n_h]
         if cell == "gru":
-            d_u = np.concatenate([d_u, rh.reshape(-1, hid).T @ d_flat[:, n_h:]], axis=1)
+            d_u_n = rh.reshape(n_dirs, -1, hid).transpose(0, 2, 1) @ d_flat[..., n_h:]
+            d_u = np.concatenate([d_u, d_u_n], axis=2)
         d_x = None
         if x.requires_grad:
-            d_seq = (d_flat @ w.data.T).reshape(steps, batch, features)[::order]
-            d_x = np.ascontiguousarray(d_seq.transpose(1, 0, 2))
-        return d_x, seq.T @ d_flat, d_u, d_flat.sum(axis=0)
+            d_seq = (d_flat @ w.transpose(0, 2, 1)).reshape(n_dirs, steps, batch, -1)
+            d_x = np.ascontiguousarray(_scan_order(d_seq).sum(axis=0).transpose(1, 0, 2))
+        d_w, d_b = seq.transpose(0, 2, 1) @ d_flat, d_flat.sum(axis=1)
+        # per direction: W, U and b, each split back into its gates
+        return (d_x, *(g for d in range(n_dirs) for full in (d_w, d_u, d_b)
+                       for g in np.split(full[d], n_gates, axis=-1)))
 
-    return _make_result(cell, hs[1:][::order].transpose(1, 0, 2), (x, w, u, b), _backward)
+    out = _scan_order(hs[:, 1:]).transpose(2, 1, 0, 3).reshape(batch, steps, n_dirs * hid)
+    return _make_result(cell, out, (x, *tensors), _backward)
+
+
+def final_states(x, directions: int) -> Tensor:
+    """[B, D*H] head of a [B, T, D*H] ``recurrent`` output: each direction's final state.
+
+    Direction 0 ends at the last position; direction 1, which scans from
+    the last position to the first, ends at the first.
+    """
+    x = _as_tensor(x)
+    if directions not in (1, 2) or x.data.ndim != 3 or x.shape[1] < 1 or x.shape[2] % directions:
+        raise ShapeError(f"final_states needs a non-empty [B, T, D*H] sequence and D = 1 or 2, "
+                         f"got {tuple(x.shape)} and D = {directions}")
+    cols = np.arange(x.shape[2])
+    rows = np.where(cols < x.shape[2] // directions, x.shape[1] - 1, 0)  # each column's final position
+
+    def _backward(g):
+        full = np.zeros(x.shape, dtype=g.dtype)
+        full[:, rows, cols] = g
+        return (full,)
+
+    return _make_result("final_states", x.data[:, rows, cols], (x,), _backward)
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,16 @@ class TestTrain:
         assert (tmp_path / "a" / "best.ckpt").read_bytes() == \
             (tmp_path / "b" / "best.ckpt").read_bytes()
 
+    def test_checkpoint_bytes_do_not_depend_on_the_directory(self, tmp_path):
+        ckpts = []
+        for name in ("one", "two"):
+            root = tmp_path / name
+            root.mkdir()
+            cfg = base_config(root, toy_dataset(root), epochs=5)
+            assert run(["train", "--config", str(cfg)]) == 0
+            ckpts.append((root / "out" / "best.ckpt").read_bytes())
+        assert ckpts[0] == ckpts[1]
+
     def test_bad_optimizer_is_usage_error(self, tmp_path, capsys):
         manifest = toy_dataset(tmp_path)
         code = run(["train", "--manifest", str(manifest), "--optimizer", "nadam"])

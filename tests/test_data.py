@@ -14,6 +14,7 @@ from deepself.data import (
     load_manifest,
     load_pgm_image,
     load_sample,
+    load_signal,
     load_wav_pcm16,
     write_manifest,
     write_wav_pcm16,
@@ -387,6 +388,17 @@ class TestLoadSampleAndAssembly:
             load_sample(p)
         np.testing.assert_array_equal(load_sample(p, sample_rate=5.0), [[1.0]])
 
+    def test_load_signal_keeps_the_rate_and_rejects_non_signals(self, tmp_path):
+        p = tmp_path / "a.txt"
+        p.write_text("1.0\n2.0\n")
+        sig = load_signal(p, sample_rate=5.0)
+        assert sig.sample_rate == 5.0
+        np.testing.assert_array_equal(sig.samples, [[1.0, 2.0]])
+        with pytest.raises(ConfigError, match="sample rate"):
+            load_signal(p)
+        with pytest.raises(UnsupportedFormatError):
+            load_signal(tmp_path / "a.pgm", sample_rate=5.0)
+
     def test_dispatch_pgm(self, tmp_path):
         p = tmp_path / "a.pgm"
         p.write_bytes(b"P5\n1 1\n255\n\x80")
@@ -394,7 +406,7 @@ class TestLoadSampleAndAssembly:
 
     def test_dispatch_feature_map(self, tmp_path):
         fm = FeatureMap(np.arange(6, dtype=np.float32).reshape(2, 3),
-                        np.array([0.0, 1.0]), 0.01, "logmel")
+                        np.array([0.0, 1.0]), 0.01)
         p = tmp_path / "a.dsfm"
         write_feature_map(fm, p)
         arr = load_sample(p)
@@ -405,7 +417,7 @@ class TestLoadSampleAndAssembly:
         # a filtered single-channel signal is stored as a 1 x N map and
         # must come back in raw channels-first layout
         fm = FeatureMap(np.arange(4, dtype=np.float32).reshape(1, 4),
-                        np.zeros(1), 0.01, "series")
+                        np.zeros(1), 0.01)
         p = tmp_path / "s.dsfm"
         write_feature_map(fm, p)
         arr = load_sample(p)

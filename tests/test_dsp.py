@@ -333,7 +333,7 @@ class TestFeatureMapFile:
     def _sample_map(self):
         rng = np.random.default_rng(21)
         values = rng.standard_normal((5, 9))
-        return FeatureMap(values, np.linspace(100.0, 500.0, 5), 0.01, kind="logmel")
+        return FeatureMap(values, np.linspace(100.0, 500.0, 5), 0.01)
 
     def test_round_trip(self, tmp_path):
         fm = self._sample_map()

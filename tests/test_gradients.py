@@ -147,27 +147,43 @@ class TestRecurrentGradients:
         check_spec(ModelSpec((1, 3), (Recurrent(cell, 3, 1, "bi"),), 2, seed=20))
 
     @pytest.mark.parametrize("cell", RECURRENT_CELLS)
+    def test_single_direction_op(self, cell):
+        check_recurrent_op(cell, directions=1)
+
+    @pytest.mark.parametrize("cell", RECURRENT_CELLS)
     def test_reversed_direction_op(self, cell):
-        # the op alone, with an upstream gradient at every position rather than
-        # only at the head state a classifier reads
-        rng = np.random.default_rng(21)
-        width = 3 * len(RECURRENT_GATES[cell])
-        arrays = [rng.standard_normal((2, 4, 3)), 0.5 * rng.standard_normal((3, width)),
-                  0.5 * rng.standard_normal((3, width)), 0.1 * rng.standard_normal(width)]
-        upstream = Tensor(rng.standard_normal((2, 4, 3)))
+        # direction 1 scans last to first beside direction 0
+        check_recurrent_op(cell, directions=2)
 
-        def loss(args):
-            return tensor_sum(mul(recurrent(*args, cell, reverse=True), upstream))
 
-        inputs = [Tensor(a, requires_grad=True) for a in arrays]
-        backward(loss(inputs))
-        for k, (name, t) in enumerate(zip(("x", "W", "U", "b"), inputs)):
-            def f(v, _k=k):
-                args = [Tensor(a) for a in arrays]
-                args[_k] = v
-                return loss(args)
-            err = max_rel_error(t.grad, finite_diff_grad(f, t, h=1e-5))
-            assert err <= TOL, f"{cell} {name}: max relative error {err:.3e}"
+def check_recurrent_op(cell, directions, seed=21):
+    """The op alone, with an upstream gradient at every position rather than
+    only at the head state a classifier reads; checks dx and every per-gate
+    W, U and b against finite differences."""
+    rng = np.random.default_rng(seed)
+    gates = RECURRENT_GATES[cell]
+    names, arrays = ["x"], [rng.standard_normal((2, 4, 3))]
+    for d in range(directions):
+        for kind, shape, scale in (("W", (3, 3), 0.5), ("U", (3, 3), 0.5), ("b", (3,), 0.1)):
+            for gate in gates:
+                names.append(f"direction {d} {kind}_{gate}")
+                arrays.append(scale * rng.standard_normal(shape))
+    upstream = Tensor(rng.standard_normal((2, 4, 3 * directions)))
+
+    def loss(args):
+        rest = iter(args[1:])  # in the order built above
+        params = [[[next(rest) for _ in gates] for _ in "WUb"] for _ in range(directions)]
+        return tensor_sum(mul(recurrent(args[0], params, cell), upstream))
+
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    backward(loss(inputs))
+    for k, (name, t) in enumerate(zip(names, inputs)):
+        def f(v, _k=k):
+            args = [Tensor(a) for a in arrays]
+            args[_k] = v
+            return loss(args)
+        err = max_rel_error(t.grad, finite_diff_grad(f, t, h=1e-5))
+        assert err <= TOL, f"{cell} {name}: max relative error {err:.3e}"
 
 
 class TestStackedGradients:

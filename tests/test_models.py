@@ -20,7 +20,7 @@ from deepself.models import (
     plan_shapes,
     run_recurrent_layer,
 )
-from deepself.tensor import Tensor, infer_conv_output_size
+from deepself.tensor import Tensor, final_states, infer_conv_output_size
 
 
 def conv1d(channels, kernel, stride=1, padding=0):
@@ -112,8 +112,15 @@ class TestPlanShapes:
     def test_bidirectional_head_width(self):
         plan = plan_shapes(ModelSpec((10, 4), (Recurrent("gru", 6, 2, "bi"),), 3))
         head_in = next(s for s in plan.stages if isinstance(s.layer, SequenceHead))
+        assert head_in.layer == SequenceHead(2)
         assert head_in.out_shape == (12,)
         assert plan.output_shape == (3,)
+
+    def test_sequence_without_recurrent_layer_rejected(self):
+        with pytest.raises(ConfigError, match="layer 1: CnnToRnnReshape"):
+            init_model(ModelSpec((1, 8), (conv1d(2, 3), CnnToRnnReshape(), Dense(4)), 2))
+        with pytest.raises(ConfigError, match="layer 1: CnnToRnnReshape"):
+            plan_shapes(ModelSpec((1, 8), (conv1d(2, 3), CnnToRnnReshape()), 2))
 
     def test_dense_head_appended_to_hidden_layers(self):
         plan = plan_shapes(ModelSpec((8,), (Dense(5),), 4))
@@ -219,7 +226,7 @@ def _cell_params(cell, **values):
 def _run_cell(cell, params, inputs):
     """Hidden state after each step of a one-feature sequence, batch of one."""
     x = Tensor(np.array(inputs, dtype=np.float64).reshape(1, len(inputs), 1))
-    out, _ = run_recurrent_layer(x, params, "c", Recurrent(cell, 1))
+    out = run_recurrent_layer(x, params, "c", Recurrent(cell, 1))
     return out.data[0, :, 0]
 
 
@@ -282,18 +289,17 @@ class TestBidirectional:
         x = Tensor(rng.standard_normal((3, 6, 5)))
         model = init_model(ModelSpec((6, 5), (Recurrent("gru", 7, 1, "bi"),), 2, seed=0),
                            dtype=np.float64)
-        outputs, head = run_recurrent_layer(x, model.params, "layer0",
-                                            Recurrent("gru", 7, 1, "bi"))
+        outputs = run_recurrent_layer(x, model.params, "layer0", Recurrent("gru", 7, 1, "bi"))
         assert outputs.shape == (3, 6, 14)
-        assert head.shape == (3, 14)
+        assert final_states(outputs, 2).shape == (3, 14)
 
     def test_reversed_input_swaps_directions_under_tied_weights(self):
         rng = np.random.default_rng(8)
         layer = Recurrent("gru", 4, 1, "bi")
         params = _tied_bi_params(rng, 3, 4)
         x = rng.standard_normal((2, 5, 3))
-        out_fwd_order, _ = run_recurrent_layer(Tensor(x), params, "r", layer)
-        out_rev_order, _ = run_recurrent_layer(Tensor(x[:, ::-1]), params, "r", layer)
+        out_fwd_order = run_recurrent_layer(Tensor(x), params, "r", layer)
+        out_rev_order = run_recurrent_layer(Tensor(x[:, ::-1]), params, "r", layer)
         for t in range(5):
             fwd_half_on_reversed = out_rev_order.data[:, t, :4]
             bwd_half_original = out_fwd_order.data[:, 4 - t, 4:]
@@ -303,8 +309,9 @@ class TestBidirectional:
         rng = np.random.default_rng(1)
         layer = Recurrent("rnn", 4, 1, "bi")
         params = _tied_bi_params(rng, 3, 4, cell="rnn")
-        outputs, head = run_recurrent_layer(Tensor(rng.standard_normal((2, 1, 3))), params, "r", layer)
+        outputs = run_recurrent_layer(Tensor(rng.standard_normal((2, 1, 3))), params, "r", layer)
         assert outputs.shape[1] == 1
+        head = final_states(outputs, 2)
         np.testing.assert_array_equal(head.data[:, :4], head.data[:, 4:])
 
     def test_unidirectional_causality(self):
@@ -314,8 +321,8 @@ class TestBidirectional:
         base = rng.standard_normal((8, 3))
         perturbed = base.copy()
         perturbed[4] += 10.0
-        out_a, _ = run_recurrent_layer(Tensor(base[None]), model.params, "layer0", layer)
-        out_b, _ = run_recurrent_layer(Tensor(perturbed[None]), model.params, "layer0", layer)
+        out_a = run_recurrent_layer(Tensor(base[None]), model.params, "layer0", layer)
+        out_b = run_recurrent_layer(Tensor(perturbed[None]), model.params, "layer0", layer)
         for t in range(4):
             np.testing.assert_array_equal(out_a.data[:, t], out_b.data[:, t])
         assert not np.allclose(out_a.data[:, 4], out_b.data[:, 4])

@@ -5,6 +5,7 @@ import pytest
 
 from deepself.errors import ConfigError, DeepSelfError, NumericError, ShapeError
 from deepself import tensor as T
+from deepself.models import ModelSpec, Recurrent, forward, init_model
 from deepself.tensor import Tensor
 
 
@@ -358,23 +359,6 @@ class TestShapeOps:
         (y * y).sum().backward()
         np.testing.assert_allclose(x.grad, 2 * np.arange(6))
 
-    def test_select_gradient_hits_one_slice(self):
-        x = Tensor(np.ones((2, 3, 4)), requires_grad=True)
-        y = T.select(x, 1, axis=1)
-        assert y.shape == (2, 4)
-        y.sum().backward()
-        expected = np.zeros((2, 3, 4))
-        expected[:, 1, :] = 1.0
-        np.testing.assert_allclose(x.grad, expected)
-
-    def test_concat_splits_gradient(self):
-        a = Tensor(np.ones((2, 2)), requires_grad=True)
-        b = Tensor(np.ones((2, 3)), requires_grad=True)
-        out = T.concat([a, b], axis=1)
-        assert out.shape == (2, 5)
-        (out * out).sum().backward()
-        assert a.grad.shape == (2, 2) and b.grad.shape == (2, 3)
-
     def test_transpose_gradient(self):
         x = Tensor(np.arange(24, dtype=np.float64).reshape(2, 3, 4), requires_grad=True)
         y = T.transpose(x, (2, 0, 1))
@@ -383,34 +367,43 @@ class TestShapeOps:
         np.testing.assert_allclose(x.grad, 2 * x.data)
 
 
+def gate_params(cell, features, hidden, w=0.0):
+    """One direction's (W, U, b) lists, one tensor per gate: W filled with ``w``, U and b zero."""
+    n = len(T.RECURRENT_GATES[cell])
+    return tuple([Tensor(np.full(shape, value, dtype=np.float32), requires_grad=True) for _ in range(n)]
+                 for shape, value in (((features, hidden), w), ((hidden, hidden), 0.0), ((hidden,), 0.0)))
+
+
 class TestRecurrent:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("cell", ["rnn", "gru", "lstm"])
     def test_overflowing_preactivation_names_the_cell(self, cell):
-        width = 2 * len(T.RECURRENT_GATES[cell])
         x = Tensor(np.full((2, 3, 2), 1e10, dtype=np.float32))
-        w = Tensor(np.full((2, width), 1e30, dtype=np.float32), requires_grad=True)
-        u = Tensor(np.zeros((2, width), dtype=np.float32), requires_grad=True)
-        b = Tensor(np.zeros(width, dtype=np.float32), requires_grad=True)
         with pytest.raises(NumericError, match=f"^{cell} produced non-finite values"):
-            T.recurrent(x, w, u, b, cell)
+            T.recurrent(x, [gate_params(cell, 2, 2, w=1e30)], cell)
 
     def test_shapes_checked(self):
         x = Tensor(np.zeros((2, 3, 4)))
+        good = gate_params("gru", 4, 2)
+        wrong_w = (good[0][:2] + [Tensor(np.zeros((4, 3)))], good[1], good[2])
         with pytest.raises(ShapeError, match="gru"):
-            T.recurrent(x, np.zeros((4, 5)), np.zeros((2, 6)), np.zeros(6), "gru")
+            T.recurrent(x, [good, wrong_w], "gru")
+        with pytest.raises(ShapeError, match="gru"):
+            T.recurrent(x, [good] * 3, "gru")
         with pytest.raises(ShapeError):
-            T.recurrent(Tensor(np.zeros((2, 0, 4))), np.zeros((4, 2)), np.zeros((2, 2)),
-                        np.zeros(2), "rnn")
+            T.recurrent(x, [tuple(group[:2] for group in good)], "gru")
+        with pytest.raises(ShapeError):
+            T.recurrent(Tensor(np.zeros((2, 0, 4))), [gate_params("rnn", 4, 2)], "rnn")
         with pytest.raises(ConfigError):
-            T.recurrent(x, np.zeros((4, 2)), np.zeros((2, 2)), np.zeros(2), "conv")
+            T.recurrent(x, [gate_params("rnn", 4, 2)], "conv")
+        with pytest.raises(ShapeError):
+            T.final_states(Tensor(np.zeros((2, 3, 6))), 3)
 
-    def test_one_tape_record_per_direction(self):
-        x = Tensor(np.ones((2, 5, 3)), requires_grad=True)
-        w, u, b = (Tensor(np.zeros(s), requires_grad=True) for s in ((3, 8), (2, 8), (8,)))
+    def test_one_tape_record_per_layer(self):
+        # a 2-layer bi-GRU: one record per sub-layer, both directions in it, and one for the head
+        model = init_model(ModelSpec((5, 3), (Recurrent("gru", 4, 2, "bi"),), 2, seed=0))
         tape = T.active_tape()
         tape.clear()
-        out = T.recurrent(x, w, u, b, "lstm", reverse=True)
-        assert out.shape == (2, 5, 2)
-        assert [rec.op for rec in tape] == ["lstm"]
+        forward(model, np.ones((2, 5, 3), dtype=np.float32))
+        assert [rec.op for rec in tape] == ["gru", "gru", "final_states", "matmul", "add_bias"]
         tape.clear()
