@@ -18,15 +18,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .config import (
-    FEATURES,
-    MODEL_TYPES,
-    RunConfig,
-    apply_overrides,
-    load_config,
-    _bool,
-    _int_list,
-)
+from .config import DOMAINS, METAVARS, SCHEMA, RunConfig, apply_overrides, load_config
 from .data import (
     DatasetManifest,
     ManifestRow,
@@ -56,17 +48,9 @@ from .evaluation import (
     write_fold_report,
     write_predictions,
 )
-from .models import (
-    ACTIVATIONS,
-    DIRECTIONS,
-    RECURRENT_CELLS,
-    Recurrent,
-    cnn_to_rnn_reshape,
-    init_model,
-)
+from .models import Recurrent, cnn_to_rnn_reshape, init_model
 from .tensor import Tensor
 from .training import (
-    OPTIMIZERS,
     best_epoch_index,
     load_checkpoint,
     predict_batches,
@@ -85,64 +69,26 @@ LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEB
 # ---------------------------------------------------------------------------
 
 
-def _arg_bool(text):
-    try:
-        return _bool(text)
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _arg_int_list(text):
-    try:
-        return _int_list(text)
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _arg(parse):
+    """An argparse ``type`` from an INI parser: its ``ConfigError`` becomes a usage error."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
-    """Shared flags plus one override per config key (flags beat file values)."""
+    """``--config`` plus one override per ``SCHEMA`` key (flags beat file values)."""
     p.add_argument("--config", metavar="PATH", help="INI config file")
-    run = p.add_argument_group("run")
-    run.add_argument("--seed", type=int, dest="seed")
-    run.add_argument("--output-dir", dest="output_dir", metavar="PATH")
-    run.add_argument("--jobs", type=int, dest="jobs")
-    run.add_argument("--activation", choices=ACTIVATIONS, dest="activation")
-    gen = p.add_argument_group("general")
-    gen.add_argument("--learning-rate", type=float, dest="learning_rate")
-    gen.add_argument("--batch-size", type=int, dest="batch_size")
-    gen.add_argument("--epochs", type=int, dest="epochs")
-    gen.add_argument("--optimizer", choices=OPTIMIZERS, dest="optimizer")
-    model = p.add_argument_group("model")
-    model.add_argument("--model-type", choices=MODEL_TYPES, dest="model_type")
-    model.add_argument("--nn-hidden-layers", type=int, dest="nn_hidden_layers")
-    model.add_argument("--nn-hidden-nodes", type=int, dest="nn_hidden_nodes")
-    model.add_argument("--cnn-channels", type=_arg_int_list, dest="cnn_channels",
-                       metavar="N,N,...")
-    model.add_argument("--cnn-kernel", type=_arg_int_list, dest="cnn_kernel",
-                       metavar="N,N,...")
-    model.add_argument("--cnn-stride", type=_arg_int_list, dest="cnn_stride",
-                       metavar="N,N,...")
-    model.add_argument("--cnn-padding", type=_arg_int_list, dest="cnn_padding",
-                       metavar="N,N,...")
-    model.add_argument("--rnn-type", choices=RECURRENT_CELLS, dest="rnn_type")
-    model.add_argument("--rnn-direction", choices=DIRECTIONS, dest="rnn_direction")
-    model.add_argument("--rnn-hidden-layers", type=int, dest="rnn_hidden_layers")
-    model.add_argument("--rnn-hidden-nodes", type=int, dest="rnn_hidden_nodes")
-    pre = p.add_argument_group("preprocess")
-    pre.add_argument("--filter", type=_arg_bool, dest="filter", metavar="on|off")
-    pre.add_argument("--filter-low", type=float, dest="filter_low", metavar="HZ")
-    pre.add_argument("--filter-high", type=float, dest="filter_high", metavar="HZ")
-    pre.add_argument("--feature", choices=FEATURES, dest="feature")
-    pre.add_argument("--window-size", type=int, dest="window_size")
-    pre.add_argument("--hop-size", type=int, dest="hop_size")
-    pre.add_argument("--n-mels", type=int, dest="n_mels")
-    pre.add_argument("--fmin", type=float, dest="fmin", metavar="HZ")
-    pre.add_argument("--fmax", type=float, dest="fmax", metavar="HZ")
-    pre.add_argument("--n-voices", type=int, dest="n_voices")
-    data = p.add_argument_group("data")
-    data.add_argument("--manifest", dest="manifest", metavar="PATH")
-    data.add_argument("--sample-rate", type=float, dest="sample_rate", metavar="HZ")
-    data.add_argument("--fixed-length", type=int, dest="fixed_length", metavar="SAMPLES")
+    for section, table in SCHEMA.items():
+        group = p.add_argument_group(f"[{section}]")
+        for key, (attr, parse) in table.items():
+            group.add_argument(
+                "--" + attr.replace("_", "-"), dest=attr, type=_arg(parse),
+                choices=DOMAINS.get(attr), metavar=METAVARS.get(parse),
+                help=f"file key: {key}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,8 +1,9 @@
 """Run configuration: flat INI files, domain validation, plan assembly.
 
-Every key a user can set on the command line has a config-file counterpart;
-flags override file values.  All values are validated against their
-documented domains before any work starts.
+``SCHEMA`` is the one table of config keys: the INI reader and the
+command-line flags (which override file values) are both built from it.
+All values are validated against their documented domains before any work
+starts.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import hashlib
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
-from .models import ACTIVATIONS, Conv, Dense, ModelSpec, Recurrent
-from .training import TrainConfig
+from .models import ACTIVATIONS, DIRECTIONS, RECURRENT_CELLS, Conv, Dense, ModelSpec, Recurrent
+from .training import OPTIMIZERS, TrainConfig
 
 MODEL_TYPES = ("nn", "cnn", "rnn", "cnn+rnn")
 FEATURES = ("none", "spectrogram", "logmel", "scalogram")
@@ -187,7 +188,6 @@ def _in_section(section: str, build, *args):
 # INI parsing
 # ---------------------------------------------------------------------------
 
-# section -> {file key -> (attribute, parser)}
 def _int_list(text: str) -> tuple:
     try:
         return tuple(int(part.strip()) for part in text.split(",") if part.strip())
@@ -218,7 +218,11 @@ def _int(text: str) -> int:
         raise ConfigError(f"expected an integer, got {text!r}") from None
 
 
-_SCHEMA = {
+# how --help shows the values these parsers accept
+METAVARS = {_bool: "on|off", _int_list: "N,N,..."}
+
+# section -> {file key -> (RunConfig attribute, parser)}
+SCHEMA = {
     "general": {
         "learning_rate": ("learning_rate", _float),
         "batch_size": ("batch_size", _int),
@@ -269,10 +273,20 @@ _SCHEMA = {
     },
 }
 
+# attribute -> the values it may take, for the enumerated keys
+DOMAINS = {
+    "optimizer": OPTIMIZERS,
+    "model_type": MODEL_TYPES,
+    "rnn_type": RECURRENT_CELLS,
+    "rnn_direction": DIRECTIONS,
+    "feature": FEATURES,
+    "activation": ACTIVATIONS,
+}
+
 
 def load_config(path) -> RunConfig:
     """Parse a flat INI file and validate every key against its domain."""
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -283,11 +297,11 @@ def load_config(path) -> RunConfig:
 
     cfg = RunConfig()
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in SCHEMA:
             raise ConfigError(
                 f"{path}: unknown section [{section}] "
-                f"(known: {', '.join(sorted(_SCHEMA))})")
-        table = _SCHEMA[section]
+                f"(known: {', '.join(sorted(SCHEMA))})")
+        table = SCHEMA[section]
         for key, raw in parser.items(section):
             if key not in table:
                 raise ConfigError(

@@ -53,9 +53,6 @@ class DatasetManifest:
     def n_classes(self) -> int:
         return len(self.label_map)
 
-    def class_index(self, row: ManifestRow) -> int:
-        return self.label_map[row.label]
-
     def subset(self, split: str) -> list[ManifestRow]:
         return [r for r in self.rows if r.split == split]
 

@@ -30,6 +30,10 @@ from .models import Model, ModelSpec, forward, init_model
 from .tensor import backward, no_grad, softmax_cross_entropy
 
 OPTIMIZERS = ("sgd", "adam")
+# Adam's moment decays and denominator floor: the defaults of Kingma & Ba (2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 log = logging.getLogger(__name__)
 
@@ -40,9 +44,6 @@ class TrainConfig:
     batch_size: int = 16
     epochs: int = 20
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
     shuffle: bool = True
 
@@ -55,10 +56,6 @@ class TrainConfig:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError(f"adam betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
-        if self.epsilon <= 0:
-            raise ConfigError(f"adam epsilon must be positive, got {self.epsilon}")
 
 
 @dataclass
@@ -95,11 +92,10 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
+def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
     state.t += 1
-    bc1 = 1.0 - beta1 ** state.t
-    bc2 = 1.0 - beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name, grad in grads.items():
         p = params[name]
         if grad.shape != p.data.shape:
@@ -111,13 +107,13 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
             state.v[name] = np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * grad
-        v *= beta2
-        v += (1.0 - beta2) * np.square(grad)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(grad)
         m_hat = m / bc1
         v_hat = v / bc2
-        p.data -= (lr * m_hat / (np.sqrt(v_hat) + epsilon)).astype(p.data.dtype, copy=False)
+        p.data -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)).astype(p.data.dtype, copy=False)
     return state
 
 
@@ -214,8 +210,7 @@ def train(model: Model, train_set, dev_set, config: TrainConfig):
             if config.optimizer == "sgd":
                 sgd_step(model.params, grads, config.learning_rate)
             else:
-                adam_step(model.params, grads, adam_state, config.learning_rate,
-                          config.beta1, config.beta2, config.epsilon)
+                adam_step(model.params, grads, adam_state, config.learning_rate)
             loss_sum += loss.item() * len(rows)
             epoch_pred[cursor:cursor + len(rows)] = np.argmax(probs.data, axis=1)
             epoch_true[cursor:cursor + len(rows)] = yb

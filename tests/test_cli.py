@@ -7,8 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from deepself.cli import _is_sequence_config, _is_sequence_model, main
-from deepself.config import MODEL_TYPES, RunConfig
+from deepself.cli import (
+    _is_sequence_config,
+    _is_sequence_model,
+    _resolve_config,
+    build_parser,
+    main,
+)
+from deepself.config import DOMAINS, METAVARS, MODEL_TYPES, SCHEMA, RunConfig
 from deepself.data import load_manifest, load_sample
 from deepself.dsp import apply_iir, design_butterworth_bandpass, read_feature_map
 from deepself.evaluation import read_predictions, uar_from_labels
@@ -400,3 +406,53 @@ class TestEnvironmentAndHelp:
 
     def test_subcommand_required(self, capsys):
         assert run([]) == 2
+
+
+def _flag(attr):
+    return "--" + attr.replace("_", "-")
+
+
+def _two_values(attr, parse):
+    """A file value and a different flag value, both valid on their own."""
+    if attr in DOMAINS:
+        return DOMAINS[attr][0], DOMAINS[attr][-1]
+    return {"on|off": ("off", "on"), "N,N,...": ("4", "6")}.get(
+        METAVARS.get(parse), ("3", "5"))
+
+
+SCHEMA_KEYS = [(section, key, attr, parse)
+               for section, table in SCHEMA.items()
+               for key, (attr, parse) in table.items()]
+
+
+class TestFlagsFromSchema:
+    @pytest.mark.parametrize("section,key,attr,parse", SCHEMA_KEYS,
+                             ids=[_flag(k[2]) for k in SCHEMA_KEYS])
+    def test_flag_beats_file(self, tmp_path, section, key, attr, parse):
+        file_value, flag_value = _two_values(attr, parse)
+        sections = {"preprocess": {"low": "1", "high": "100"}}  # lets --filter on validate
+        sections.setdefault(section, {})[key] = file_value
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in table.items())
+            for name, table in sections.items()))
+        parser = build_parser()
+        from_file = _resolve_config(parser.parse_args(["train", "--config", str(cfg_path)]))
+        assert getattr(from_file, attr) == parse(file_value)
+        args = parser.parse_args(["train", "--config", str(cfg_path), _flag(attr), flag_value])
+        assert getattr(_resolve_config(args), attr) == parse(flag_value) != parse(file_value)
+
+    @pytest.mark.parametrize("attr", sorted(DOMAINS))
+    def test_value_outside_domain_is_usage_error(self, attr, capsys):
+        assert run(["train", _flag(attr), "bogus"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--epochs", "many", "expected an integer"),
+        ("--fmax", "high", "expected a number"),
+        ("--filter", "maybe", "expected on/off"),
+        ("--cnn-channels", "8,x", "comma-separated integer list"),
+    ])
+    def test_unparsable_value_is_usage_error(self, flag, value, message, capsys):
+        assert run(["train", flag, value]) == 2
+        assert message in capsys.readouterr().err

@@ -1,8 +1,13 @@
 """RunConfig: INI parsing, domain validation, model-spec assembly."""
 
+import re
+from collections import Counter
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
-from deepself.config import RunConfig, apply_overrides, load_config
+from deepself.config import SCHEMA, RunConfig, apply_overrides, load_config
 from deepself.errors import ConfigError
 from deepself.models import Conv, Dense, Recurrent, plan_shapes
 
@@ -115,6 +120,23 @@ jobs = 2
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.cfg")
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = re.search(r"```ini\n(.*?)```", readme.read_text(), re.S).group(1)
+        cfg = load_config(write_cfg(tmp_path, block))
+        assert cfg.model_type == "cnn+rnn"
+        assert cfg.cnn_channels == (8, 16)
+        assert cfg.fmax == 40.0
+        assert cfg.filter_low == 0.5 and cfg.jobs == 1
+
+    def test_inline_comment_needs_leading_whitespace(self, tmp_path):
+        p = write_cfg(tmp_path, "[data]\nmanifest = a;b.csv  ; the training rows\n")
+        assert load_config(p).manifest == "a;b.csv"
+
+    def test_schema_covers_every_field_once(self):
+        attrs = Counter(attr for table in SCHEMA.values() for attr, _ in table.values())
+        assert attrs == Counter(f.name for f in fields(RunConfig))
 
     def test_filter_bool_variants(self, tmp_path):
         for text, expected in (("on", True), ("off", False), ("true", True), ("0", False)):

@@ -55,10 +55,6 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigError, match="sgd"):
             TrainConfig(optimizer="nadam")
-        with pytest.raises(ConfigError):
-            TrainConfig(beta1=1.0)
-        with pytest.raises(ConfigError):
-            TrainConfig(epsilon=0.0)
 
 
 class TestSgdStep:
