@@ -9,6 +9,7 @@ the manifest file's directory.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import os
 import struct
@@ -28,6 +29,18 @@ from .errors import (
 log = logging.getLogger("deepself")
 
 SPLITS = ("train", "dev", "test")
+
+
+def read_text(path) -> str:
+    """A text file's contents; invalid UTF-8 raises FormatError naming the byte offset."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +85,7 @@ def load_manifest(path, check_files: bool = True) -> DatasetManifest:
     """CSV with header ``path,label[,split][,fold]``; labels map lexicographically."""
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
-        fh = open(path, newline="")
+        fh = io.StringIO(read_text(path), newline="")
     except OSError as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
     with fh:
@@ -232,10 +245,39 @@ def write_wav_pcm16(signal: Signal, path):
 
 
 def load_csv_series(path, sample_rate: float) -> Signal:
-    """Numeric CSV (or whitespace-free single-column text); one channel per column."""
+    r"""Numeric CSV (or whitespace-free single-column text); one channel per column.
+
+    Blank rows are skipped, ``#`` is data and quoted numbers are accepted.
+    NumPy's C parser reads every well-formed file.  Only text it rejects is
+    walked with the ``csv`` module, which accepts what ``float`` does (quoted
+    cells, whitespace-only rows, lone-``\r`` line ends, ``1_000``) and
+    otherwise names the offending row and column.
+    """
+    text = read_text(path)
+    table = _numpy_table(text)
+    if table is None:
+        table = _walk_csv_rows(text, path)
+    return Signal(table.T, sample_rate)
+
+
+def _numpy_table(text: str) -> np.ndarray | None:
+    """[rows x columns] from NumPy's C parser, or None where the walk must decide."""
+    # np.loadtxt only warns on blank text, and it strips the ASCII separators
+    # \x1c-\x1f around a number as whitespace where float() rejects them
+    if not text.strip() or any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+        return None
+    try:
+        return np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2,
+                          dtype=np.float64, comments=None)
+    except ValueError:
+        return None
+
+
+def _walk_csv_rows(text: str, path) -> np.ndarray:
+    """[rows x columns] of ``text`` parsed cell by cell with ``float``."""
     rows: list[list[float]] = []
     width = None
-    with open(path, newline="") as fh:
+    with io.StringIO(text, newline="") as fh:
         for row_no, record in enumerate(csv.reader(fh), start=1):
             if not record or all(not field.strip() for field in record):
                 continue
@@ -256,7 +298,7 @@ def load_csv_series(path, sample_rate: float) -> Signal:
             rows.append(values)
     if not rows:
         raise DataError(f"{path}: series file has no samples")
-    return Signal(np.asarray(rows, dtype=np.float64).T, sample_rate)
+    return np.asarray(rows, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ excluded.  Argmax ties break to the lowest class index everywhere.
 from __future__ import annotations
 
 import csv
+import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import read_text
 from .errors import ConfigError, DataError, FormatError, MetricError, ShapeError
 from .models import init_model
 
@@ -155,7 +157,7 @@ def write_predictions(pset: PredictionSet, path):
 
 
 def read_predictions(path) -> PredictionSet:
-    with open(path, newline="") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -9,6 +9,7 @@ parameters as little-endian float32 and round-trip bit-exactly.
 from __future__ import annotations
 
 import logging
+import math
 import struct
 import time
 from dataclasses import dataclass, field, replace
@@ -326,8 +327,10 @@ def read_checkpoint(path) -> Checkpoint:
         name = reader.text(reader.u16(), "parameter name")
         rank = reader.u8()
         shape = struct.unpack(f"<{rank}I", reader.take(4 * rank))
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(reader.take(4 * count), dtype="<f4").reshape(shape)
+        if 0 in shape:
+            raise FormatError(f"{path}: parameter {name!r} has a zero dimension in shape {shape}")
+        # math.prod, not np.prod: an int64 product can wrap to a count the file holds
+        data = np.frombuffer(reader.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
         params[name] = data.copy()
     metadata = {}
     for line in reader.text(reader.u32(), "metadata").splitlines():

@@ -20,6 +20,7 @@ from deepself.data import (
     write_wav_pcm16,
 )
 from deepself.dsp import FeatureMap, Signal, write_feature_map
+from deepself.evaluation import read_predictions
 from deepself.errors import (
     ConfigError,
     DataError,
@@ -190,6 +191,19 @@ class TestCsvSeries:
         p.write_text("1e-3\n-2.5E2\n")
         np.testing.assert_array_equal(
             load_csv_series(p, 1.0).samples, [[0.001, -250.0]])
+
+
+@pytest.mark.parametrize("reader, blob, offset", [
+    (lambda p: load_csv_series(p, 10.0), b"1.0\n\xff\xfe\n", 4),
+    (lambda p: load_manifest(p, check_files=False), b"path,label\n\xff.wav,a\n", 11),
+    (read_predictions, b"id,label,prob_0\nx\xff,0,1.0\n", 17),
+], ids=["csv-series", "manifest", "predictions"])
+def test_invalid_utf8_is_format_error_naming_file_and_offset(tmp_path, reader, blob, offset):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(blob)
+    with pytest.raises(FormatError, match=f"not valid UTF-8 .* at byte {offset}") as info:
+        reader(p)
+    assert str(p) in str(info.value)
 
 
 class TestPgm:

@@ -8,6 +8,7 @@ import pytest
 from deepself.errors import (
     ConfigError,
     DataError,
+    DeepSelfError,
     FormatError,
     IntegrityError,
     NumericError,
@@ -343,6 +344,40 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=f"{field} is not valid UTF-8") as info:
             read_checkpoint(path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("dims, error, message", [
+        ((0,), FormatError, "zero dimension"),
+        ((0xFFFFFFFF, 0xFFFFFFFF), TruncatedFileError, "bytes early"),  # wraps in int64
+    ], ids=["zero-dimension", "oversized-count"])
+    def test_corrupt_shape_is_format_error(self, tmp_path, dims, error, message):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._model(), {}, path)
+        blob = bytearray(path.read_bytes())
+        spec_len = int.from_bytes(blob[8:12], "little")
+        name_len = int.from_bytes(blob[16 + spec_len:18 + spec_len], "little")
+        rank_at = 18 + spec_len + name_len  # the first parameter's rank byte, then its shape
+        blob[rank_at] = len(dims)
+        blob[rank_at + 1:rank_at + 1 + 4 * len(dims)] = b"".join(d.to_bytes(4, "little") for d in dims)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(error, match=message):
+            read_checkpoint(path)
+
+    def test_every_bit_flip_loads_or_raises_deepself_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(ModelSpec((3,), (Dense(2),), 2, seed=0)), {"epoch": 1}, path)
+        blob = path.read_bytes()
+        leaks = []
+        for bit in range(8 * len(blob)):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            try:
+                load_checkpoint(path)
+            except DeepSelfError:
+                pass
+            except Exception as exc:
+                leaks.append((bit, repr(exc)))
+        assert not leaks, f"{len(leaks)} of {8 * len(blob)} flips leak, e.g. {leaks[0]}"
 
     def test_shape_mismatch_is_integrity_error(self, tmp_path):
         model = self._model()
