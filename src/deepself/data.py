@@ -43,6 +43,15 @@ def read_text(path) -> str:
         ) from None
 
 
+def csv_records(fh, path):
+    """The ``csv`` records of ``fh``; one the module rejects raises FormatError naming the line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise FormatError(f"{path} line {reader.line_num}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # Manifest
 # ---------------------------------------------------------------------------
@@ -89,7 +98,7 @@ def load_manifest(path, check_files: bool = True) -> DatasetManifest:
     except OSError as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
+        reader = csv_records(fh, path)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
@@ -278,7 +287,7 @@ def _walk_csv_rows(text: str, path) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
     with io.StringIO(text, newline="") as fh:
-        for row_no, record in enumerate(csv.reader(fh), start=1):
+        for row_no, record in enumerate(csv_records(fh, path), start=1):
             if not record or all(not field.strip() for field in record):
                 continue
             values = []

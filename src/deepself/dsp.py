@@ -53,7 +53,7 @@ class Signal:
             arr = arr[None, :]
         if arr.ndim != 2 or arr.shape[1] < 1:
             raise ShapeError(f"signal must be [channels x samples] with at least one sample, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError("signal holds non-finite values")
         if self.sample_rate <= 0:
             raise ConfigError(f"sample rate must be positive, got {self.sample_rate}")

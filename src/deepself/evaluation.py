@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import read_text
+from .data import csv_records, read_text
 from .errors import ConfigError, DataError, FormatError, MetricError, ShapeError
 from .models import init_model
 
@@ -158,7 +158,7 @@ def write_predictions(pset: PredictionSet, path):
 
 def read_predictions(path) -> PredictionSet:
     with io.StringIO(read_text(path), newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv_records(fh, path)
         try:
             header = next(reader)
         except StopIteration:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .tensor import (
     ACTIVATIONS,
     RECURRENT_GATES,
@@ -484,30 +484,33 @@ def forward(model: Model, batch):
         )
     params = model.params
     value = x
-    for idx, stage in enumerate(model.plan.stages):
-        layer = stage.layer
-        if isinstance(layer, Dense):
-            value = add_bias(matmul(value, params[f"{stage.param_prefix}.weight"]),
-                             params[f"{stage.param_prefix}.bias"])
-            if not stage.is_head:
+    try:
+        for idx, stage in enumerate(model.plan.stages):
+            layer = stage.layer
+            if isinstance(layer, Dense):
+                value = add_bias(matmul(value, params[f"{stage.param_prefix}.weight"]),
+                                 params[f"{stage.param_prefix}.bias"])
+                if not stage.is_head:
+                    value = activation(value, model.spec.activation)
+            elif isinstance(layer, Conv):
+                value = conv_nd_batched(value, params[f"{stage.param_prefix}.weight"],
+                                        layer.stride, layer.padding,
+                                        bias=params[f"{stage.param_prefix}.bias"])
                 value = activation(value, model.spec.activation)
-        elif isinstance(layer, Conv):
-            value = conv_nd_batched(value, params[f"{stage.param_prefix}.weight"],
-                                    layer.stride, layer.padding,
-                                    bias=params[f"{stage.param_prefix}.bias"])
-            value = activation(value, model.spec.activation)
-        elif isinstance(layer, Recurrent):
-            value = run_recurrent_layer(value, params, stage.param_prefix, layer)
-        elif isinstance(layer, SequenceHead):
-            value = final_states(value, layer.directions)
-        elif isinstance(layer, Flatten):
-            value = reshape(value, (value.shape[0], int(np.prod(stage.out_shape))))
-        elif isinstance(layer, CnnToRnnReshape):
-            value = cnn_to_rnn_reshape(value)
-        if tuple(value.shape[1:]) != tuple(stage.out_shape):
-            raise ShapeError(
-                f"stage {idx} ({type(layer).__name__}) produced shape {tuple(value.shape[1:])}, "
-                f"plan expected {tuple(stage.out_shape)}"
-            )
+            elif isinstance(layer, Recurrent):
+                value = run_recurrent_layer(value, params, stage.param_prefix, layer)
+            elif isinstance(layer, SequenceHead):
+                value = final_states(value, layer.directions)
+            elif isinstance(layer, Flatten):
+                value = reshape(value, (value.shape[0], int(np.prod(stage.out_shape))))
+            elif isinstance(layer, CnnToRnnReshape):
+                value = cnn_to_rnn_reshape(value)
+            if tuple(value.shape[1:]) != tuple(stage.out_shape):
+                raise ShapeError(
+                    f"stage {idx} ({type(layer).__name__}) produced shape {tuple(value.shape[1:])}, "
+                    f"plan expected {tuple(stage.out_shape)}"
+                )
+    except NumericError as exc:
+        raise NumericError(f"{exc} in stage {idx} ({type(layer).__name__})") from exc
     logits = value
     return logits, softmax(logits)

@@ -17,6 +17,7 @@ small.  Convolution is cross-correlation (no kernel flip).
 
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
@@ -44,7 +45,7 @@ class Tensor:
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(DEFAULT_DTYPE)
         arr = np.ascontiguousarray(arr)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError("tensor holds non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -127,7 +128,7 @@ def _make_result(op, arr, inputs, backward_fn):
     """Wrap an op result, recording it on the tape when gradients are live."""
     out = Tensor.__new__(Tensor)
     arr = np.ascontiguousarray(arr)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"{op} produced non-finite values")
     out.data = arr
     out.grad = None
@@ -170,7 +171,7 @@ def backward(loss: Tensor):
             for t, g in zip(rec.inputs, grads):
                 if g is None or not t.requires_grad:
                     continue
-                if not np.all(np.isfinite(g)):
+                if not np.isfinite(g).all():
                     raise NumericError(f"non-finite gradient in backward of {rec.op}")
                 if t.grad is None:
                     # a C-ordered copy: an op may return one array for several inputs (add)
@@ -330,8 +331,12 @@ def infer_conv_output_size(in_extent: int, kernel: int, stride: int, padding: in
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def _window_indices(padded_sp, out_sp, kernel_sp, stride):
-    """Flat indices into the padded spatial block, shaped [n_windows, window_size]."""
+    """Flat indices into the padded spatial block, shaped [n_windows, window_size].
+
+    Cached per geometry (all arguments are tuples), so the array is read-only.
+    """
     rank = len(padded_sp)
     sp_strides = np.ones(rank, dtype=np.int64)
     for i in range(rank - 2, -1, -1):
@@ -347,7 +352,9 @@ def _window_indices(padded_sp, out_sp, kernel_sp, stride):
         idx = idx + axis_idx.reshape(shape)
     n_windows = int(np.prod(out_sp))
     window = int(np.prod(kernel_sp))
-    return np.ascontiguousarray(np.broadcast_to(idx, tuple(out_sp) + tuple(kernel_sp)).reshape(n_windows, window))
+    idx = np.ascontiguousarray(np.broadcast_to(idx, out_sp + kernel_sp).reshape(n_windows, window))
+    idx.flags.writeable = False
+    return idx
 
 
 def conv_nd_batched(x, kernels, stride, padding, bias=None) -> Tensor:
@@ -379,8 +386,12 @@ def conv_nd_batched(x, kernels, stride, padding, bias=None) -> Tensor:
         if bias.shape != (c_out,):
             raise ShapeError(f"bias must have shape ({c_out},), got {tuple(bias.shape)}")
 
-    pad_spec = [(0, 0), (0, 0)] + [(p, p) for p in padding]
-    padded = np.pad(x.data, pad_spec)
+    unpad = (slice(None), slice(None)) + tuple(slice(p, p + n) for p, n in zip(padding, spatial))
+    if any(padding):
+        padded = np.zeros((batch, c_in) + tuple(n + 2 * p for n, p in zip(spatial, padding)), dtype=x.dtype)
+        padded[unpad] = x.data
+    else:
+        padded = x.data
     padded_sp = padded.shape[2:]
     win = _window_indices(padded_sp, out_sp, kernel_sp, stride)  # [O, K]
     n_win, win_size = win.shape
@@ -406,8 +417,7 @@ def conv_nd_batched(x, kernels, stride, padding, bias=None) -> Tensor:
         for k in reversed(list(np.ndindex(*kernel_sp))):
             window = tuple(slice(k_i, k_i + s * (n - 1) + 1, s) for k_i, s, n in zip(k, stride, out_sp))
             d_padded[(slice(None), slice(None)) + window] += d_cols[(Ellipsis,) + k]
-        unpad = tuple(slice(p, p + n) for p, n in zip(padding, spatial))
-        d_x = np.ascontiguousarray(d_padded[(slice(None), slice(None)) + unpad])
+        d_x = np.ascontiguousarray(d_padded[unpad])
         return (d_x, d_kernels, d_bias)
 
     return _make_result("conv", out, (x, kernels, bias), _backward)
@@ -504,7 +514,7 @@ def recurrent(x, params, cell: str) -> Tensor:
             np.tanh(a[..., 2 * hid:3 * hid], out=g)
             cs[:, s + 1] = f * cs[:, s] + i * g
             np.multiply(o, np.tanh(cs[:, s + 1]), out=hs[:, s + 1])
-    if not np.all(np.isfinite(pre)):
+    if not np.isfinite(pre).all():
         raise NumericError(f"{cell} produced non-finite values")
 
     def _backward(grad):

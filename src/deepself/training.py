@@ -12,7 +12,7 @@ import logging
 import math
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,33 +88,59 @@ def sgd_step(params: dict, grads: dict, lr: float):
 
 @dataclass
 class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    """Adam's moments as flat vectors over the gradients ``names`` lays out, in order."""
+
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     t: int = 0
+    names: tuple = ()
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
+    """One Adam step (Kingma & Ba, 2015), one elementwise pass over all gradients.
+
+    The first call fixes the gradient names the state covers; a later call
+    must pass the same names.  The moments are kept in the parameters'
+    dtype, which every parameter and gradient must share.
+    """
+    names = tuple(grads) if state.m is None else state.names
+    if grads.keys() != set(names):
+        raise ConfigError(f"adam_step got gradients for {sorted(grads)}, "
+                          f"its state covers {sorted(names)}")
+    if not names:
+        state.t += 1
+        return state
+    dtype = params[names[0]].data.dtype
+    flat = []
+    for name in names:
+        grad, p = grads[name], params[name].data
+        if grad.shape != p.shape:
+            raise ShapeError(f"gradient for {name} has shape {grad.shape}, parameter {p.shape}")
+        if p.dtype != dtype:
+            raise ShapeError(f"parameter {name} is {p.dtype}, {names[0]} is {dtype}; "
+                             f"adam_step needs one dtype for all parameters")
+        if grad.dtype != dtype:
+            raise ShapeError(f"gradient for {name} has dtype {grad.dtype}, parameter {dtype}")
+        flat.append(grad.reshape(-1))
+    g = np.concatenate(flat)
+    if state.m is None:
+        state.m, state.v, state.names = np.zeros_like(g), np.zeros_like(g), names
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
-    for name, grad in grads.items():
-        p = params[name]
-        if grad.shape != p.data.shape:
-            raise ShapeError(
-                f"gradient for {name} has shape {grad.shape}, parameter {p.data.shape}"
-            )
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grad
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * np.square(grad)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p.data -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)).astype(p.data.dtype, copy=False)
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * np.square(g)
+    m_hat = m / bc1
+    v_hat = v / bc2
+    step = (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)).astype(dtype, copy=False)
+    start = 0
+    for name in names:
+        p = params[name].data
+        p -= step[start:start + p.size].reshape(p.shape)
+        start += p.size
     return state
 
 

@@ -206,6 +206,23 @@ def test_invalid_utf8_is_format_error_naming_file_and_offset(tmp_path, reader, b
     assert str(p) in str(info.value)
 
 
+# one cell past the csv module's 131072-character field limit, on line 2
+LONG_CELL = "x" * 140001
+
+
+@pytest.mark.parametrize("reader, text", [
+    (lambda p: load_csv_series(p, 10.0), f"1.0\n{LONG_CELL}\n"),
+    (lambda p: load_manifest(p, check_files=False), f"path,label\n{LONG_CELL},a\n"),
+    (read_predictions, f"id,label,prob_0\n{LONG_CELL},0,1.0\n"),
+], ids=["csv-series", "manifest", "predictions"])
+def test_oversized_csv_field_is_format_error_naming_file_and_line(tmp_path, reader, text):
+    p = tmp_path / "long.csv"
+    p.write_text(text)
+    with pytest.raises(FormatError, match="line 2: field larger than field limit") as info:
+        reader(p)
+    assert str(p) in str(info.value)
+
+
 class TestPgm:
     def test_p5_binary(self, tmp_path):
         p = tmp_path / "i.pgm"

@@ -218,6 +218,49 @@ class TestConvBackward:
         assert k.grad.shape == k.shape
 
 
+class TestConvWindowCache:
+    def test_cached_window_indices_are_read_only(self):
+        win = T._window_indices((10,), (4,), (3,), (2,))
+        assert win is T._window_indices((10,), (4,), (3,), (2,))
+        with pytest.raises(ValueError):
+            win[0, 0] = 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(CONV_GEOMETRIES))
+    def test_padded_conv_equals_np_pad_reference(self, name, dtype):
+        x_shape, k_shape, stride, padding = CONV_GEOMETRIES[name]
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.standard_normal(x_shape).astype(dtype), requires_grad=True)
+        k = Tensor(rng.standard_normal(k_shape).astype(dtype))
+        bias = Tensor(rng.standard_normal(k_shape[0]).astype(dtype))
+        # reference: pad with np.pad, then convolve unpadded
+        padded = Tensor(np.pad(x.data, [(0, 0), (0, 0)] + [(p, p) for p in padding]), requires_grad=True)
+        ref = T.conv_nd_batched(padded, k, stride, 0, bias=bias)
+        upstream = rng.standard_normal(ref.shape).astype(dtype)
+        T.backward(T.tensor_sum(T.mul(ref, Tensor(upstream))))
+        y = T.conv_nd_batched(x, k, stride, padding, bias=bias)
+        np.testing.assert_array_equal(y.data, ref.data)
+        T.backward(T.tensor_sum(T.mul(y, Tensor(upstream))))
+        unpad = tuple(slice(p, p + n) for p, n in zip(padding, x_shape[2:]))
+        assert x.grad.dtype == dtype
+        np.testing.assert_array_equal(x.grad, padded.grad[(slice(None), slice(None)) + unpad])
+
+    def test_same_geometry_other_batch_size(self):
+        # predict_batches' last, partial batch reuses the full batches' geometry
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((5, 2, 9, 8)).astype(np.float32)
+        k = Tensor(rng.standard_normal((3, 2, 3, 3)).astype(np.float32))
+        T._window_indices.cache_clear()
+        cold = T.conv_nd_batched(x[3:], k, (2, 1), (1, 1)).data
+        T._window_indices.cache_clear()
+        full = T.conv_nd_batched(x, k, (2, 1), (1, 1)).data
+        warm = T.conv_nd_batched(x[3:], k, (2, 1), (1, 1)).data
+        assert T._window_indices.cache_info().hits >= 1
+        np.testing.assert_array_equal(warm, cold)
+        for i in range(5):
+            np.testing.assert_allclose(full[i], convolve_one(x[i], k, (2, 1), (1, 1)), rtol=1e-5, atol=1e-6)
+
+
 class TestActivations:
     def test_relu_negative(self):
         assert T.activation(Tensor([-1.0]), "relu").data[0] == 0.0

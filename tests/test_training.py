@@ -16,9 +16,12 @@ from deepself.errors import (
     TruncatedFileError,
     VersionError,
 )
-from deepself.models import Dense, ModelSpec, Recurrent, forward, init_model
+from deepself.models import Conv, Dense, ModelSpec, Recurrent, forward, init_model
 from deepself.tensor import Tensor, backward, softmax_cross_entropy
 from deepself.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     AdamState,
     TrainConfig,
     adam_step,
@@ -123,6 +126,52 @@ class TestAdamStep:
         params = {"w": Tensor(np.zeros(3), requires_grad=True)}
         with pytest.raises(ShapeError):
             adam_step(params, {"w": np.zeros((3, 1))}, AdamState(), lr=0.1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flat_pass_equals_per_parameter_loop(self, dtype):
+        rng = np.random.default_rng(5)
+        shapes = {"a.weight": (4, 3), "a.bias": (3,), "frozen": (2, 2), "b.weight": (3, 2, 2), "b.bias": (3,)}
+        init = {name: rng.standard_normal(shape).astype(dtype) for name, shape in shapes.items()}
+        params = {name: Tensor(arr.copy(), requires_grad=True) for name, arr in init.items()}
+        ref = {name: arr.copy() for name, arr in init.items()}
+        ref_m = {name: np.zeros_like(arr) for name, arr in init.items()}
+        ref_v = {name: np.zeros_like(arr) for name, arr in init.items()}
+        state = AdamState()
+        for t in range(1, 6):
+            grads = {name: rng.standard_normal(shape).astype(dtype)
+                     for name, shape in shapes.items() if name != "frozen"}
+            adam_step(params, grads, state, lr=0.01)
+            # the per-parameter formula, in the same order of operations
+            bc1, bc2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
+            for name, grad in grads.items():
+                m, v = ref_m[name], ref_v[name]
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * grad
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * np.square(grad)
+                ref[name] -= (0.01 * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)).astype(dtype, copy=False)
+        assert state.t == 5
+        for name in shapes:
+            assert params[name].data.dtype == dtype
+            np.testing.assert_array_equal(params[name].data, ref[name])
+        np.testing.assert_array_equal(params["frozen"].data, init["frozen"])
+
+    def test_changed_gradient_names_rejected(self):
+        params = {n: Tensor(np.zeros(2), requires_grad=True) for n in ("a", "b")}
+        state = AdamState()
+        adam_step(params, {"a": np.ones(2)}, state, lr=0.1)
+        with pytest.raises(ConfigError, match="state covers"):
+            adam_step(params, {"a": np.ones(2), "b": np.ones(2)}, state, lr=0.1)
+        with pytest.raises(ConfigError):
+            adam_step(params, {"b": np.ones(2)}, state, lr=0.1)
+
+    def test_dtype_mismatch_rejected(self):
+        params = {"a": Tensor(np.zeros(2, dtype=np.float32), requires_grad=True),
+                  "b": Tensor(np.zeros(2, dtype=np.float64), requires_grad=True)}
+        with pytest.raises(ShapeError, match="gradient for a has dtype float64"):
+            adam_step(params, {"a": np.ones(2)}, AdamState(), lr=0.1)
+        with pytest.raises(ShapeError, match="parameter b is float64"):
+            adam_step(params, {"a": np.ones(2, dtype=np.float32), "b": np.ones(2)}, AdamState(), lr=0.1)
 
 
 class TestBestEpochIndex:
@@ -252,6 +301,17 @@ class TestTrainLoop:
         labels = np.zeros(8, dtype=np.int64)
         config = TrainConfig(batch_size=4, epochs=1, seed=1)
         with pytest.raises(NumericError, match="epoch 1, batch 1: gru produced non-finite"):
+            train(model, (features, labels), (features, labels), config)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_conv_divergence_names_epoch_batch_and_stage(self):
+        model = init_model(ModelSpec((1, 8), (Conv(1, 2, (3,), (1,), (0,)), Dense(4)), 2, seed=1))
+        model.params["layer0.weight"].data[:] = 1e30
+        features = np.full((8, 1, 8), 1e10, dtype=np.float32)
+        labels = np.zeros(8, dtype=np.int64)
+        config = TrainConfig(batch_size=4, epochs=1, seed=1)
+        with pytest.raises(NumericError, match=r"epoch 1, batch 1: conv produced non-finite values "
+                                               r"in stage 0 \(Conv\)$"):
             train(model, (features, labels), (features, labels), config)
 
     def test_logs_one_info_line_per_epoch(self, caplog):
