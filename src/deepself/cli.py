@@ -13,7 +13,6 @@ import logging
 import os
 import shutil
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -237,16 +236,7 @@ def cmd_preprocess(args) -> int:
             out_path = os.path.join(cfg.output_dir, base)
             shutil.copyfile(row.path, out_path)
             new_rows.append(ManifestRow(out_path, base, row.label, row.split, row.fold))
-    elif cfg.jobs > 1:
-        # filter designs are deterministic, so concurrent cache fills are benign
-        cascades: dict = {}
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            new_rows = list(pool.map(
-                lambda pair: _transform_row(pair[0], pair[1], cfg, cascades),
-                enumerate(manifest.rows)))
     else:
-        # jobs = 1 stays on the calling thread: perfbench's per-file dsp and
-        # data metrics count only the spans on the thread of the CLI call
         cascades = {}
         new_rows = [_transform_row(i, row, cfg, cascades)
                     for i, row in enumerate(manifest.rows)]
@@ -338,7 +328,7 @@ def cmd_evaluate(args) -> int:
         x, y, _ = _dataset(cfg, manifest.rows, manifest.label_map, _is_sequence_config(cfg))
         folds = manifest.folds()
         spec = cfg.model_spec(x.shape[1:], manifest.n_classes)
-        report = kfold_cross_validate(x, y, folds, spec, cfg.train_config(), jobs=cfg.jobs)
+        report = kfold_cross_validate(x, y, folds, spec, cfg.train_config())
         os.makedirs(cfg.output_dir, exist_ok=True)
         report_path = os.path.join(cfg.output_dir, "fold_report.csv")
         write_fold_report(report, report_path)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -60,6 +61,7 @@ class RunConfig:
     # [run]
     seed: int = 0
     output_dir: str = "out"
+    # validated but unused (threads lost to serial); kept because perfbench sets it
     jobs: int = 1
     activation: str = "relu"
 
@@ -206,9 +208,12 @@ def _bool(text: str):
 
 def _float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _int(text: str) -> int:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -100,6 +99,16 @@ class PredictionSet:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.labels.shape != (len(self.ids),):
             raise ShapeError("need exactly one label per id")
+        bad = np.flatnonzero((self.labels < 0) | (self.labels >= self.n_classes))
+        if bad.size:
+            raise DataError(f"label {self.labels[bad[0]]} for id {self.ids[bad[0]]!r} "
+                            f"is outside [0, {self.n_classes})")
+        # negated so that NaN, which fails every comparison, is caught too
+        bad = np.argwhere(~((self.probabilities >= 0.0) & (self.probabilities <= 1.0)))
+        if bad.size:
+            i, j = bad[0]
+            raise DataError(f"probability {float(self.probabilities[i, j])!r} of class {j} "
+                            f"for id {self.ids[i]!r} is not a finite number in [0, 1]")
         sums = self.probabilities.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > 1e-6):
             worst = int(np.argmax(np.abs(sums - 1.0)))
@@ -203,12 +212,11 @@ class FoldReport:
         return float(np.mean(self.uars))
 
 
-def kfold_cross_validate(features, labels, folds, spec, config, jobs: int = 1) -> FoldReport:
+def kfold_cross_validate(features, labels, folds, spec, config) -> FoldReport:
     """Distributor folds: test = fold f, dev = next fold cyclically, train = rest.
 
     Per-fold seeds are derived as seed + fold_index for both initialization
-    and shuffling, so folds can run in any order (or in parallel) without
-    changing results.
+    and shuffling, so each fold's result does not depend on the others.
     """
     from .training import predict_batches, train  # local import: trainer depends on this module
 
@@ -221,8 +229,8 @@ def kfold_cross_validate(features, labels, folds, spec, config, jobs: int = 1) -
     if len(fold_ids) < 2:
         raise ConfigError(f"cross-validation needs at least 2 folds, got {len(fold_ids)}")
 
-    def run_fold(i: int):
-        test_fold = fold_ids[i]
+    uars, test_indices = [], []
+    for i, test_fold in enumerate(fold_ids):
         dev_fold = fold_ids[(i + 1) % len(fold_ids)]
         test_mask = folds == test_fold
         dev_mask = folds == dev_fold
@@ -232,18 +240,14 @@ def kfold_cross_validate(features, labels, folds, spec, config, jobs: int = 1) -
                 f"fold {test_fold}: no training instances remain after holding out "
                 f"test fold {test_fold} and dev fold {dev_fold}"
             )
-        fold_spec = replace(spec, seed=spec.seed + i)
         fold_config = replace(config, seed=config.seed + i)
-        model = init_model(fold_spec)
+        model = init_model(replace(spec, seed=spec.seed + i))
         best, _ = train(model, (features[train_mask], labels[train_mask]),
                         (features[dev_mask], labels[dev_mask]), fold_config)
         pred, _ = predict_batches(best, features[test_mask], config.batch_size)
-        test_uar = uar_from_labels(labels[test_mask], pred, spec.n_classes)
-        return test_uar, np.flatnonzero(test_mask)
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(run_fold, range(len(fold_ids))))
-    return FoldReport(fold_ids, [float(u) for u, _ in results], [idx for _, idx in results])
+        uars.append(float(uar_from_labels(labels[test_mask], pred, spec.n_classes)))
+        test_indices.append(np.flatnonzero(test_mask))
+    return FoldReport(fold_ids, uars, test_indices)
 
 
 def write_fold_report(report: FoldReport, path):

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -155,6 +156,16 @@ class TestPreprocess:
             if s.endswith(".dsfm"):
                 assert (serial / s).read_bytes() == (parallel / p).read_bytes()
 
+    def test_jobs_start_no_thread(self, tmp_path, monkeypatch):
+        def refuse(thread):
+            raise RuntimeError(f"thread {thread.name} started")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert run(["preprocess", "--manifest", str(self.make_wavs(tmp_path)),
+                    "--feature", "spectrogram", "--window-size", "64", "--hop-size", "32",
+                    "--output-dir", str(tmp_path / "pre"), "--jobs", "3"]) == 0
+        cfg = base_config(tmp_path, toy_dataset(tmp_path, folds=True), epochs=2)
+        assert run(["evaluate", "--config", str(cfg), "--cv", "--jobs", "2"]) == 0
+
     def test_preprocess_then_train_on_features(self, tmp_path, capsys):
         manifest = toy_dataset(tmp_path)
         out = tmp_path / "pre"
@@ -286,6 +297,17 @@ class TestEvaluate:
             lines = list(csv.reader(fh))
         assert len(lines) == 5  # header + 3 folds + mean
 
+    def test_cv_report_does_not_depend_on_jobs(self, tmp_path):
+        manifest = toy_dataset(tmp_path, folds=True)
+        cfg = base_config(tmp_path, manifest, epochs=3)
+        reports = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"out{jobs}"
+            assert run(["evaluate", "--config", str(cfg), "--cv", "--jobs", jobs,
+                        "--output-dir", str(out)]) == 0
+            reports.append((out / "fold_report.csv").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_cv_without_fold_column(self, tmp_path, capsys):
         manifest = toy_dataset(tmp_path)  # split column only
         cfg = base_config(tmp_path, manifest, epochs=2)
@@ -380,6 +402,17 @@ class TestFuse:
         assert "'b'" in err and "'c'" in err
 
 
+    @pytest.mark.parametrize("mode", ["mean", "vote"])
+    def test_impossible_label_is_one_error_line(self, tmp_path, mode, capsys):
+        self.write_pset(tmp_path / "a.csv", ["a", "b"], [[0.6, 0.4]] * 2)
+        (tmp_path / "b.csv").write_text("id,label,prob_0,prob_1\na,0,0.6,0.4\nb,5,0.6,0.4\n")
+        assert run(["fuse", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), "--mode", mode,
+                    "--output", str(tmp_path / "f.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "label 5 for id 'b'" in err
+        assert len(err.splitlines()) == 1
+
+
 class TestEnvironmentAndHelp:
     def test_invalid_log_level(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DEEPSELF_LOG", "verbose")
@@ -452,6 +485,9 @@ class TestFlagsFromSchema:
         ("--fmax", "high", "expected a number"),
         ("--filter", "maybe", "expected on/off"),
         ("--cnn-channels", "8,x", "comma-separated integer list"),
+        ("--learning-rate", "inf", "expected a finite number"),
+        ("--sample-rate", "inf", "expected a finite number"),
+        ("--fmin", "nan", "expected a finite number"),
     ])
     def test_unparsable_value_is_usage_error(self, flag, value, message, capsys):
         assert run(["train", flag, value]) == 2

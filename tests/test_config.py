@@ -112,6 +112,16 @@ jobs = 2
         with pytest.raises(ConfigError, match="fast"):
             load_config(p)
 
+    @pytest.mark.parametrize("text", [
+        "[general]\nlearning_rate = nan\n",
+        "[data]\nsample_rate = inf\n",
+        "[preprocess]\nfmin = -inf\n",
+    ], ids=["learning_rate-nan", "sample_rate-inf", "fmin-minus-inf"])
+    def test_non_finite_number(self, tmp_path, text):
+        p = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigError, match="expected a finite number"):
+            load_config(p)
+
     def test_bad_int_list(self, tmp_path):
         p = write_cfg(tmp_path, "[cnn]\nchannels = 8, x\nkernel = 3, 3\nstride = 1, 1\npadding = 0, 0\n")
         with pytest.raises(ConfigError, match="integer list"):
