@@ -66,6 +66,10 @@ class RunConfig:
     activation: str = "relu"
 
     def validate(self) -> "RunConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be a finite number, got {value}")
         # the spec objects own the domains of the keys they are built from
         _in_section("general", self.train_config)
         if self.model_type not in MODEL_TYPES:

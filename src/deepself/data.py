@@ -90,7 +90,7 @@ class DatasetManifest:
         return np.array([r.fold for r in rows], dtype=np.int64)
 
 
-def load_manifest(path, check_files: bool = True) -> DatasetManifest:
+def load_manifest(path) -> DatasetManifest:
     """CSV with header ``path,label[,split][,fold]``; labels map lexicographically."""
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
@@ -146,7 +146,7 @@ def load_manifest(path, check_files: bool = True) -> DatasetManifest:
                     if fold < 0:
                         raise FormatError(f"{path} line {line_no}: fold must be non-negative")
             resolved = raw if os.path.isabs(raw) else os.path.join(base_dir, raw)
-            if check_files and not os.path.exists(resolved):
+            if not os.path.exists(resolved):
                 raise DataError(f"{path} line {line_no}: referenced file not found: {resolved}")
             if raw in seen_paths:
                 log.warning("manifest %s lists %s more than once", path, raw)

@@ -88,7 +88,6 @@ class FilterCascade:
     low_hz: float
     high_hz: float
     sample_rate: float
-    prototype_order: int = PROTOTYPE_ORDER
 
     def poles(self) -> np.ndarray:
         """All z-plane poles of the cascade."""

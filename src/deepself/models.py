@@ -28,11 +28,10 @@ from .tensor import (
     RECURRENT_GATES,
     Tensor,
     activation,
-    add_bias,
     conv_nd_batched,
     final_states,
     infer_conv_output_size,
-    matmul,
+    linear,
     recurrent,
     reshape,
     softmax,
@@ -488,14 +487,14 @@ def forward(model: Model, batch):
         for idx, stage in enumerate(model.plan.stages):
             layer = stage.layer
             if isinstance(layer, Dense):
-                value = add_bias(matmul(value, params[f"{stage.param_prefix}.weight"]),
-                                 params[f"{stage.param_prefix}.bias"])
+                value = linear(value, params[f"{stage.param_prefix}.weight"],
+                               params[f"{stage.param_prefix}.bias"])
                 if not stage.is_head:
                     value = activation(value, model.spec.activation)
             elif isinstance(layer, Conv):
                 value = conv_nd_batched(value, params[f"{stage.param_prefix}.weight"],
                                         layer.stride, layer.padding,
-                                        bias=params[f"{stage.param_prefix}.bias"])
+                                        params[f"{stage.param_prefix}.bias"])
                 value = activation(value, model.spec.activation)
             elif isinstance(layer, Recurrent):
                 value = run_recurrent_layer(value, params, stage.param_prefix, layer)

@@ -10,9 +10,10 @@ from no gradient, so nothing carries over from an earlier call and callers
 never clear ``grad`` themselves.
 
 Arithmetic defaults to float32; verification code builds float64 tensors
-instead.  There is no broadcasting beyond bias addition: elementwise
-operations demand identical shapes, which keeps the correctness surface
-small.  Convolution is cross-correlation (no kernel flip).
+instead.  The ops are whole layers (``linear``, ``conv_nd_batched``,
+``recurrent``), their activations and the shape moves between them: a layer
+is one tape record, its activation another, and there is no general
+elementwise algebra.  Convolution is cross-correlation (no kernel flip).
 """
 
 from __future__ import annotations
@@ -70,16 +71,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
 
-    # elementwise sugar; same-shape operands only
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def sum(self):
-        return tensor_sum(self)
-
 
 # ---------------------------------------------------------------------------
 # Tape
@@ -122,6 +113,10 @@ class no_grad:
     def __exit__(self, exc_type, exc, tb):
         _state.grad_enabled = self._prev
         return False
+
+
+def _as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make_result(op, arr, inputs, backward_fn):
@@ -173,58 +168,17 @@ def backward(loss: Tensor):
                     continue
                 if not np.isfinite(g).all():
                     raise NumericError(f"non-finite gradient in backward of {rec.op}")
+                # out of place: a grad may be a view of another tensor's grad (reshape)
                 if t.grad is None:
-                    # a C-ordered copy: an op may return one array for several inputs (add)
-                    t.grad = np.array(g, dtype=t.data.dtype, order="C")
+                    t.grad = g.astype(t.data.dtype, copy=False)
                 else:
-                    t.grad += g
+                    t.grad = (t.grad + g).astype(t.data.dtype, copy=False)
         for rec in tape:
             for t in rec.inputs:
                 if t.requires_grad and t.grad is None:
                     t.grad = np.zeros_like(t.data)
     finally:
         tape.clear()
-
-
-# ---------------------------------------------------------------------------
-# Elementwise operations (strict same-shape, no broadcasting)
-# ---------------------------------------------------------------------------
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _check_same_shape(op, a, b):
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: operand shapes {tuple(a.shape)} and {tuple(b.shape)} differ")
-
-
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_shape("add", a, b)
-    return _make_result("add", a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_shape("mul", a, b)
-    ad, bd = a.data, b.data
-    return _make_result("mul", ad * bd, (a, b), lambda g: (g * bd, g * ad))
-
-
-def tensor_sum(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.asarray(a.data.sum(), dtype=a.dtype)
-    return _make_result("sum", out, (a,), lambda g: (np.broadcast_to(g, a.shape).astype(a.dtype, copy=True),))
-
-
-def add_bias(x, bias) -> Tensor:
-    """Add a length-C bias vector to every row of a [B x C] tensor."""
-    x, bias = _as_tensor(x), _as_tensor(bias)
-    if x.data.ndim != 2 or bias.data.ndim != 1 or x.shape[1] != bias.shape[0]:
-        raise ShapeError(f"add_bias: got x {tuple(x.shape)} and bias {tuple(bias.shape)}")
-    return _make_result("add_bias", x.data + bias.data[None, :], (x, bias), lambda g: (g, g.sum(axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -279,18 +233,20 @@ def transpose(x, axes) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Matrix multiplication
+# Affine layer
 # ---------------------------------------------------------------------------
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {tuple(a.shape)} and {tuple(b.shape)}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree for {tuple(a.shape)} x {tuple(b.shape)}")
-    ad, bd = a.data, b.data
-    return _make_result("matmul", ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+def linear(x, weight, bias) -> Tensor:
+    """x @ W + b for a [B x F] tensor, W [F x C] and a length-C bias."""
+    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
+    if (x.data.ndim != 2 or weight.data.ndim != 2 or x.shape[1] != weight.shape[0]
+            or bias.shape != (weight.shape[1],)):
+        raise ShapeError(f"linear: got x {tuple(x.shape)}, weight {tuple(weight.shape)} "
+                         f"and bias {tuple(bias.shape)}")
+    xd, wd = x.data, weight.data
+    return _make_result("linear", xd @ wd + bias.data[None, :], (x, weight, bias),
+                        lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +313,12 @@ def _window_indices(padded_sp, out_sp, kernel_sp, stride):
     return idx
 
 
-def conv_nd_batched(x, kernels, stride, padding, bias=None) -> Tensor:
+def conv_nd_batched(x, kernels, stride, padding, bias) -> Tensor:
     """Batched cross-correlation: [B, C_in, *sp] with [C_out, C_in, *k].
 
     Zero padding, per-output-channel bias, spatial rank 1 to 3.
     """
-    x, kernels = _as_tensor(x), _as_tensor(kernels)
+    x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
     rank = x.data.ndim - 2
     if rank not in (1, 2, 3):
         raise ShapeError(f"conv input must be [B, C_in, 1..3 spatial axes], got shape {tuple(x.shape)}")
@@ -379,12 +335,8 @@ def conv_nd_batched(x, kernels, stride, padding, bias=None) -> Tensor:
     out_sp = tuple(infer_conv_output_size(*geometry, axis=axis)
                    for axis, geometry in enumerate(zip(spatial, kernel_sp, stride, padding)))
 
-    if bias is None:
-        bias = Tensor(np.zeros(c_out, dtype=x.dtype))
-    else:
-        bias = _as_tensor(bias)
-        if bias.shape != (c_out,):
-            raise ShapeError(f"bias must have shape ({c_out},), got {tuple(bias.shape)}")
+    if bias.shape != (c_out,):
+        raise ShapeError(f"bias must have shape ({c_out},), got {tuple(bias.shape)}")
 
     unpad = (slice(None), slice(None)) + tuple(slice(p, p + n) for p, n in zip(padding, spatial))
     if any(padding):

@@ -46,11 +46,10 @@ class TrainConfig:
     epochs: int = 20
     optimizer: str = "adam"
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.epochs < 1:
@@ -216,7 +215,7 @@ def train(model: Model, train_set, dev_set, config: TrainConfig):
 
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        order = rng.permutation(n)
         loss_sum = 0.0
         epoch_pred = np.empty(n, dtype=np.int64)
         epoch_true = np.empty(n, dtype=np.int64)

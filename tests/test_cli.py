@@ -4,6 +4,7 @@ import csv
 import os
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,7 +111,7 @@ class TestPreprocess:
         derived = load_manifest(out / "manifest.csv")
         assert len(derived.rows) == 4
         for row, src in zip(derived.rows, ["w0.wav", "w1.wav", "w2.wav", "w3.wav"]):
-            assert open(row.path, "rb").read() == open(tmp_path / src, "rb").read()
+            assert Path(row.path).read_bytes() == (tmp_path / src).read_bytes()
         assert "wrote 4 files" in capsys.readouterr().out
 
     def test_logmel_rows_equal_n_mels(self, tmp_path):

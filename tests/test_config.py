@@ -1,5 +1,6 @@
 """RunConfig: INI parsing, domain validation, model-spec assembly."""
 
+import math
 import re
 from collections import Counter
 from dataclasses import fields
@@ -192,6 +193,13 @@ class TestDomains:
                          ("fixed_length", 0), ("sample_rate", 0.0), ("seed", -1)]:
             with pytest.raises(ConfigError):
                 self.base(**{key: bad})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [f.name for f in fields(RunConfig) if "float" in str(f.type)])
+    def test_non_finite_float_rejected(self, key, value):
+        # the INI and flag parsers refuse these too; this is the library path
+        with pytest.raises(ConfigError, match=f"{key} must be a finite number"):
+            self.base(**{key: value})
 
     def test_nn_hidden_layers_floor(self):
         # Table domain is 1, 2, ...: the classifier head is always extra

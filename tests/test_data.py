@@ -195,7 +195,7 @@ class TestCsvSeries:
 
 @pytest.mark.parametrize("reader, blob, offset", [
     (lambda p: load_csv_series(p, 10.0), b"1.0\n\xff\xfe\n", 4),
-    (lambda p: load_manifest(p, check_files=False), b"path,label\n\xff.wav,a\n", 11),
+    (load_manifest, b"path,label\n\xff.wav,a\n", 11),
     (read_predictions, b"id,label,prob_0\nx\xff,0,1.0\n", 17),
 ], ids=["csv-series", "manifest", "predictions"])
 def test_invalid_utf8_is_format_error_naming_file_and_offset(tmp_path, reader, blob, offset):
@@ -212,7 +212,7 @@ LONG_CELL = "x" * 140001
 
 @pytest.mark.parametrize("reader, text", [
     (lambda p: load_csv_series(p, 10.0), f"1.0\n{LONG_CELL}\n"),
-    (lambda p: load_manifest(p, check_files=False), f"path,label\n{LONG_CELL},a\n"),
+    (load_manifest, f"path,label\n{LONG_CELL},a\n"),
     (read_predictions, f"id,label,prob_0\n{LONG_CELL},0,1.0\n"),
 ], ids=["csv-series", "manifest", "predictions"])
 def test_oversized_csv_field_is_format_error_naming_file_and_line(tmp_path, reader, text):
@@ -316,11 +316,6 @@ class TestManifest:
         p = self.write(tmp_path, "path,label\nghost.wav,x\n")
         with pytest.raises(DataError, match="ghost.wav"):
             load_manifest(p)
-
-    def test_check_files_false_skips_existence(self, tmp_path):
-        p = self.write(tmp_path, "path,label\nghost.wav,x\n")
-        m = load_manifest(p, check_files=False)
-        assert len(m.rows) == 1
 
     def test_duplicate_path_warns(self, tmp_path, caplog):
         self.touch(tmp_path, "a.wav")

@@ -88,7 +88,6 @@ class TestButterworthDesign:
     def test_four_sections_eight_poles(self):
         cascade = design_butterworth_bandpass(100.0, 2000.0, 16000.0)
         assert len(cascade.sections) == 4
-        assert cascade.prototype_order == 4
         assert len(cascade.poles()) == 8
 
     def test_reversed_cutoffs_rejected(self):

@@ -24,14 +24,19 @@ from deepself.tensor import (
     Tensor,
     backward,
     finite_diff_grad,
-    mul,
+    linear,
     recurrent,
+    reshape,
     softmax_cross_entropy,
-    tensor_sum,
 )
 
 TOL = 1e-4
 FLOOR = 1e-6
+
+
+def dot(a, b):
+    """Scalar sum of a * b over all elements, composed from linear and reshape."""
+    return linear(reshape(a, (1, -1)), reshape(b, (-1, 1)), Tensor(np.zeros(1, dtype=a.dtype)))
 
 
 def max_rel_error(analytic, numeric):
@@ -173,7 +178,7 @@ def check_recurrent_op(cell, directions, seed=21):
     def loss(args):
         rest = iter(args[1:])  # in the order built above
         params = [[[next(rest) for _ in gates] for _ in "WUb"] for _ in range(directions)]
-        return tensor_sum(mul(recurrent(args[0], params, cell), upstream))
+        return dot(recurrent(args[0], params, cell), upstream)
 
     inputs = [Tensor(a, requires_grad=True) for a in arrays]
     backward(loss(inputs))

@@ -9,8 +9,13 @@ from deepself.models import ModelSpec, Recurrent, forward, init_model
 from deepself.tensor import Tensor
 
 
+def dot(a, b):
+    """Scalar sum of a * b over all elements, composed from linear and reshape."""
+    return T.linear(T.reshape(a, (1, -1)), T.reshape(b, (-1, 1)), Tensor(np.zeros(1, dtype=a.dtype)))
+
+
 def naive_matmul(a, b):
-    """Triple-loop matrix product, the independent oracle for matmul."""
+    """Triple-loop matrix product, the independent oracle for linear."""
     m, k = a.shape
     k2, n = b.shape
     assert k == k2
@@ -39,24 +44,30 @@ class TestTensorBasics:
 
     def test_grad_shape_matches_data(self):
         x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
-        loss = (x * x).sum()
+        loss = dot(x, x)
         loss.backward()
         assert x.grad.shape == x.data.shape
 
 
+def linear_nobias(a, b):
+    return T.linear(a, b, Tensor(np.zeros(b.shape[1], dtype=b.dtype)))
+
+
 class TestMatmul:
+    """linear: its matrix product against a triple-loop oracle, its bias and its backward."""
+
     def test_identity(self):
         eye = Tensor(np.eye(2))
         b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-        np.testing.assert_allclose(T.matmul(eye, b).data, b.data)
+        np.testing.assert_allclose(linear_nobias(eye, b).data, b.data)
 
     def test_against_triple_loop_oracle(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         b = np.array([[5.0, 6.0], [7.0, 8.0]])
         expected = naive_matmul(a, b)
         np.testing.assert_allclose(expected, [[19.0, 22.0], [43.0, 50.0]])
-        got = T.matmul(Tensor(a), Tensor(b)).data
-        np.testing.assert_allclose(got, expected)
+        got = T.linear(Tensor(a), Tensor(b), Tensor([0.5, -1.0])).data
+        np.testing.assert_allclose(got, expected + [0.5, -1.0])
 
     def test_random_against_oracle(self):
         rng = np.random.default_rng(7)
@@ -64,15 +75,18 @@ class TestMatmul:
             m, k, n = rng.integers(1, 6, size=3)
             a = rng.standard_normal((m, k))
             b = rng.standard_normal((k, n))
-            got = T.matmul(Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64)).data
-            np.testing.assert_allclose(got, naive_matmul(a, b), rtol=1e-12)
+            bias = rng.standard_normal(n)
+            got = T.linear(Tensor(a), Tensor(b), Tensor(bias)).data
+            np.testing.assert_allclose(got, naive_matmul(a, b) + bias[None, :], rtol=1e-12)
 
     def test_shape_mismatch_names_both_shapes(self):
         a = Tensor(np.zeros((2, 3)))
         b = Tensor(np.zeros((4, 5)))
         with pytest.raises(ShapeError) as err:
-            T.matmul(a, b)
+            T.linear(a, b, Tensor(np.zeros(5)))
         assert "(2, 3)" in str(err.value) and "(4, 5)" in str(err.value)
+        with pytest.raises(ShapeError, match=r"\(4,\)"):
+            T.linear(a, Tensor(np.zeros((3, 5))), Tensor(np.zeros(4)))
 
     def test_associativity_random_chains(self):
         rng = np.random.default_rng(11)
@@ -80,15 +94,31 @@ class TestMatmul:
             a = Tensor(rng.standard_normal((4, 5)).astype(np.float32))
             b = Tensor(rng.standard_normal((5, 3)).astype(np.float32))
             c = Tensor(rng.standard_normal((3, 6)).astype(np.float32))
-            left = T.matmul(T.matmul(a, b), c).data
-            right = T.matmul(a, T.matmul(b, c)).data
+            left = linear_nobias(linear_nobias(a, b), c).data
+            right = linear_nobias(a, linear_nobias(b, c)).data
             np.testing.assert_allclose(left, right, rtol=1e-4, atol=1e-5)
+
+    def test_backward_is_the_matmul_and_bias_rule(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        b = Tensor(rng.standard_normal(2), requires_grad=True)
+        upstream = rng.standard_normal((4, 2))
+        T.backward(dot(T.linear(x, w, b), Tensor(upstream)))
+        np.testing.assert_array_equal(x.grad, upstream @ w.data.T)
+        np.testing.assert_array_equal(w.grad, x.data.T @ upstream)
+        np.testing.assert_array_equal(b.grad, upstream.sum(axis=0))
+
+
+def zero_bias(kernels):
+    return Tensor(np.zeros(kernels.shape[0], dtype=kernels.dtype))
 
 
 def convolve_one(x, kernels, stride=1, padding=0, bias=None):
     """Cross-correlate one [C_in, *sp] sample: conv_nd_batched on a batch of one."""
     batch = T.reshape(x, (1,) + x.shape)
-    return T.conv_nd_batched(batch, kernels, stride, padding, bias=bias).data[0]
+    bias = zero_bias(kernels) if bias is None else bias
+    return T.conv_nd_batched(batch, kernels, stride, padding, bias).data[0]
 
 
 class TestConvolveNd:
@@ -196,9 +226,9 @@ class TestConvBackward:
         rng = np.random.default_rng(11)
         x = Tensor(rng.standard_normal(x_shape).astype(dtype), requires_grad=True)
         k = Tensor(rng.standard_normal(k_shape).astype(dtype), requires_grad=True)
-        y = T.conv_nd_batched(x, k, stride, padding)
+        y = T.conv_nd_batched(x, k, stride, padding, zero_bias(k))
         upstream = rng.standard_normal(y.shape).astype(dtype)
-        T.backward(T.tensor_sum(T.mul(y, Tensor(upstream))))
+        T.backward(dot(y, Tensor(upstream)))
         expected = scatter_conv_input_grad(upstream, k.data, x_shape[2:], stride, padding)
         assert x.grad.dtype == expected.dtype
         np.testing.assert_array_equal(x.grad, expected)
@@ -209,11 +239,11 @@ class TestConvBackward:
         k = Tensor(rng.standard_normal((4, 3, 3)), requires_grad=True)
         tape = T.active_tape()
         tape.clear()
-        y = T.conv_nd_batched(x, k, 2, 1)
+        y = T.conv_nd_batched(x, k, 2, 1, zero_bias(k))
         d_x, d_k, d_bias = tape[-1].backward_fn(np.ones(y.shape, dtype=y.dtype))
         assert d_x is None
         assert d_k.shape == k.shape and d_bias.shape == (4,)
-        T.backward(y.sum())
+        T.backward(dot(y, y))
         assert x.grad is None
         assert k.grad.shape == k.shape
 
@@ -235,12 +265,12 @@ class TestConvWindowCache:
         bias = Tensor(rng.standard_normal(k_shape[0]).astype(dtype))
         # reference: pad with np.pad, then convolve unpadded
         padded = Tensor(np.pad(x.data, [(0, 0), (0, 0)] + [(p, p) for p in padding]), requires_grad=True)
-        ref = T.conv_nd_batched(padded, k, stride, 0, bias=bias)
+        ref = T.conv_nd_batched(padded, k, stride, 0, bias)
         upstream = rng.standard_normal(ref.shape).astype(dtype)
-        T.backward(T.tensor_sum(T.mul(ref, Tensor(upstream))))
-        y = T.conv_nd_batched(x, k, stride, padding, bias=bias)
+        T.backward(dot(ref, Tensor(upstream)))
+        y = T.conv_nd_batched(x, k, stride, padding, bias)
         np.testing.assert_array_equal(y.data, ref.data)
-        T.backward(T.tensor_sum(T.mul(y, Tensor(upstream))))
+        T.backward(dot(y, Tensor(upstream)))
         unpad = tuple(slice(p, p + n) for p, n in zip(padding, x_shape[2:]))
         assert x.grad.dtype == dtype
         np.testing.assert_array_equal(x.grad, padded.grad[(slice(None), slice(None)) + unpad])
@@ -251,10 +281,11 @@ class TestConvWindowCache:
         x = rng.standard_normal((5, 2, 9, 8)).astype(np.float32)
         k = Tensor(rng.standard_normal((3, 2, 3, 3)).astype(np.float32))
         T._window_indices.cache_clear()
-        cold = T.conv_nd_batched(x[3:], k, (2, 1), (1, 1)).data
+        bias = zero_bias(k)
+        cold = T.conv_nd_batched(x[3:], k, (2, 1), (1, 1), bias).data
         T._window_indices.cache_clear()
-        full = T.conv_nd_batched(x, k, (2, 1), (1, 1)).data
-        warm = T.conv_nd_batched(x[3:], k, (2, 1), (1, 1)).data
+        full = T.conv_nd_batched(x, k, (2, 1), (1, 1), bias).data
+        warm = T.conv_nd_batched(x[3:], k, (2, 1), (1, 1), bias).data
         assert T._window_indices.cache_info().hits >= 1
         np.testing.assert_array_equal(warm, cold)
         for i in range(5):
@@ -312,22 +343,22 @@ class TestSoftmaxCrossEntropy:
 class TestBackward:
     def test_sum_of_squares(self):
         x = Tensor([1.0, -2.0, 3.0], requires_grad=True, dtype=np.float64)
-        loss = (x * x).sum()
+        loss = dot(x, x)
         loss.backward()
         np.testing.assert_allclose(x.grad, [2.0, -4.0, 6.0], rtol=1e-12)
 
     def test_matches_finite_differences(self):
         x = Tensor([1.0, -2.0, 3.0], requires_grad=True, dtype=np.float64)
-        loss = (x * x).sum()
+        loss = dot(x, x)
         loss.backward()
-        numeric = T.finite_diff_grad(lambda t: (t * t).sum(), x)
+        numeric = T.finite_diff_grad(lambda t: dot(t, t), x)
         np.testing.assert_allclose(x.grad, numeric, rtol=1e-6)
 
     def test_unused_tensor_gets_zero_grad(self):
         x = Tensor([1.0, 1.0], requires_grad=True)
         z = Tensor([3.0, 4.0], requires_grad=True)
-        _ = x * Tensor([2.0, 2.0])  # on the tape, but not feeding the loss
-        loss = (z * z).sum()
+        _ = T.reshape(x, (2, 1))  # on the tape, but not feeding the loss
+        loss = dot(z, z)
         loss.backward()
         np.testing.assert_allclose(x.grad, [0.0, 0.0])
 
@@ -336,26 +367,29 @@ class TestBackward:
         x = Tensor([3.0], requires_grad=True, dtype=np.float64)
         grads = []
         for _ in range(3):
-            (x * x).sum().backward()
+            dot(x, x).backward()
             grads.append(x.grad.copy())
         np.testing.assert_array_equal(grads, [[6.0], [6.0], [6.0]])
 
     def test_reuse_accumulates(self):
         y = Tensor([1.0], requires_grad=True)
-        loss = (y + y).sum()
+        loss = dot(y, y)
         loss.backward()
         np.testing.assert_allclose(y.grad, [2.0])
-        # add hands a and b one array; a's later contribution (from t) must not reach b
-        a = Tensor([2.0], requires_grad=True, dtype=np.float64)
-        b = Tensor([5.0], requires_grad=True, dtype=np.float64)
-        t = a * Tensor([3.0], dtype=np.float64)
-        ((a + b) * t).sum().backward()  # (a + b) * 3a
-        np.testing.assert_allclose(a.grad, [27.0])  # 3 (2a + b)
-        np.testing.assert_allclose(b.grad, [6.0])  # 3a
+
+    def test_accumulating_leaves_a_shared_view_alone(self):
+        # x's first gradient is a view of y's (reshape); its second must not reach y
+        x = Tensor([1.0, 2.0, 3.0, 4.0], requires_grad=True, dtype=np.float64)
+        row = T.reshape(x, (1, 4))
+        y = T.reshape(x, (4, 1))
+        T.linear(row, y, Tensor(np.zeros(1))).backward()  # x . x
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0, 8.0])
+        np.testing.assert_array_equal(y.grad, [[1.0], [2.0], [3.0], [4.0]])
+        np.testing.assert_array_equal(row.grad, [[1.0, 2.0, 3.0, 4.0]])
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        y = x * x
+        y = T.reshape(x, (2, 1))
         with pytest.raises(ShapeError):
             y.backward()
 
@@ -365,13 +399,13 @@ class TestBackward:
 
     def test_tape_cleared_after_backward(self):
         x = Tensor([1.0], requires_grad=True)
-        (x * x).sum().backward()
+        dot(x, x).backward()
         assert len(T.active_tape()) == 0
 
     def test_no_grad_suspends_recording(self):
         x = Tensor([1.0], requires_grad=True)
         with T.no_grad():
-            y = x * x
+            y = dot(x, x)
         assert not y.requires_grad
         assert len(T.active_tape()) == 0
 
@@ -379,11 +413,11 @@ class TestBackward:
 class TestFiniteDiff:
     def test_sum_is_all_ones(self):
         x = Tensor(np.random.default_rng(0).standard_normal(5))
-        g = T.finite_diff_grad(lambda t: t.sum(), x)
+        g = T.finite_diff_grad(lambda t: dot(t, Tensor(np.ones(5))), x)
         np.testing.assert_allclose(g, 1.0, atol=1e-9)
 
     def test_square_at_three(self):
-        g = T.finite_diff_grad(lambda t: (t * t).sum(), Tensor([3.0]), h=1e-5)
+        g = T.finite_diff_grad(lambda t: dot(t, t), Tensor([3.0]), h=1e-5)
         assert abs(g[0] - 6.0) < 1e-6
 
     def test_constant_function(self):
@@ -392,21 +426,21 @@ class TestFiniteDiff:
 
     def test_rejects_zero_step(self):
         with pytest.raises(ConfigError):
-            T.finite_diff_grad(lambda t: t.sum(), Tensor([1.0]), h=0.0)
+            T.finite_diff_grad(lambda t: dot(t, t), Tensor([1.0]), h=0.0)
 
 
 class TestShapeOps:
     def test_reshape_round_trip_gradient(self):
         x = Tensor(np.arange(6, dtype=np.float64), requires_grad=True)
         y = T.reshape(x, (2, 3))
-        (y * y).sum().backward()
+        dot(y, y).backward()
         np.testing.assert_allclose(x.grad, 2 * np.arange(6))
 
     def test_transpose_gradient(self):
         x = Tensor(np.arange(24, dtype=np.float64).reshape(2, 3, 4), requires_grad=True)
         y = T.transpose(x, (2, 0, 1))
         assert y.shape == (4, 2, 3)
-        (y * y).sum().backward()
+        dot(y, y).backward()
         np.testing.assert_allclose(x.grad, 2 * x.data)
 
 
@@ -448,5 +482,5 @@ class TestRecurrent:
         tape = T.active_tape()
         tape.clear()
         forward(model, np.ones((2, 5, 3), dtype=np.float32))
-        assert [rec.op for rec in tape] == ["gru", "gru", "final_states", "matmul", "add_bias"]
+        assert [rec.op for rec in tape] == ["gru", "gru", "final_states", "linear"]
         tape.clear()
