@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 from .models import ACTIVATIONS, DIRECTIONS, RECURRENT_CELLS, Conv, Dense, ModelSpec, Recurrent
-from .training import OPTIMIZERS, TrainConfig
+from .training import OPTIMIZERS, TrainConfig, check_integer
 
 MODEL_TYPES = ("nn", "cnn", "rnn", "cnn+rnn")
 FEATURES = ("none", "spectrogram", "logmel", "scalogram")
@@ -70,6 +70,14 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be a finite number, got {value}")
+        for table in SCHEMA.values():
+            for attr, parse in table.values():
+                value = getattr(self, attr)
+                if parse is _int_list:
+                    for entry in value:
+                        check_integer(f"{attr} entry", entry)
+                elif parse is _int and value is not None:
+                    check_integer(attr, value)
         # the spec objects own the domains of the keys they are built from
         _in_section("general", self.train_config)
         if self.model_type not in MODEL_TYPES:

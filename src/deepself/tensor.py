@@ -119,6 +119,11 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _tracked(inputs) -> bool:
+    """Whether an op on ``inputs`` is recorded: recording is on and some input requires grad."""
+    return _recording() and any(t.requires_grad for t in inputs)
+
+
 def _make_result(op, arr, inputs, backward_fn):
     """Wrap an op result, recording it on the tape when gradients are live."""
     out = Tensor.__new__(Tensor)
@@ -127,7 +132,7 @@ def _make_result(op, arr, inputs, backward_fn):
         raise NumericError(f"{op} produced non-finite values")
     out.data = arr
     out.grad = None
-    track = _recording() and any(t.requires_grad for t in inputs)
+    track = _tracked(inputs)
     out.requires_grad = track
     if track:
         active_tape().append(_TapeRecord(op, inputs, out, backward_fn))
@@ -413,6 +418,12 @@ def recurrent(x, params, cell: str) -> Tensor:
     the state (gru two: its candidate reads r*h).  The hand-written backward
     pass returns one gradient per gate tensor.  All pre-activations are
     checked for finiteness once, after the scan.
+
+    Only backward reads the gate activations, the GRU's r*h and the LSTM's
+    cell states of past steps.  When the op is not recorded (under
+    ``no_grad``, or no input requires grad) the scan keeps one step of
+    gates and r*h and two of cell state, the one read and the one written;
+    the input projection and the outputs stay whole.
     """
     if cell not in RECURRENT_GATES:
         raise ConfigError(f"unknown recurrent cell {cell!r}; choose one of {tuple(RECURRENT_GATES)}")
@@ -438,14 +449,17 @@ def recurrent(x, params, cell: str) -> Tensor:
     xt = x.data.transpose(1, 0, 2)
     seq = np.stack([xt, xt[::-1]][:n_dirs]).astype(dtype, copy=False).reshape(n_dirs, -1, features)
     pre = (seq @ w).reshape(n_dirs, steps, batch, width)  # W x; U h and b are added per step
-    act = np.empty_like(pre)
+    # unrecorded, act, rh and cs keep only the steps in flight, indexed modulo their extent
+    kept = steps if _tracked((x, *tensors)) else 1
+    act = np.empty((n_dirs, kept, batch, width), dtype)
     hs = np.zeros((n_dirs, steps + 1, batch, hid), dtype)
-    cs = np.zeros_like(hs)  # lstm only
-    rh = np.empty((n_dirs, steps, batch, hid), dtype)  # gru only: r*h, what U_n reads
+    cs = np.zeros((n_dirs, kept + 1, batch, hid), dtype)  # lstm only
+    rh = np.empty((n_dirs, kept, batch, hid), dtype)  # gru only: r*h, what U_n reads
     n_h = 2 * hid if cell == "gru" else width  # gate columns fed by U h
     u_h, u_n = np.ascontiguousarray(u[..., :n_h]), np.ascontiguousarray(u[..., n_h:])
     for s in range(steps):
-        h, a, gates = hs[:, s], pre[:, s], act[:, s]
+        slot, c_in, c_out = s % kept, s % (kept + 1), (s + 1) % (kept + 1)
+        h, a, gates = hs[:, s], pre[:, s], act[:, slot]
         a_h = a[..., :n_h]
         a_h += h @ u_h
         a_h += b[:, None, :n_h]
@@ -454,9 +468,9 @@ def recurrent(x, params, cell: str) -> Tensor:
         elif cell == "gru":
             gates[..., :n_h] = _sigmoid(a_h)
             r, z, n = gates[..., :hid], gates[..., hid:n_h], gates[..., n_h:]
-            np.multiply(r, h, out=rh[:, s])
+            np.multiply(r, h, out=rh[:, slot])
             a_n = a[..., n_h:]
-            a_n += rh[:, s] @ u_n
+            a_n += rh[:, slot] @ u_n
             a_n += b[:, None, n_h:]
             np.tanh(a_n, out=n)
             hs[:, s + 1] = n + z * (h - n)
@@ -464,8 +478,8 @@ def recurrent(x, params, cell: str) -> Tensor:
             gates[...] = _sigmoid(a)
             i, f, g, o = (gates[..., k * hid:(k + 1) * hid] for k in range(4))
             np.tanh(a[..., 2 * hid:3 * hid], out=g)
-            cs[:, s + 1] = f * cs[:, s] + i * g
-            np.multiply(o, np.tanh(cs[:, s + 1]), out=hs[:, s + 1])
+            cs[:, c_out] = f * cs[:, c_in] + i * g
+            np.multiply(o, np.tanh(cs[:, c_out]), out=hs[:, s + 1])
     if not np.isfinite(pre).all():
         raise NumericError(f"{cell} produced non-finite values")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import struct
 import time
 from dataclasses import dataclass, replace
@@ -39,6 +40,12 @@ ADAM_EPSILON = 1e-8
 log = logging.getLogger(__name__)
 
 
+def check_integer(name: str, value):
+    """Raise ConfigError naming ``name`` unless ``value`` is an int or a NumPy integer."""
+    if not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.001
@@ -48,6 +55,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "epochs", "seed"):
+            check_integer(name, getattr(self, name))
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.batch_size < 1:
@@ -171,15 +180,26 @@ def _check_dataset(name, data, n_classes, input_shape):
 
 
 def predict_batches(model: Model, features, batch_size: int = 64):
-    """Labels and probabilities for ``features`` in inference mode."""
+    """Labels and probabilities for ``features`` in inference mode.
+
+    Every forward sees ``batch_size`` rows: the last, partial batch is
+    padded with zero rows, cut off again afterwards.  BLAS may round a row
+    differently for another row count, so this keeps each sample's
+    probability bytes the same for any subset, order or split of a set
+    into calls at one ``batch_size``.
+    """
     features = np.asarray(features)
     out_labels = []
     out_probs = []
     with no_grad():
         for start in range(0, features.shape[0], batch_size):
-            _, probs = forward(model, features[start:start + batch_size])
-            out_probs.append(probs.data.copy())
-            out_labels.append(np.argmax(probs.data, axis=1))
+            batch = features[start:start + batch_size]
+            rows = batch.shape[0]
+            if rows < batch_size:
+                batch = np.pad(batch, ((0, batch_size - rows),) + ((0, 0),) * (batch.ndim - 1))
+            _, probs = forward(model, batch)
+            out_probs.append(probs.data[:rows])
+            out_labels.append(np.argmax(out_probs[-1], axis=1))
     return np.concatenate(out_labels), np.concatenate(out_probs)
 
 

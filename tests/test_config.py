@@ -6,6 +6,7 @@ from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from deepself.config import SCHEMA, RunConfig, apply_overrides, load_config
@@ -200,6 +201,19 @@ class TestDomains:
         # the INI and flag parsers refuse these too; this is the library path
         with pytest.raises(ConfigError, match=f"{key} must be a finite number"):
             self.base(**{key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("batch_size", 2.5), ("epochs", 1.5), ("window_size", 64.5), ("seed", 1.5),
+        ("nn_hidden_nodes", 3.5), ("fixed_length", 10.5), ("cnn_channels", (8.0,)),
+    ])
+    def test_fractional_integer_rejected(self, key, value):
+        # the INI and flag parsers read these with int(); this is the library path
+        with pytest.raises(ConfigError, match=f"{key}( entry)? must be an integer"):
+            self.base(**{key: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = self.base(batch_size=np.int64(8), seed=np.int32(3), cnn_channels=(np.int16(4),))
+        assert (cfg.batch_size, cfg.seed, cfg.cnn_channels) == (8, 3, (4,))
 
     def test_nn_hidden_layers_floor(self):
         # Table domain is 1, 2, ...: the classifier head is always extra

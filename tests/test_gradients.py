@@ -22,6 +22,7 @@ from deepself.models import (
 from deepself.tensor import (
     RECURRENT_GATES,
     Tensor,
+    active_tape,
     backward,
     finite_diff_grad,
     linear,
@@ -160,11 +161,18 @@ class TestRecurrentGradients:
         # direction 1 scans last to first beside direction 0
         check_recurrent_op(cell, directions=2)
 
+    @pytest.mark.parametrize("cell", RECURRENT_CELLS)
+    @pytest.mark.parametrize("directions", [1, 2])
+    def test_input_grad_through_frozen_cell(self, cell, directions):
+        # the op is recorded for x alone, so the scan keeps what backward reads
+        check_recurrent_op(cell, directions, frozen_cell=True)
 
-def check_recurrent_op(cell, directions, seed=21):
+
+def check_recurrent_op(cell, directions, seed=21, frozen_cell=False):
     """The op alone, with an upstream gradient at every position rather than
     only at the head state a classifier reads; checks dx and every per-gate
-    W, U and b against finite differences."""
+    W, U and b against finite differences.  With ``frozen_cell`` only x
+    requires grad, and only dx is checked."""
     rng = np.random.default_rng(seed)
     gates = RECURRENT_GATES[cell]
     names, arrays = ["x"], [rng.standard_normal((2, 4, 3))]
@@ -180,9 +188,14 @@ def check_recurrent_op(cell, directions, seed=21):
         params = [[[next(rest) for _ in gates] for _ in "WUb"] for _ in range(directions)]
         return dot(recurrent(args[0], params, cell), upstream)
 
-    inputs = [Tensor(a, requires_grad=True) for a in arrays]
-    backward(loss(inputs))
+    inputs = [Tensor(a, requires_grad=k == 0 or not frozen_cell) for k, a in enumerate(arrays)]
+    total = loss(inputs)
+    assert cell in [rec.op for rec in active_tape()]
+    backward(total)
     for k, (name, t) in enumerate(zip(names, inputs)):
+        if not t.requires_grad:
+            continue
+
         def f(v, _k=k):
             args = [Tensor(a) for a in arrays]
             args[_k] = v

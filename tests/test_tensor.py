@@ -1,5 +1,7 @@
 """Tensor arithmetic, tape mechanics, and the finite-difference oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -475,6 +477,54 @@ class TestRecurrent:
             T.recurrent(x, [gate_params("rnn", 4, 2)], "conv")
         with pytest.raises(ShapeError):
             T.final_states(Tensor(np.zeros((2, 3, 6))), 3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("directions", [1, 2])
+    @pytest.mark.parametrize("cell", ["rnn", "gru", "lstm"])
+    def test_inference_scan_equals_recorded_scan(self, cell, directions, dtype):
+        rng = np.random.default_rng(5)
+        n = len(T.RECURRENT_GATES[cell])
+        arrays = [[[(0.5 * rng.standard_normal(shape)).astype(dtype) for _ in range(n)]
+                   for shape in ((3, 4), (4, 4), (4,))] for _ in range(directions)]
+        x = rng.standard_normal((5, 7, 3)).astype(dtype)
+
+        def scan(requires_grad):
+            params = [[[Tensor(a, requires_grad=requires_grad) for a in group] for group in d] for d in arrays]
+            return T.recurrent(Tensor(x), params, cell)
+
+        tape = T.active_tape()
+        tape.clear()
+        recorded = scan(True)
+        assert [rec.op for rec in tape] == [cell]
+        tape.clear()
+        with T.no_grad():
+            inferred = scan(True)
+        frozen = scan(False)
+        assert not tape
+        assert recorded.dtype == dtype
+        np.testing.assert_array_equal(inferred.data, recorded.data)
+        np.testing.assert_array_equal(frozen.data, recorded.data)
+
+    def test_inference_scan_keeps_no_gate_history(self):
+        # B=16, T=64, H=32: no-grad peak below the recorded one by at least a [D, T, B, 3H] buffer
+        model = init_model(ModelSpec((64, 8), (Recurrent("gru", 32, 1, "bi"),), 2, seed=0))
+        batch = np.random.default_rng(1).standard_normal((16, 64, 8)).astype(np.float32)
+
+        def peak(record):
+            tracemalloc.start()
+            try:
+                if record:
+                    forward(model, batch)
+                else:
+                    with T.no_grad():
+                        forward(model, batch)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                T.active_tape().clear()
+
+        gate_buffer = 2 * 64 * 16 * 3 * 32 * np.dtype(np.float32).itemsize
+        assert peak(False) <= peak(True) - gate_buffer
 
     def test_one_tape_record_per_layer(self):
         # a 2-layer bi-GRU: one record per sub-layer, both directions in it, and one for the head

@@ -65,6 +65,15 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="learning_rate"):
             TrainConfig(learning_rate=lr)
 
+    @pytest.mark.parametrize("field", ["batch_size", "epochs", "seed"])
+    def test_integer_fields_reject_fractions(self, field):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: 2.5})
+
+    def test_numpy_integers_accepted(self):
+        cfg = TrainConfig(batch_size=np.int64(4), epochs=np.int32(2), seed=np.uint8(3))
+        assert (cfg.batch_size, cfg.epochs, cfg.seed) == (4, 2, 3)
+
 
 class TestSgdStep:
     def test_definition(self):
@@ -520,7 +529,42 @@ class TestFineTune:
             TrainConfig(epochs=0)
 
 
+# sizes at which OpenBLAS computes a row differently for another row count
+INVARIANCE_SPECS = {
+    "fnn": ModelSpec((64,), (Dense(64), Dense(64)), 3, seed=1),
+    "cnn1d": ModelSpec((1, 256), (Conv(1, 8, (8,), (4,), (0,)), Conv(1, 16, (4,), (4,), (0,)), Dense(32)),
+                       3, seed=2),
+    "cnn2d": ModelSpec((2, 16, 16), (Conv(2, 8, (3, 3), (2, 2), (1, 1)), Conv(2, 8, (3, 3), (2, 2), (1, 1)),
+                                     Dense(16)), 3, seed=3),
+    "bigru": ModelSpec((16, 8), (Recurrent("gru", 16, 2, "bi"),), 3, seed=4),
+    "cnn-bilstm": ModelSpec((1, 128), (Conv(1, 8, (8,), (4,), (0,)), Recurrent("lstm", 16, 1, "bi")),
+                            3, seed=5),
+}
+
+
 class TestPredictBatches:
+    @pytest.mark.parametrize("name", sorted(INVARIANCE_SPECS))
+    def test_probabilities_do_not_depend_on_batch_company(self, name):
+        # any subset, order and split into calls gives each sample the same probability bytes
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        spec = INVARIANCE_SPECS[name]
+        model = init_model(spec)
+        features = np.random.default_rng(9).standard_normal((40, *spec.input_shape)).astype(np.float32)
+        _, reference = predict_batches(model, features, batch_size=16)
+
+        @hypothesis.settings(max_examples=15, deadline=None, database=None)
+        @hypothesis.given(st.permutations(range(40)), st.integers(1, 40),
+                          st.lists(st.integers(1, 39), max_size=3))
+        def check(order, size, cuts):
+            rows = np.array(order[:size])
+            bounds = [0, *sorted(c for c in set(cuts) if c < size), size]
+            for lo, hi in zip(bounds, bounds[1:]):
+                _, probs = predict_batches(model, features[rows[lo:hi]], batch_size=16)
+                assert probs.tobytes() == reference[rows[lo:hi]].tobytes()
+
+        check()
+
     def test_matches_single_batch_forward(self):
         model = init_model(ModelSpec((3,), (Dense(5),), 4, seed=1))
         rng = np.random.default_rng(2)
