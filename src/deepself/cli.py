@@ -275,6 +275,10 @@ def _train_dev_rows(manifest: DatasetManifest, dev_fraction, seed: int):
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     manifest = _manifest(cfg)
+    for name in manifest.label_map:  # the checkpoint stores the classes as one comma-separated line
+        if "," in name or name.splitlines() != [name]:
+            raise DataError(f"class name {name!r} holds a comma or a line break, "
+                            "which the checkpoint's class list cannot store")
     train_rows, dev_rows = _train_dev_rows(manifest, args.dev_fraction, cfg.seed)
     sequence = _is_sequence_config(cfg)
     x_train, y_train, _ = _dataset(cfg, train_rows, manifest.label_map, sequence)

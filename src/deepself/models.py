@@ -13,10 +13,17 @@ spatial axis; sequences are ``[B, T, F]`` tensors end to end.  Each
 recurrent sub-layer, with both its directions, is one fused
 ``tensor.recurrent`` op, and the head state is one ``tensor.final_states``
 op.
+
+Stage ``layer{i}`` (the classifier: ``head``) owns ``layer{i}.weight`` and
+``layer{i}.bias`` for Dense and Conv, and ``layer{i}.l{k}.W``, ``.U`` and
+``.b`` for recurrent sub-layer k, each fused over directions and gates in
+the layout ``tensor.recurrent`` reads.  Checkpoints name each gate's slice
+apart; ``checkpoint_arrays`` is the one place that maps the two.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -369,22 +376,27 @@ class Model:
         return self.spec.n_classes
 
     def clone_parameters(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.params.items()}
+        """Copies of the parameter arrays, keyed by checkpoint name (see ``checkpoint_arrays``)."""
+        return {name: arr.copy() for name, arr in checkpoint_arrays(self)}
 
     def load_parameters(self, arrays: dict[str, np.ndarray]):
-        if set(arrays) != set(self.params):
-            missing = sorted(set(self.params) - set(arrays))
-            extra = sorted(set(arrays) - set(self.params))
+        """Copy ``arrays``, keyed by checkpoint name, into the parameters."""
+        views = dict(checkpoint_arrays(self))
+        if set(arrays) != set(views):
+            missing = sorted(set(views) - set(arrays))
+            extra = sorted(set(arrays) - set(views))
             raise ShapeError(
                 f"parameter set does not match the model spec (missing {missing}, unexpected {extra})"
             )
         for name, arr in arrays.items():
-            target = self.params[name]
-            if tuple(arr.shape) != tuple(target.shape):
+            target = views[name]
+            if tuple(arr.shape) != target.shape:
                 raise ShapeError(
-                    f"parameter {name} has shape {tuple(arr.shape)}, spec needs {tuple(target.shape)}"
+                    f"parameter {name} has shape {tuple(arr.shape)}, spec needs {target.shape}"
                 )
-            target.data = np.asarray(arr, dtype=target.data.dtype).copy()
+            if not np.isfinite(arr).all():
+                raise NumericError(f"parameter {name} holds non-finite values")
+            target[...] = arr
 
 
 def _glorot(rng, fan_in, fan_out, shape, dtype):
@@ -392,54 +404,58 @@ def _glorot(rng, fan_in, fan_out, shape, dtype):
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-_DIRECTION_NAMES = ("fwd", "bwd")  # parameter-name part of direction 0 and 1
-
-
-def _gate_param(prefix, kind, gate) -> str:
-    """Checkpoint name of one gate's W, U or b, e.g. ``layer0.l0.fwd.W_r``."""
-    return f"{prefix}.{kind}_{gate}" if gate else f"{prefix}.{kind}"
-
-
-def _init_cell_params(rng, params, prefix, cell, in_features, hidden, dtype):
-    for gate in RECURRENT_GATES[cell]:
-        w = _glorot(rng, in_features, hidden, (in_features, hidden), dtype)
-        u = _glorot(rng, hidden, hidden, (hidden, hidden), dtype)
-        b = np.ones(hidden, dtype) if (cell == "lstm" and gate == "f") else np.zeros(hidden, dtype)
-        params[_gate_param(prefix, "W", gate)] = Tensor(w, requires_grad=True)
-        params[_gate_param(prefix, "U", gate)] = Tensor(u, requires_grad=True)
-        params[_gate_param(prefix, "b", gate)] = Tensor(b, requires_grad=True)
-
-
 def init_model(spec: ModelSpec, dtype=np.float32) -> Model:
     """Glorot-uniform weights, zero biases (LSTM forget gate 1.0), seeded."""
     plan = plan_shapes(spec)
-    rng = np.random.default_rng(spec.seed)
-    params: dict[str, Tensor] = {}
+    shapes = {}
     for stage in plan.stages:
         layer, prefix = stage.layer, stage.param_prefix
-        if prefix is None:
-            continue
         if isinstance(layer, Dense):
-            fan_in, fan_out = stage.in_shape[0], layer.nodes
-            params[f"{prefix}.weight"] = Tensor(
-                _glorot(rng, fan_in, fan_out, (fan_in, fan_out), dtype), requires_grad=True)
-            params[f"{prefix}.bias"] = Tensor(np.zeros(fan_out, dtype), requires_grad=True)
+            shapes[f"{prefix}.weight"] = (stage.in_shape[0], layer.nodes)
+            shapes[f"{prefix}.bias"] = (layer.nodes,)
         elif isinstance(layer, Conv):
-            c_in = stage.in_shape[0]
-            k_elems = int(np.prod(layer.kernel))
-            shape = (layer.out_channels, c_in, *layer.kernel)
-            params[f"{prefix}.weight"] = Tensor(
-                _glorot(rng, c_in * k_elems, layer.out_channels * k_elems, shape, dtype),
-                requires_grad=True)
-            params[f"{prefix}.bias"] = Tensor(np.zeros(layer.out_channels, dtype), requires_grad=True)
+            shapes[f"{prefix}.weight"] = (layer.out_channels, stage.in_shape[0], *layer.kernel)
+            shapes[f"{prefix}.bias"] = (layer.out_channels,)
         elif isinstance(layer, Recurrent):
-            in_features = stage.in_shape[1]
+            dirs, hid, in_features = layer.directions, layer.hidden_nodes, stage.in_shape[1]
+            width = len(RECURRENT_GATES[layer.cell]) * hid
             for sub in range(layer.layers):
-                for d in _DIRECTION_NAMES[:layer.directions]:
-                    _init_cell_params(rng, params, f"{prefix}.l{sub}.{d}", layer.cell,
-                                      in_features, layer.hidden_nodes, dtype)
-                in_features = layer.hidden_nodes * layer.directions
-    return Model(spec, plan, params)
+                shapes[f"{prefix}.l{sub}.W"] = (dirs, in_features, width)
+                shapes[f"{prefix}.l{sub}.U"] = (dirs, hid, width)
+                shapes[f"{prefix}.l{sub}.b"] = (dirs, width)
+                in_features = dirs * hid
+    model = Model(spec, plan, {name: Tensor(np.zeros(shape, dtype), requires_grad=True)
+                               for name, shape in shapes.items()})
+    rng = np.random.default_rng(spec.seed)
+    for name, view in checkpoint_arrays(model):
+        if view.ndim == 2:  # a [fan_in, fan_out] matrix
+            view[...] = _glorot(rng, *view.shape, view.shape, dtype)
+        elif view.ndim > 2:  # a [C_out, C_in, *kernel] conv weight
+            window = math.prod(view.shape[2:])
+            view[...] = _glorot(rng, view.shape[1] * window, view.shape[0] * window, view.shape, dtype)
+        elif name.endswith(".b_f"):  # the LSTM forget gate
+            view[...] = 1.0
+    return model
+
+
+def checkpoint_arrays(model: Model):
+    """Yield each parameter's checkpoint name and array, in initialization order.
+
+    A recurrent sub-layer's fused W, U and b are yielded as [F, H], [H, H]
+    and [H] views, one per direction and gate, named like
+    ``layer0.l0.fwd.W_r`` (``bwd`` for direction 1, no gate suffix for rnn).
+    """
+    for stage in model.plan.stages:
+        layer, prefix = stage.layer, stage.param_prefix
+        if isinstance(layer, Recurrent):
+            gates, hid = RECURRENT_GATES[layer.cell], layer.hidden_nodes
+            for sub, d, k, kind in itertools.product(range(layer.layers), range(layer.directions),
+                                                     range(len(gates)), "WUb"):
+                name = f"{prefix}.l{sub}.{('fwd', 'bwd')[d]}.{kind}" + (f"_{gates[k]}" if gates[k] else "")
+                yield name, model.params[f"{prefix}.l{sub}.{kind}"].data[d, ..., k * hid:(k + 1) * hid]
+        elif prefix is not None:
+            for kind in ("weight", "bias"):
+                yield f"{prefix}.{kind}", model.params[f"{prefix}.{kind}"].data
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +465,8 @@ def init_model(spec: ModelSpec, dtype=np.float32) -> Model:
 
 def run_recurrent_layer(x: Tensor, params, prefix, layer: Recurrent) -> Tensor:
     """Full sub-stack on a [B, T, F] tensor; returns its [B, T, width] outputs."""
-    gates = RECURRENT_GATES[layer.cell]
     for sub in range(layer.layers):
-        directions = [[[params[_gate_param(f"{prefix}.l{sub}.{d}", kind, g)] for g in gates]
-                       for kind in ("W", "U", "b")] for d in _DIRECTION_NAMES[:layer.directions]]
-        x = recurrent(x, directions, layer.cell)
+        x = recurrent(x, *(params[f"{prefix}.l{sub}.{kind}"] for kind in "WUb"), layer.cell)
     return x
 
 

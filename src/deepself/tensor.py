@@ -384,7 +384,7 @@ def conv_nd_batched(x, kernels, stride, padding, bias) -> Tensor:
 # Recurrent layers: one tape record per layer, both directions in one scan
 # ---------------------------------------------------------------------------
 
-# gate order of each cell: the order of its per-gate W/U/b tensors
+# gate order of each cell: the order of its gates' column blocks in a fused W, U or b
 RECURRENT_GATES = {
     "rnn": ("",),
     "gru": ("r", "z", "n"),
@@ -397,15 +397,16 @@ def _scan_order(a):
     return a if len(a) == 1 else np.stack([a[0], a[1, ::-1]])
 
 
-def recurrent(x, params, cell: str) -> Tensor:
+def recurrent(x, w, u, b, cell: str) -> Tensor:
     """Scan a recurrent layer over a [B, T, F] sequence; returns [B, T, D*H].
 
-    ``params[d]`` is direction d's ``(W, U, b)``, each a sequence of one
-    tensor per gate of ``RECURRENT_GATES[cell]``: W [F, H], U [H, H], b [H].
-    Direction 0 scans first to last and direction 1 (D = 2) last to first,
-    both from a zero state, together as one scan on a [D, B, H] state.  The
-    outputs are in position order, direction d in columns d*H to (d+1)*H.
-    With sigmoid in its tanh form:
+    ``w`` [D, F, G*H], ``u`` [D, H, G*H] and ``b`` [D, G*H] hold the weights
+    of D directions, each direction's G gates side by side in the order of
+    ``RECURRENT_GATES[cell]``: gate k is columns k*H to (k+1)*H.  Direction 0
+    scans first to last and direction 1 (D = 2) last to first, both from a
+    zero state, together as one scan on a [D, B, H] state.  The outputs are
+    in position order, direction d in columns d*H to (d+1)*H.  With sigmoid
+    in its tanh form:
 
     * rnn:  h' = tanh(W x + U h + b)
     * gru:  r, z = sigmoid(W x + U h + b), n = tanh(W_n x + U_n (r*h) + b_n),
@@ -413,10 +414,9 @@ def recurrent(x, params, cell: str) -> Tensor:
     * lstm: i, f, o = sigmoid(W x + U h + b), g = tanh(W_g x + U_g h + b_g),
       c' = f*c + i*g, h' = o*tanh(c')
 
-    The gates and directions are stacked here, off the tape.  The input
-    projection of all steps is one stacked matmul and each step does one on
-    the state (gru two: its candidate reads r*h).  The hand-written backward
-    pass returns one gradient per gate tensor.  All pre-activations are
+    The input projection of all steps is one matmul and each step does one
+    on the state (gru two: its candidate reads r*h).  The hand-written
+    backward pass returns one gradient per input.  All pre-activations are
     checked for finiteness once, after the scan.
 
     Only backward reads the gate activations, the GRU's r*h and the LSTM's
@@ -427,30 +427,24 @@ def recurrent(x, params, cell: str) -> Tensor:
     """
     if cell not in RECURRENT_GATES:
         raise ConfigError(f"unknown recurrent cell {cell!r}; choose one of {tuple(RECURRENT_GATES)}")
-    x = _as_tensor(x)
-    n_dirs, n_gates = len(params), len(RECURRENT_GATES[cell])
-    groups = [[_as_tensor(t) for t in group] for direction in params for group in direction]
-    got = [tuple(tuple(t.shape) for t in group) for group in groups]
+    inputs = tuple(_as_tensor(t) for t in (x, w, u, b))
+    x, (w, u, b) = inputs[0], (t.data for t in inputs[1:])
+    n_dirs, hid = u.shape[:2] if u.ndim == 3 else (0, 0)
     features = x.shape[2] if x.data.ndim == 3 else 0
-    hid = got[2][0][0] if len(got) > 2 and got[2] and got[2][0] else 0
-    want = [((features, hid),) * n_gates, ((hid, hid),) * n_gates, ((hid,),) * n_gates] * n_dirs
-    if n_dirs not in (1, 2) or x.data.ndim != 3 or x.shape[1] < 1 or hid < 1 or got != want:
-        raise ShapeError(f"{cell}: needs a non-empty [B, T, F] input and 1 or 2 directions of "
-                         f"{n_gates} per-gate W [F, H], U [H, H] and b [H] with H >= 1; "
-                         f"got {tuple(x.shape)} and {got}")
+    width = len(RECURRENT_GATES[cell]) * hid
+    if (n_dirs not in (1, 2) or x.data.ndim != 3 or x.shape[1] < 1 or hid < 1
+            or (w.shape, u.shape, b.shape) != ((n_dirs, features, width), (n_dirs, hid, width), (n_dirs, width))):
+        raise ShapeError(f"{cell}: needs a non-empty [B, T, F] input, W [D, F, G*H], U [D, H, G*H] and "
+                         f"b [D, G*H] with D = 1 or 2, G = {len(RECURRENT_GATES[cell])} and H >= 1; got "
+                         f"{tuple(x.shape)}, {w.shape}, {u.shape} and {b.shape}")
     batch, steps, _ = x.shape
-    width = n_gates * hid
-    tensors = [t for group in groups for t in group]
-    dtype = np.result_type(x.data, *(t.data for t in tensors))
-    # [D, F, G*H], [D, H, G*H] and [D, G*H]: each direction's gates side by side
-    w, u, b = (np.stack([np.concatenate([t.data for t in groups[3 * d + k]], axis=-1)
-                         for d in range(n_dirs)]) for k in range(3))
+    dtype = np.result_type(x.data, w, u, b)
     # every buffer is [D, T, B, .] indexed by scan step s; hs[:, s] and cs[:, s] are what step s reads
     xt = x.data.transpose(1, 0, 2)
     seq = np.stack([xt, xt[::-1]][:n_dirs]).astype(dtype, copy=False).reshape(n_dirs, -1, features)
     pre = (seq @ w).reshape(n_dirs, steps, batch, width)  # W x; U h and b are added per step
     # unrecorded, act, rh and cs keep only the steps in flight, indexed modulo their extent
-    kept = steps if _tracked((x, *tensors)) else 1
+    kept = steps if _tracked(inputs) else 1
     act = np.empty((n_dirs, kept, batch, width), dtype)
     hs = np.zeros((n_dirs, steps + 1, batch, hid), dtype)
     cs = np.zeros((n_dirs, kept + 1, batch, hid), dtype)  # lstm only
@@ -532,13 +526,10 @@ def recurrent(x, params, cell: str) -> Tensor:
         if x.requires_grad:
             d_seq = (d_flat @ w.transpose(0, 2, 1)).reshape(n_dirs, steps, batch, -1)
             d_x = np.ascontiguousarray(_scan_order(d_seq).sum(axis=0).transpose(1, 0, 2))
-        d_w, d_b = seq.transpose(0, 2, 1) @ d_flat, d_flat.sum(axis=1)
-        # per direction: W, U and b, each split back into its gates
-        return (d_x, *(g for d in range(n_dirs) for full in (d_w, d_u, d_b)
-                       for g in np.split(full[d], n_gates, axis=-1)))
+        return (d_x, seq.transpose(0, 2, 1) @ d_flat, d_u, d_flat.sum(axis=1))
 
     out = _scan_order(hs[:, 1:]).transpose(2, 1, 0, 3).reshape(batch, steps, n_dirs * hid)
-    return _make_result(cell, out, (x, *tensors), _backward)
+    return _make_result(cell, out, inputs, _backward)
 
 
 def final_states(x, directions: int) -> Tensor:

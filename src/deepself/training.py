@@ -28,7 +28,7 @@ from .errors import (
     VersionError,
 )
 from .evaluation import uar_from_labels
-from .models import Model, ModelSpec, forward, init_model
+from .models import Model, ModelSpec, checkpoint_arrays, forward, init_model
 from .tensor import backward, no_grad, softmax_cross_entropy
 
 OPTIMIZERS = ("sgd", "adam")
@@ -300,19 +300,27 @@ class Checkpoint:
 
 
 def save_checkpoint(model: Model, metadata: dict, path):
+    """Write ``model`` and ``metadata`` to ``path``, parameters under their checkpoint names.
+
+    Each metadata item is stored as one ``key=value`` line, so a key may not
+    hold ``=`` and neither may hold a line break; such an item is rejected
+    before the file is opened.
+    """
     spec_bytes = model.spec.to_text().encode("utf-8")
-    meta_text = "".join(f"{k}={v}\n" for k, v in metadata.items())
-    meta_bytes = meta_text.encode("utf-8")
-    names = sorted(model.params)
+    for key, value in metadata.items():
+        line = f"{key}={value}"
+        if "=" in str(key) or line.splitlines() != [line]:
+            raise FormatError(f"metadata item {key!r}={value!r} cannot be stored as one key=value line")
+    meta_bytes = "".join(f"{k}={v}\n" for k, v in metadata.items()).encode("utf-8")
+    arrays = sorted(checkpoint_arrays(model), key=lambda item: item[0])
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(spec_bytes)))
         fh.write(spec_bytes)
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
+        fh.write(struct.pack("<I", len(arrays)))
+        for name, arr in arrays:
             encoded = name.encode("utf-8")
-            arr = model.params[name].data
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
             fh.write(struct.pack("<B", arr.ndim))
@@ -386,7 +394,7 @@ def read_checkpoint(path) -> Checkpoint:
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:
-    """Rebuild the model from its embedded spec; validates names and shapes."""
+    """Rebuild the model from its embedded spec; validates names, shapes and finiteness."""
     ckpt = read_checkpoint(path)
     try:
         spec = ModelSpec.from_text(ckpt.spec_text)
@@ -395,7 +403,7 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         raise IntegrityError(f"{path}: embedded model spec is invalid: {exc}") from exc
     try:
         model.load_parameters(ckpt.params)
-    except ShapeError as exc:
+    except (ShapeError, NumericError) as exc:
         raise IntegrityError(f"{path}: {exc}") from exc
     return model, ckpt.metadata
 

@@ -24,20 +24,25 @@ FIXTURES = {
 }
 
 
+def train_fixture(name, optimizer="adam", epochs=3):
+    """Train fixture ``name`` from its seed; returns (best model, checkpoint metadata, dev inputs)."""
+    spec = FIXTURES[name]
+    rng = np.random.default_rng(spec.seed)
+    x = rng.standard_normal((40, *spec.input_shape)).astype(np.float32)
+    y = rng.integers(0, spec.n_classes, size=40)
+    config = TrainConfig(learning_rate=0.05, batch_size=8, epochs=epochs, optimizer=optimizer, seed=spec.seed)
+    model, _ = train(init_model(spec), (x[:32], y[:32]), (x[32:], y[32:]), config)
+    classes = ",".join(f"c{i}" for i in range(spec.n_classes))
+    return model, {"classes": classes, "model_type": "rnn"}, x[32:]
+
+
 def main():
-    for name, spec in FIXTURES.items():
-        rng = np.random.default_rng(spec.seed)
-        x = rng.standard_normal((40, *spec.input_shape)).astype(np.float32)
-        y = rng.integers(0, spec.n_classes, size=40)
-        model = init_model(spec)
-        config = TrainConfig(learning_rate=0.05, batch_size=8, epochs=3, seed=spec.seed)
-        model, _ = train(model, (x[:32], y[:32]), (x[32:], y[32:]), config)
-        classes = ",".join(f"c{i}" for i in range(spec.n_classes))
-        save_checkpoint(model, {"classes": classes, "model_type": "rnn"},
-                        os.path.join(HERE, f"{name}.ckpt"))
+    for name in FIXTURES:
+        model, metadata, x_dev = train_fixture(name)
+        save_checkpoint(model, metadata, os.path.join(HERE, f"{name}.ckpt"))
         with no_grad():
-            logits, _ = forward(model, x[32:])
-        np.savez(os.path.join(HERE, f"{name}_dev.npz"), x=x[32:], logits=logits.data)
+            logits, _ = forward(model, x_dev)
+        np.savez(os.path.join(HERE, f"{name}_dev.npz"), x=x_dev, logits=logits.data)
 
 
 if __name__ == "__main__":

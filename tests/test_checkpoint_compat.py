@@ -4,31 +4,33 @@
 inputs and logits, written by the per-time-step implementation (see
 ``tests/data/make_recurrent_checkpoints.py``), and a 1-D and a 2-D CNN
 checkpoint trained while the conv backward scattered with ``np.add.at`` (see
-``tests/data/make_conv_checkpoints.py``).
+``tests/data/make_conv_checkpoints.py``).  Retraining the recurrent fixtures
+must also write the checkpoint bytes recorded below.
 """
 
+import hashlib
 import importlib.util
 import os
 
 import numpy as np
 import pytest
 
-from deepself.models import forward
+from deepself.models import checkpoint_arrays, forward
 from deepself.tensor import no_grad
 from deepself.training import CHECKPOINT_VERSION, load_checkpoint, read_checkpoint, save_checkpoint
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-def _load_conv_fixtures():
-    spec = importlib.util.spec_from_file_location(
-        "make_conv_checkpoints", os.path.join(DATA, "make_conv_checkpoints.py"))
+def _load_fixtures(module_name):
+    spec = importlib.util.spec_from_file_location(module_name, os.path.join(DATA, f"{module_name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-conv_fixtures = _load_conv_fixtures()
+conv_fixtures = _load_fixtures("make_conv_checkpoints")
+recurrent_fixtures = _load_fixtures("make_recurrent_checkpoints")
 
 
 def _names(gates, sublayers):
@@ -51,7 +53,9 @@ class TestRecurrentCheckpointCompat:
         assert ckpt.version == CHECKPOINT_VERSION
         assert set(ckpt.params) == FIXTURES[name]
         model, _ = load_checkpoint(os.path.join(DATA, f"{name}.ckpt"))
-        assert set(model.params) == FIXTURES[name]
+        assert {n for n, _ in checkpoint_arrays(model)} == FIXTURES[name]
+        assert set(model.params) == {"head.weight", "head.bias"} | {
+            f"layer0.l{k}.{kind}" for k in range(model.spec.layers[0].layers) for kind in "WUb"}
 
     def test_resaved_bytes_identical(self, name, tmp_path):
         path = os.path.join(DATA, f"{name}.ckpt")
@@ -75,3 +79,21 @@ def test_conv_retrain_reproduces_checkpoint_bytes(name, tmp_path):
     save_checkpoint(model, metadata, tmp_path / "again.ckpt")
     with open(os.path.join(DATA, f"{name}.ckpt"), "rb") as fh:
         assert (tmp_path / "again.ckpt").read_bytes() == fh.read()
+
+
+# best.ckpt sha256 of four epochs of each recurrent fixture's training, recorded
+# at commit 9218632, the last one that stored one tensor per gate
+RECURRENT_RETRAIN_SHA256 = {
+    ("bigru2", "adam"): "8cb112496aee4cda97214afe065ba82d4b7d8e4d241f98edd79db049ce0f4efe",
+    ("bigru2", "sgd"): "f537c87fb6860901c2b855f1358c38ea6c750261ccb56bed579500af36aaff3e",
+    ("bilstm", "adam"): "95e15062cb77103654a5f5fbf24c5547bd6ea13375ce7bd39fb743bd8d5758c6",
+    ("bilstm", "sgd"): "21b964a991e4180ed169ad191b115363f5de4adc1772ebc93e4dea1bb4fef747",
+}
+
+
+@pytest.mark.parametrize("name, optimizer", sorted(RECURRENT_RETRAIN_SHA256))
+def test_recurrent_retrain_reproduces_recorded_bytes(name, optimizer, tmp_path):
+    model, metadata, _ = recurrent_fixtures.train_fixture(name, optimizer, epochs=4)
+    save_checkpoint(model, metadata, tmp_path / "best.ckpt")
+    digest = hashlib.sha256((tmp_path / "best.ckpt").read_bytes()).hexdigest()
+    assert digest == RECURRENT_RETRAIN_SHA256[name, optimizer]

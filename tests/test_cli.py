@@ -36,12 +36,12 @@ def write_series(path, values):
         fh.writelines(f"{v!r}\n" for v in values)
 
 
-def toy_dataset(root, n_per_class=6, length=20, folds=False):
+def toy_dataset(root, n_per_class=6, length=20, folds=False, labels=("neg", "pos")):
     """Trivially separable two-class series dataset with train/dev/test splits."""
     rows = []
-    for label, base in (("neg", -0.5), ("pos", 0.5)):
+    for k, (label, base) in enumerate(zip(labels, (-0.5, 0.5))):
         for i in range(n_per_class):
-            name = f"{label}{i}.csv"
+            name = f"class{k}_{i}.csv"
             write_series(root / name, [base + 0.01 * i] * length)
             if folds:
                 rows.append((name, label, "", i % 3))
@@ -244,6 +244,15 @@ class TestTrain:
     def test_missing_manifest_config(self, tmp_path, capsys):
         assert run(["train"]) == 1
         assert "manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb"], ids=["comma", "newline", "carriage-return"])
+    def test_class_name_the_checkpoint_cannot_store_is_rejected(self, tmp_path, capsys, label):
+        cfg = base_config(tmp_path, toy_dataset(tmp_path, labels=(label, "c")), epochs=2)
+        assert run(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(label) in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvaluate:

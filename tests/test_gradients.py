@@ -170,23 +170,18 @@ class TestRecurrentGradients:
 
 def check_recurrent_op(cell, directions, seed=21, frozen_cell=False):
     """The op alone, with an upstream gradient at every position rather than
-    only at the head state a classifier reads; checks dx and every per-gate
-    W, U and b against finite differences.  With ``frozen_cell`` only x
-    requires grad, and only dx is checked."""
+    only at the head state a classifier reads; checks dx and every element
+    of the fused W, U and b against finite differences.  With
+    ``frozen_cell`` only x requires grad, and only dx is checked."""
     rng = np.random.default_rng(seed)
-    gates = RECURRENT_GATES[cell]
-    names, arrays = ["x"], [rng.standard_normal((2, 4, 3))]
-    for d in range(directions):
-        for kind, shape, scale in (("W", (3, 3), 0.5), ("U", (3, 3), 0.5), ("b", (3,), 0.1)):
-            for gate in gates:
-                names.append(f"direction {d} {kind}_{gate}")
-                arrays.append(scale * rng.standard_normal(shape))
+    width = 3 * len(RECURRENT_GATES[cell])
+    names = ("x", "W", "U", "b")
+    arrays = [rng.standard_normal((2, 4, 3)), 0.5 * rng.standard_normal((directions, 3, width)),
+              0.5 * rng.standard_normal((directions, 3, width)), 0.1 * rng.standard_normal((directions, width))]
     upstream = Tensor(rng.standard_normal((2, 4, 3 * directions)))
 
     def loss(args):
-        rest = iter(args[1:])  # in the order built above
-        params = [[[next(rest) for _ in gates] for _ in "WUb"] for _ in range(directions)]
-        return dot(recurrent(args[0], params, cell), upstream)
+        return dot(recurrent(*args, cell), upstream)
 
     inputs = [Tensor(a, requires_grad=k == 0 or not frozen_cell) for k, a in enumerate(arrays)]
     total = loss(inputs)

@@ -14,13 +14,14 @@ from deepself.models import (
     ModelSpec,
     Recurrent,
     SequenceHead,
+    checkpoint_arrays,
     cnn_to_rnn_reshape,
     forward,
     init_model,
     plan_shapes,
     run_recurrent_layer,
 )
-from deepself.tensor import Tensor, final_states, infer_conv_output_size
+from deepself.tensor import RECURRENT_GATES, Tensor, final_states, infer_conv_output_size
 
 
 def conv1d(channels, kernel, stride=1, padding=0):
@@ -146,12 +147,26 @@ class TestInitModel:
     def test_biases_zero_except_lstm_forget(self):
         spec = ModelSpec((6, 3), (Recurrent("lstm", 4), Dense(5)), 2, seed=0)
         model = init_model(spec)
-        bias_names = [n for n in model.params
-                      if n.endswith("bias") or n.rsplit(".", 1)[-1].startswith("b")]
-        assert len(bias_names) == 6  # 4 gates + hidden dense + head
-        for name in bias_names:
-            expected = 1.0 if name.endswith(".b_f") else 0.0
-            np.testing.assert_array_equal(model.params[name].data, expected)
+        biases = {name: arr for name, arr in checkpoint_arrays(model) if arr.ndim == 1}
+        assert len(biases) == 6  # 4 gates + hidden dense + head
+        for name, arr in biases.items():
+            np.testing.assert_array_equal(arr, 1.0 if name.endswith(".b_f") else 0.0)
+        # the fused b holds the gates side by side in i, f, g, o order
+        np.testing.assert_array_equal(model.params["layer0.l0.b"].data, [[0] * 4 + [1] * 4 + [0] * 8])
+
+    def test_recurrent_sub_layer_is_three_fused_arrays(self):
+        # the benchmark's 2-layer bi-GRU: W, U and b per sub-layer, plus the head
+        model = init_model(ModelSpec((64, 8), (Recurrent("gru", 32, 2, "bi"),), 4, seed=0))
+        assert {name: p.shape for name, p in model.params.items()} == {
+            "layer0.l0.W": (2, 8, 96), "layer0.l0.U": (2, 32, 96), "layer0.l0.b": (2, 96),
+            "layer0.l1.W": (2, 64, 96), "layer0.l1.U": (2, 32, 96), "layer0.l1.b": (2, 96),
+            "head.weight": (64, 4), "head.bias": (4,),
+        }
+        views = dict(checkpoint_arrays(model))
+        assert len(views) == 38
+        assert views["layer0.l1.bwd.W_z"].shape == (64, 32)
+        views["layer0.l1.bwd.U_n"][...] = 7.0
+        np.testing.assert_array_equal(model.params["layer0.l1.U"].data[1, :, 64:], 7.0)
 
     def test_default_dtype_is_float32(self):
         model = init_model(ModelSpec((8,), (Dense(4),), 2))
@@ -209,18 +224,13 @@ class TestForward:
         np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-6)
 
 
-_GATE_SUFFIXES = {"rnn": ("",), "gru": ("_r", "_z", "_n"), "lstm": ("_i", "_f", "_g", "_o")}
-
-
 def _cell_params(cell, **values):
-    """One uni-directional 1-in/1-hidden layer named ``c``; parameters zero unless given."""
-    params = {}
-    for gate in _GATE_SUFFIXES[cell]:
-        for kind in ("W", "U", "b"):
-            shape = (1,) if kind == "b" else (1, 1)
-            value = values.get(f"{kind}{gate}", 0.0)
-            params[f"c.l0.fwd.{kind}{gate}"] = Tensor(np.full(shape, value))
-    return params
+    """One uni-directional 1-in/1-hidden layer named ``c``; each gate's W, U and b
+    (keyword ``W_n``, or ``W`` for the rnn cell) zero unless given."""
+    def fused(kind, shape):
+        return Tensor(np.array([values.get(kind + (f"_{g}" if g else ""), 0.0)
+                                for g in RECURRENT_GATES[cell]]).reshape(shape))
+    return {"c.l0.W": fused("W", (1, 1, -1)), "c.l0.U": fused("U", (1, 1, -1)), "c.l0.b": fused("b", (1, -1))}
 
 
 def _run_cell(cell, params, inputs):
@@ -271,16 +281,10 @@ class TestCells:
 
 def _tied_bi_params(rng, features, hidden, cell="gru"):
     """Bidirectional parameter set whose two directions share values."""
-    params = {}
-    for gate in _GATE_SUFFIXES[cell]:
-        w = rng.standard_normal((features, hidden)) * 0.4
-        u = rng.standard_normal((hidden, hidden)) * 0.4
-        b = rng.standard_normal(hidden) * 0.1
-        for d in ("fwd", "bwd"):
-            params[f"r.l0.{d}.W{gate}"] = Tensor(w.copy())
-            params[f"r.l0.{d}.U{gate}"] = Tensor(u.copy())
-            params[f"r.l0.{d}.b{gate}"] = Tensor(b.copy())
-    return params
+    width = len(RECURRENT_GATES[cell]) * hidden
+    shared = (rng.standard_normal((features, width)) * 0.4, rng.standard_normal((hidden, width)) * 0.4,
+              rng.standard_normal(width) * 0.1)
+    return {f"r.l0.{kind}": Tensor(np.stack([a, a])) for kind, a in zip("WUb", shared)}
 
 
 class TestBidirectional:

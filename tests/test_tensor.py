@@ -446,11 +446,12 @@ class TestShapeOps:
         np.testing.assert_allclose(x.grad, 2 * x.data)
 
 
-def gate_params(cell, features, hidden, w=0.0):
-    """One direction's (W, U, b) lists, one tensor per gate: W filled with ``w``, U and b zero."""
-    n = len(T.RECURRENT_GATES[cell])
-    return tuple([Tensor(np.full(shape, value, dtype=np.float32), requires_grad=True) for _ in range(n)]
-                 for shape, value in (((features, hidden), w), ((hidden, hidden), 0.0), ((hidden,), 0.0)))
+def fused_params(cell, features, hidden, directions=1, w=0.0):
+    """Fused W [D, F, G*H] filled with ``w``, and zero U [D, H, G*H] and b [D, G*H]."""
+    width = len(T.RECURRENT_GATES[cell]) * hidden
+    return tuple(Tensor(np.full(shape, value, dtype=np.float32), requires_grad=True)
+                 for shape, value in (((directions, features, width), w), ((directions, hidden, width), 0.0),
+                                      ((directions, width), 0.0)))
 
 
 class TestRecurrent:
@@ -459,22 +460,23 @@ class TestRecurrent:
     def test_overflowing_preactivation_names_the_cell(self, cell):
         x = Tensor(np.full((2, 3, 2), 1e10, dtype=np.float32))
         with pytest.raises(NumericError, match=f"^{cell} produced non-finite values"):
-            T.recurrent(x, [gate_params(cell, 2, 2, w=1e30)], cell)
+            T.recurrent(x, *fused_params(cell, 2, 2, w=1e30), cell)
 
     def test_shapes_checked(self):
         x = Tensor(np.zeros((2, 3, 4)))
-        good = gate_params("gru", 4, 2)
-        wrong_w = (good[0][:2] + [Tensor(np.zeros((4, 3)))], good[1], good[2])
+        w, u, b = fused_params("gru", 4, 2, directions=2)
         with pytest.raises(ShapeError, match="gru"):
-            T.recurrent(x, [good, wrong_w], "gru")
+            T.recurrent(x, Tensor(np.zeros((2, 4, 5))), u, b, "gru")  # W not 3 gates wide
         with pytest.raises(ShapeError, match="gru"):
-            T.recurrent(x, [good] * 3, "gru")
+            T.recurrent(x, w, u, Tensor(np.zeros((1, 6))), "gru")  # b for one direction of two
+        with pytest.raises(ShapeError, match="gru"):
+            T.recurrent(x, *fused_params("gru", 4, 2, directions=3), "gru")
         with pytest.raises(ShapeError):
-            T.recurrent(x, [tuple(group[:2] for group in good)], "gru")
+            T.recurrent(x, w, Tensor(np.zeros((2, 6))), b, "gru")
         with pytest.raises(ShapeError):
-            T.recurrent(Tensor(np.zeros((2, 0, 4))), [gate_params("rnn", 4, 2)], "rnn")
+            T.recurrent(Tensor(np.zeros((2, 0, 4))), *fused_params("rnn", 4, 2), "rnn")
         with pytest.raises(ConfigError):
-            T.recurrent(x, [gate_params("rnn", 4, 2)], "conv")
+            T.recurrent(x, *fused_params("rnn", 4, 2), "conv")
         with pytest.raises(ShapeError):
             T.final_states(Tensor(np.zeros((2, 3, 6))), 3)
 
@@ -483,19 +485,19 @@ class TestRecurrent:
     @pytest.mark.parametrize("cell", ["rnn", "gru", "lstm"])
     def test_inference_scan_equals_recorded_scan(self, cell, directions, dtype):
         rng = np.random.default_rng(5)
-        n = len(T.RECURRENT_GATES[cell])
-        arrays = [[[(0.5 * rng.standard_normal(shape)).astype(dtype) for _ in range(n)]
-                   for shape in ((3, 4), (4, 4), (4,))] for _ in range(directions)]
+        width = 4 * len(T.RECURRENT_GATES[cell])
+        arrays = [(0.5 * rng.standard_normal(shape)).astype(dtype)
+                  for shape in ((directions, 3, width), (directions, 4, width), (directions, width))]
         x = rng.standard_normal((5, 7, 3)).astype(dtype)
 
         def scan(requires_grad):
-            params = [[[Tensor(a, requires_grad=requires_grad) for a in group] for group in d] for d in arrays]
-            return T.recurrent(Tensor(x), params, cell)
+            return T.recurrent(Tensor(x), *(Tensor(a, requires_grad=requires_grad) for a in arrays), cell)
 
         tape = T.active_tape()
         tape.clear()
         recorded = scan(True)
         assert [rec.op for rec in tape] == [cell]
+        assert len(tape[0].inputs) == 4
         tape.clear()
         with T.no_grad():
             inferred = scan(True)

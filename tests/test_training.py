@@ -1,6 +1,7 @@
 """Optimizer, training-loop, checkpoint, and fine-tuning tests."""
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from deepself.errors import (
     TruncatedFileError,
     VersionError,
 )
-from deepself.models import Conv, Dense, ModelSpec, Recurrent, forward, init_model
+from deepself.models import Conv, Dense, ModelSpec, Recurrent, checkpoint_arrays, forward, init_model
 from deepself.tensor import Tensor, backward, softmax_cross_entropy
 from deepself.training import (
     ADAM_BETA1,
@@ -312,7 +313,7 @@ class TestTrainLoop:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_recurrent_divergence_names_cell_epoch_and_batch(self):
         model = init_model(ModelSpec((3, 2), (Recurrent("gru", 4),), 2, seed=1))
-        model.params["layer0.l0.fwd.W_z"].data[:] = 1e30
+        model.params["layer0.l0.W"].data[..., 4:8] = 1e30  # the z gate's columns
         features = np.full((8, 3, 2), 1e10, dtype=np.float32)
         labels = np.zeros(8, dtype=np.int64)
         config = TrainConfig(batch_size=4, epochs=1, seed=1)
@@ -370,9 +371,10 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, {}, path)
         ckpt = read_checkpoint(path)
-        assert set(ckpt.params) == set(model.params)
-        for name in model.params:
-            np.testing.assert_array_equal(ckpt.params[name], model.params[name].data)
+        arrays = dict(checkpoint_arrays(model))
+        assert set(ckpt.params) == set(arrays)
+        for name, arr in arrays.items():
+            np.testing.assert_array_equal(ckpt.params[name], arr)
 
     def test_corrupted_magic(self, tmp_path):
         model = self._model()
@@ -465,11 +467,38 @@ class TestCheckpoint:
 
     def test_missing_parameter_is_integrity_error(self, tmp_path):
         model = self._model()
-        del model.params["head.bias"]
+        # the stored spec gains a layer whose parameters the file lacks
+        model.spec = replace(model.spec, layers=model.spec.layers + (Dense(4),))
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, {}, path)
-        with pytest.raises(IntegrityError):
+        with pytest.raises(IntegrityError, match="missing"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("recurrent", [False, True], ids=["dense", "recurrent"])
+    def test_non_finite_parameter_is_integrity_error(self, tmp_path, recurrent):
+        if recurrent:
+            model, name = self._model(), "layer0.l0.bwd.U_r"
+            model.params["layer0.l0.U"].data[1, 2, 3] = np.inf  # direction 1, gate r
+        else:
+            model, name = init_model(ModelSpec((3,), (Dense(2),), 2, seed=0)), "head.bias"
+            model.params["head.bias"].data[0] = np.nan
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, {}, path)
+        with pytest.raises(IntegrityError, match=f"parameter {name} holds non-finite values"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("metadata", [{"classes": "a\nb"}, {"note": "a\rb"}, {"a=b": "c"}],
+                             ids=["newline", "carriage-return", "equals-in-key"])
+    def test_metadata_a_line_cannot_hold_is_rejected_before_writing(self, tmp_path, metadata):
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(FormatError, match="key=value line"):
+            save_checkpoint(self._model(), metadata, path)
+        assert not path.exists()
+
+    def test_metadata_value_may_hold_equals(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._model(), {"expr": "a=b", "": "empty key"}, path)
+        assert load_checkpoint(path)[1] == {"expr": "a=b", "": "empty key"}
 
 
 class TestFineTune:
