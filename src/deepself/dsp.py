@@ -15,6 +15,7 @@ an analytic Morlet continuous wavelet transform on dyadic scales.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -319,6 +320,30 @@ def _next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
+@functools.lru_cache(maxsize=8)
+def _morlet_bank(n_fft: int, sample_rate: float, n_voices: int, fmin_hz: float, fmax_hz: float):
+    """(scale frequencies [S], analytic Morlet spectra [S, n_fft // 2 - 1]) of one scalogram geometry.
+
+    The spectra hold only the positive frequencies, FFT bins 1 to n_fft/2 - 1;
+    an analytic wavelet is zero at the others.  Cached per geometry, so both
+    arrays are read-only.
+    """
+    omega = 2.0 * math.pi * np.fft.fftfreq(n_fft)[1:n_fft // 2]  # rad/sample
+    n_octaves = math.log2(fmax_hz / fmin_hz)
+    n_scales = int(math.floor(n_voices * n_octaves + 1e-9)) + 1
+    j = np.arange(n_scales)
+    freqs = fmax_hz / 2.0 ** (j / n_voices)
+    scales = MORLET_OMEGA0 * sample_rate / (2.0 * math.pi * freqs)
+
+    bank = np.empty((n_scales, omega.size))
+    norm = math.pi ** -0.25
+    for row, s in enumerate(scales):
+        bank[row] = math.sqrt(2.0 * math.pi * s) * norm * np.exp(-0.5 * (s * omega - MORLET_OMEGA0) ** 2)
+    freqs.flags.writeable = False
+    bank.flags.writeable = False
+    return freqs, bank
+
+
 def scalogram(signal: Signal, n_voices: int, fmin_hz: float, fmax_hz: float) -> FeatureMap:
     """Magnitude of the analytic Morlet CWT on dyadic scales.
 
@@ -337,26 +362,15 @@ def scalogram(signal: Signal, n_voices: int, fmin_hz: float, fmax_hz: float) -> 
         )
     n = x.size
     n_fft = _next_pow2(n)
-    spectrum = np.fft.fft(x, n=n_fft)
-    omega = 2.0 * math.pi * np.fft.fftfreq(n_fft)  # rad/sample
-
-    n_octaves = math.log2(fmax_hz / fmin_hz)
-    n_scales = int(math.floor(n_voices * n_octaves + 1e-9)) + 1
-    j = np.arange(n_scales)
-    freqs = fmax_hz / 2.0 ** (j / n_voices)
-    scales = MORLET_OMEGA0 * signal.sample_rate / (2.0 * math.pi * freqs)
-
-    positive = omega > 0
-    values = np.empty((n_scales, n), dtype=np.float64)
-    norm = math.pi ** -0.25
-    for row, s in enumerate(scales):
-        psi_hat = np.zeros(n_fft)
-        psi_hat[positive] = math.sqrt(2.0 * math.pi * s) * norm * np.exp(
-            -0.5 * (s * omega[positive] - MORLET_OMEGA0) ** 2
-        )
-        coeff = np.fft.ifft(spectrum * psi_hat)
+    freqs, bank = _morlet_bank(n_fft, signal.sample_rate, n_voices, fmin_hz, fmax_hz)
+    spectrum = np.fft.fft(x, n=n_fft)[1:n_fft // 2]
+    product = np.zeros(n_fft, dtype=np.complex128)
+    values = np.empty((len(freqs), n), dtype=np.float64)
+    for row, psi_hat in enumerate(bank):
+        np.multiply(spectrum, psi_hat, out=product[1:n_fft // 2])
+        coeff = np.fft.ifft(product)
         values[row] = np.abs(coeff[:n])
-    return FeatureMap(values, freqs, 1.0 / signal.sample_rate)
+    return FeatureMap(values, freqs.copy(), 1.0 / signal.sample_rate)  # the cached axis stays read-only
 
 
 # ---------------------------------------------------------------------------

@@ -193,9 +193,13 @@ def backward(loss: Tensor):
 ACTIVATIONS = ("relu", "sigmoid", "tanh")
 
 
-def _sigmoid(x):
-    # tanh form saturates instead of overflowing exp()
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def _sigmoid(x, out=None):
+    """0.5 * (1 + tanh(0.5 * x)), into ``out`` when given: the tanh form saturates instead of overflowing exp()."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def activation(x, kind: str) -> Tensor:
@@ -392,9 +396,9 @@ RECURRENT_GATES = {
 }
 
 
-def _scan_order(a):
-    """Reverse direction 1 of a [D, T, ...] array in time: positions to scan steps and back."""
-    return a if len(a) == 1 else np.stack([a[0], a[1, ::-1]])
+def _scan_views(a):
+    """Each direction of a [B, T, D, H] array as a [T, B, H] view in its scan-step order."""
+    return [a[:, ::1 - 2 * d, d].transpose(1, 0, 2) for d in range(a.shape[2])]
 
 
 def recurrent(x, w, u, b, cell: str) -> Tensor:
@@ -419,11 +423,20 @@ def recurrent(x, w, u, b, cell: str) -> Tensor:
     backward pass returns one gradient per input.  All pre-activations are
     checked for finiteness once, after the scan.
 
-    Only backward reads the gate activations, the GRU's r*h and the LSTM's
-    cell states of past steps.  When the op is not recorded (under
-    ``no_grad``, or no input requires grad) the scan keeps one step of
-    gates and r*h and two of cell state, the one read and the one written;
-    the input projection and the outputs stay whole.
+    The scan's buffers are time-major, [T, D, B, .] indexed by scan step s,
+    and the pre-activations and gates are split into the column groups a
+    step updates as one unit: the U h columns (all gates but the GRU
+    candidate) and the GRU candidate.  So every block a step reads or writes
+    is one contiguous array: the state ``hs[s]``, ``pre_h[s]`` and
+    ``pre_n[s]``, ``gates_h[s]`` and ``gates_n[s]``, ``rh[s]`` and ``cs[s]``.
+    Backward writes its pre-activation gradient direction-major, [D, T, B, .],
+    the rows the whole-sequence matmuls for dW, dU, db and dx read.
+
+    Only backward reads the gates, the GRU's r*h and the LSTM's cell states
+    of past steps.  When the op is not recorded (under ``no_grad``, or no
+    input requires grad) the scan keeps one step of gates and r*h and two of
+    cell state, the one read and the one written; the pre-activations and
+    states stay whole.
     """
     if cell not in RECURRENT_GATES:
         raise ConfigError(f"unknown recurrent cell {cell!r}; choose one of {tuple(RECURRENT_GATES)}")
@@ -439,97 +452,105 @@ def recurrent(x, w, u, b, cell: str) -> Tensor:
                          f"{tuple(x.shape)}, {w.shape}, {u.shape} and {b.shape}")
     batch, steps, _ = x.shape
     dtype = np.result_type(x.data, w, u, b)
-    # every buffer is [D, T, B, .] indexed by scan step s; hs[:, s] and cs[:, s] are what step s reads
+    n_h = 2 * hid if cell == "gru" else width  # gate columns fed by U h; the rest, gru's candidate, by U_n (r*h)
     xt = x.data.transpose(1, 0, 2)
     seq = np.stack([xt, xt[::-1]][:n_dirs]).astype(dtype, copy=False).reshape(n_dirs, -1, features)
-    pre = (seq @ w).reshape(n_dirs, steps, batch, width)  # W x; U h and b are added per step
-    # unrecorded, act, rh and cs keep only the steps in flight, indexed modulo their extent
+    proj = (seq @ w).reshape(n_dirs, steps, batch, width).transpose(1, 0, 2, 3)  # W x; U h and b are added per step
+    pre_h, pre_n = np.ascontiguousarray(proj[..., :n_h]), np.ascontiguousarray(proj[..., n_h:])
+    del proj
+    # unrecorded, the gates, rh and cs keep only the steps in flight, indexed modulo their extent
     kept = steps if _tracked(inputs) else 1
-    act = np.empty((n_dirs, kept, batch, width), dtype)
-    hs = np.zeros((n_dirs, steps + 1, batch, hid), dtype)
-    cs = np.zeros((n_dirs, kept + 1, batch, hid), dtype)  # lstm only
-    rh = np.empty((n_dirs, kept, batch, hid), dtype)  # gru only: r*h, what U_n reads
-    n_h = 2 * hid if cell == "gru" else width  # gate columns fed by U h
+    gates_h = np.empty((kept, n_dirs, batch, n_h), dtype)  # gru and lstm
+    gates_n = np.empty((kept, n_dirs, batch, width - n_h), dtype)  # gru only
+    rh = np.empty((kept, n_dirs, batch, hid), dtype)  # gru only: r*h, what U_n reads
+    hs = np.zeros((steps + 1, n_dirs, batch, hid), dtype)
+    cs = np.zeros((kept + 1, n_dirs, batch, hid), dtype)  # lstm only
     u_h, u_n = np.ascontiguousarray(u[..., :n_h]), np.ascontiguousarray(u[..., n_h:])
+    b_h, b_n = np.ascontiguousarray(b[:, None, :n_h]), np.ascontiguousarray(b[:, None, n_h:])
     for s in range(steps):
         slot, c_in, c_out = s % kept, s % (kept + 1), (s + 1) % (kept + 1)
-        h, a, gates = hs[:, s], pre[:, s], act[:, slot]
-        a_h = a[..., :n_h]
+        h, a_h, gates = hs[s], pre_h[s], gates_h[slot]
         a_h += h @ u_h
-        a_h += b[:, None, :n_h]
+        a_h += b_h
         if cell == "rnn":
-            np.tanh(a, out=hs[:, s + 1])
+            np.tanh(a_h, out=hs[s + 1])
         elif cell == "gru":
-            gates[..., :n_h] = _sigmoid(a_h)
-            r, z, n = gates[..., :hid], gates[..., hid:n_h], gates[..., n_h:]
-            np.multiply(r, h, out=rh[:, slot])
-            a_n = a[..., n_h:]
-            a_n += rh[:, slot] @ u_n
-            a_n += b[:, None, n_h:]
+            _sigmoid(a_h, out=gates)
+            r, z, n, a_n = gates[..., :hid], gates[..., hid:], gates_n[slot], pre_n[s]
+            np.multiply(r, h, out=rh[slot])
+            a_n += rh[slot] @ u_n
+            a_n += b_n
             np.tanh(a_n, out=n)
-            hs[:, s + 1] = n + z * (h - n)
+            h_next = np.subtract(h, n, out=hs[s + 1])
+            h_next *= z
+            h_next += n
         else:
-            gates[...] = _sigmoid(a)
+            _sigmoid(a_h, out=gates)
             i, f, g, o = (gates[..., k * hid:(k + 1) * hid] for k in range(4))
-            np.tanh(a[..., 2 * hid:3 * hid], out=g)
-            cs[:, c_out] = f * cs[:, c_in] + i * g
-            np.multiply(o, np.tanh(cs[:, c_out]), out=hs[:, s + 1])
-    if not np.isfinite(pre).all():
+            np.tanh(a_h[..., 2 * hid:3 * hid], out=g)
+            c_next = np.multiply(f, cs[c_in], out=cs[c_out])
+            c_next += i * g
+            np.multiply(o, np.tanh(c_next), out=hs[s + 1])
+    if not (np.isfinite(pre_h).all() and np.isfinite(pre_n).all()):
         raise NumericError(f"{cell} produced non-finite values")
 
     def _backward(grad):
-        d_out = _scan_order(grad.reshape(batch, steps, n_dirs, hid).transpose(2, 1, 0, 3))
-        d_pre = np.empty((n_dirs, steps, batch, width), dtype)
-        d_gates = d_pre.reshape(n_dirs, steps, batch, -1, hid)  # a view: d_pre is contiguous
-        gate = act.reshape(n_dirs, steps, batch, -1, hid)
-        h_in = hs[:, :-1]
+        d_out = np.empty((steps, n_dirs, batch, hid), dtype)
+        for d, view in enumerate(_scan_views(grad.reshape(batch, steps, n_dirs, hid))):
+            d_out[:, d] = view
+        d_pre = np.empty((n_dirs, steps, batch, width), dtype)  # direction-major: the matmuls' rows
+        d_h, d_n = d_pre[..., :n_h], d_pre[..., n_h:]
+        h_in = hs[:-1]
         # the local derivatives that do not depend on the incoming gradient, all steps at once
         if cell == "rnn":
-            fac = 1.0 - hs[:, 1:] * hs[:, 1:]
+            fac = 1.0 - hs[1:] * hs[1:]
         elif cell == "gru":
-            r, z, n = (gate[..., k, :] for k in range(3))
+            r, z, n = gates_h[..., :hid], gates_h[..., hid:], gates_n
             # times dL/d(r*h), dL/dh', dL/dh'
-            fac = np.stack([h_in * r * (1.0 - r), (h_in - n) * z * (1.0 - z),
-                            (1.0 - z) * (1.0 - n * n)], axis=3)
+            fac_r, fac_z, fac_n = h_in * r * (1.0 - r), (h_in - n) * z * (1.0 - z), (1.0 - z) * (1.0 - n * n)
         else:
-            i, f, g, o = (gate[..., k, :] for k in range(4))
-            tanh_c = np.tanh(cs[:, 1:])
+            i, f, g, o = (gates_h[..., k * hid:(k + 1) * hid] for k in range(4))
+            tanh_c = np.tanh(cs[1:])
             # times dL/dc for i, f and g, times dL/dh' for o
-            fac = np.stack([g * i * (1.0 - i), cs[:, :-1] * f * (1.0 - f), i * (1.0 - g * g),
+            fac = np.stack([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - g * g),
                             tanh_c * o * (1.0 - o)], axis=3)
             o_dtanh = o * (1.0 - tanh_c * tanh_c)
         carry = np.zeros((n_dirs, batch, hid), dtype)  # dL/dh from later steps
         dc = np.zeros((n_dirs, batch, hid), dtype)  # dL/dc from later steps (lstm)
         for s in range(steps - 1, -1, -1):
-            dh, da, fs = d_out[:, s] + carry, d_gates[:, s], fac[:, s]
+            dh, da = d_out[s] + carry, d_h[:, s]
             if cell == "rnn":
-                np.multiply(dh, fs, out=da[..., 0, :])
+                np.multiply(dh, fac[s], out=da)
             elif cell == "gru":
-                np.multiply(dh, fs[..., 2, :], out=da[..., 2, :])
-                d_rh = da[..., 2, :] @ u_n.transpose(0, 2, 1)
-                np.multiply(d_rh, fs[..., 0, :], out=da[..., 0, :])
-                np.multiply(dh, fs[..., 1, :], out=da[..., 1, :])
+                np.multiply(dh, fac_n[s], out=d_n[:, s])
+                d_rh = d_n[:, s] @ u_n.transpose(0, 2, 1)
+                np.multiply(d_rh, fac_r[s], out=da[..., :hid])
+                np.multiply(dh, fac_z[s], out=da[..., hid:])
             else:
-                dc += dh * o_dtanh[:, s]
-                np.multiply(dc[..., None, :], fs[..., :3, :], out=da[..., :3, :])
-                np.multiply(dh, fs[..., 3, :], out=da[..., 3, :])
-                dc *= f[:, s]
-            carry = d_pre[:, s, :, :n_h] @ u_h.transpose(0, 2, 1)
+                dc += dh * o_dtanh[s]
+                da_gates = da.reshape(n_dirs, batch, 4, hid)
+                np.multiply(dc[..., None, :], fac[s, ..., :3, :], out=da_gates[..., :3, :])
+                np.multiply(dh, fac[s, ..., 3, :], out=da_gates[..., 3, :])
+                dc *= f[s]
+            carry = da @ u_h.transpose(0, 2, 1)
             if cell == "gru":
-                carry += dh * z[:, s] + d_rh * r[:, s]
+                carry += dh * z[s] + d_rh * r[s]
         d_flat = d_pre.reshape(n_dirs, steps * batch, width)
-        d_u = h_in.reshape(n_dirs, -1, hid).transpose(0, 2, 1) @ d_flat[..., :n_h]
+        d_u = h_in.transpose(1, 0, 2, 3).reshape(n_dirs, -1, hid).transpose(0, 2, 1) @ d_flat[..., :n_h]
         if cell == "gru":
-            d_u_n = rh.reshape(n_dirs, -1, hid).transpose(0, 2, 1) @ d_flat[..., n_h:]
+            d_u_n = rh.transpose(1, 0, 2, 3).reshape(n_dirs, -1, hid).transpose(0, 2, 1) @ d_flat[..., n_h:]
             d_u = np.concatenate([d_u, d_u_n], axis=2)
         d_x = None
         if x.requires_grad:
             d_seq = (d_flat @ w.transpose(0, 2, 1)).reshape(n_dirs, steps, batch, -1)
-            d_x = np.ascontiguousarray(_scan_order(d_seq).sum(axis=0).transpose(1, 0, 2))
+            d_x = d_seq[0] if n_dirs == 1 else d_seq[0] + d_seq[1, ::-1]
+            d_x = np.ascontiguousarray(d_x.transpose(1, 0, 2))
         return (d_x, seq.transpose(0, 2, 1) @ d_flat, d_u, d_flat.sum(axis=1))
 
-    out = _scan_order(hs[:, 1:]).transpose(2, 1, 0, 3).reshape(batch, steps, n_dirs * hid)
-    return _make_result(cell, out, inputs, _backward)
+    out = np.empty((batch, steps, n_dirs, hid), dtype)
+    for d, view in enumerate(_scan_views(out)):
+        view[...] = hs[1:, d]
+    return _make_result(cell, out.reshape(batch, steps, n_dirs * hid), inputs, _backward)
 
 
 def final_states(x, directions: int) -> Tensor:

@@ -186,13 +186,18 @@ def predict_batches(model: Model, features, batch_size: int = 64):
     padded with zero rows, cut off again afterwards.  BLAS may round a row
     differently for another row count, so this keeps each sample's
     probability bytes the same for any subset, order or split of a set
-    into calls at one ``batch_size``.
+    into calls at one ``batch_size``.  No samples give ``(0,)`` labels and
+    ``(0, C)`` probabilities.
     """
+    check_integer("batch_size", batch_size)
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be at least 1, got {batch_size}")
     features = np.asarray(features)
     out_labels = []
     out_probs = []
     with no_grad():
-        for start in range(0, features.shape[0], batch_size):
+        # no samples still run one all-padding batch, which checks their shape and fixes the dtypes
+        for start in range(0, max(features.shape[0], 1), batch_size):
             batch = features[start:start + batch_size]
             rows = batch.shape[0]
             if rows < batch_size:

@@ -26,7 +26,11 @@ FIXTURES = {
 
 def train_fixture(name, optimizer="adam", epochs=3):
     """Train fixture ``name`` from its seed; returns (best model, checkpoint metadata, dev inputs)."""
-    spec = FIXTURES[name]
+    return train_spec(FIXTURES[name], optimizer, epochs)
+
+
+def train_spec(spec, optimizer="adam", epochs=3):
+    """Train ``spec`` from its seed on 32 random samples, 8 more for dev; returns as ``train_fixture``."""
     rng = np.random.default_rng(spec.seed)
     x = rng.standard_normal((40, *spec.input_shape)).astype(np.float32)
     y = rng.integers(0, spec.n_classes, size=40)

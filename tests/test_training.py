@@ -594,6 +594,21 @@ class TestPredictBatches:
 
         check()
 
+    @pytest.mark.parametrize("batch_size", [0, -3, 2.5])
+    def test_batch_size_below_one_or_not_integer_rejected(self, batch_size):
+        model = init_model(ModelSpec((3,), (Dense(5),), 4, seed=1))
+        with pytest.raises(ConfigError, match="batch_size"):
+            predict_batches(model, np.zeros((2, 3), np.float32), batch_size=batch_size)
+
+    @pytest.mark.parametrize("name", ["fnn", "bigru"])
+    def test_no_samples_give_empty_outputs(self, name):
+        spec = INVARIANCE_SPECS[name]
+        model = init_model(spec)
+        labels, probs = predict_batches(model, np.zeros((0, *spec.input_shape), np.float32), batch_size=16)
+        _, some = predict_batches(model, np.zeros((1, *spec.input_shape), np.float32), batch_size=16)
+        assert labels.shape == (0,) and labels.dtype.kind == "i"
+        assert probs.shape == (0, spec.n_classes) and probs.dtype == some.dtype
+
     def test_matches_single_batch_forward(self):
         model = init_model(ModelSpec((3,), (Dense(5),), 4, seed=1))
         rng = np.random.default_rng(2)
