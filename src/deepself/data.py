@@ -2,7 +2,9 @@
 
 Every loader is deterministic and returns channels-first float arrays: audio
 and series as [channels x samples], images as [1 x H x W] in [0, 1], stored
-feature maps as [1 x rows x cols].  Manifest paths are resolved relative to
+feature maps as [1 x rows x cols].  A stored series (one row, or a map whose
+row axis is all zeros, as ``preprocess`` writes a filtered signal) loads as
+[channels x samples].  Manifest paths are resolved relative to
 the manifest file's directory.
 """
 
@@ -421,7 +423,7 @@ def load_sample(path, sample_rate: float | None = None) -> np.ndarray:
         return load_pgm_image(path)
     if ext == ".dsfm":
         fm = read_feature_map(path)
-        if fm.rows == 1:  # a 1 x N map is a single-channel series
+        if fm.rows == 1 or not fm.row_axis_hz.any():  # a stored [C x N] series
             return fm.values
         return fm.values[None, :, :]
     return load_signal(path, sample_rate).samples

@@ -402,12 +402,16 @@ def read_feature_map(path) -> FeatureMap:
     version, rows, cols = struct.unpack_from("<III", blob, 4)
     if version != DSFM_VERSION:
         raise VersionError(f"{path}: unsupported feature-map version {version}")
+    if rows == 0 or cols == 0:
+        raise FormatError(f"{path}: declares an empty {rows}x{cols} map")
     (seconds_per_frame,) = struct.unpack_from("<d", blob, 16)
     offset = 24
     axis_bytes = rows * 8
-    data_bytes = rows * cols * 4
-    if len(blob) < offset + axis_bytes + data_bytes:
+    end = offset + axis_bytes + rows * cols * 4
+    if len(blob) < end:
         raise TruncatedFileError(f"{path}: payload shorter than declared {rows}x{cols} map")
+    if len(blob) > end:
+        raise FormatError(f"{path}: {len(blob) - end} bytes after the declared {rows}x{cols} map")
     axis = np.frombuffer(blob, dtype="<f8", count=rows, offset=offset)
     values = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=offset + axis_bytes)
     return FeatureMap(values.reshape(rows, cols).astype(np.float64), axis.copy(), seconds_per_frame)

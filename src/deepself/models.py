@@ -14,11 +14,10 @@ recurrent sub-layer, with both its directions, is one fused
 ``tensor.recurrent`` op, and the head state is one ``tensor.final_states``
 op.
 
-Stage ``layer{i}`` (the classifier: ``head``) owns ``layer{i}.weight`` and
-``layer{i}.bias`` for Dense and Conv, and ``layer{i}.l{k}.W``, ``.U`` and
-``.b`` for recurrent sub-layer k, each fused over directions and gates in
-the layout ``tensor.recurrent`` reads.  Checkpoints name each gate's slice
-apart; ``checkpoint_arrays`` is the one place that maps the two.
+The plan is the model's parameter table: each stage lists the parameters
+its op takes, as ``(name, shape)`` pairs in argument order (see
+``_stage_params``).  Checkpoints name each gate's slice of a fused recurrent
+array apart; ``checkpoint_arrays`` is the one place that maps the two.
 """
 
 from __future__ import annotations
@@ -261,22 +260,33 @@ class StagePlan:
     layer: object
     in_shape: tuple[int, ...]
     out_shape: tuple[int, ...]
-    param_prefix: str | None = None
-    is_head: bool = False
+    params: tuple[tuple[str, tuple[int, ...]], ...] = ()
 
 
-@dataclass(frozen=True)
-class ShapePlan:
-    spec: ModelSpec
-    stages: tuple[StagePlan, ...]
+def _stage_params(layer, in_shape, prefix) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """The ``(name, shape)`` of each parameter stage ``prefix`` owns, in the order its op takes them.
 
-    @property
-    def output_shape(self) -> tuple[int, ...]:
-        return self.stages[-1].out_shape
+    Dense and Conv own ``{prefix}.weight`` and ``{prefix}.bias``; recurrent
+    sub-layer k owns ``{prefix}.l{k}.W``, ``.U`` and ``.b``, each fused over
+    directions and gates in the layout ``tensor.recurrent`` reads.
+    """
+    if isinstance(layer, Dense):
+        return (f"{prefix}.weight", (in_shape[0], layer.nodes)), (f"{prefix}.bias", (layer.nodes,))
+    if isinstance(layer, Conv):
+        return ((f"{prefix}.weight", (layer.out_channels, in_shape[0], *layer.kernel)),
+                (f"{prefix}.bias", (layer.out_channels,)))
+    dirs, hid = layer.directions, layer.hidden_nodes
+    width = len(RECURRENT_GATES[layer.cell]) * hid
+    in_features = [in_shape[1]] + [dirs * hid] * (layer.layers - 1)
+    return tuple(pair for sub, features in enumerate(in_features) for pair in (
+        (f"{prefix}.l{sub}.W", (dirs, features, width)),
+        (f"{prefix}.l{sub}.U", (dirs, hid, width)),
+        (f"{prefix}.l{sub}.b", (dirs, width)),
+    ))
 
 
-def plan_shapes(spec: ModelSpec) -> ShapePlan:
-    """Resolve per-stage shapes, inserting the implicit glue stages."""
+def plan_shapes(spec: ModelSpec) -> tuple[StagePlan, ...]:
+    """Resolve per-stage shapes and parameters, inserting the implicit glue stages."""
     if not spec.layers:
         raise ConfigError("model has no layers; at least one hidden layer is required")
 
@@ -284,9 +294,10 @@ def plan_shapes(spec: ModelSpec) -> ShapePlan:
     shape = spec.input_shape
     kind = "input"  # input | grid | seq | flat
 
-    def emit(layer, out_shape, prefix=None, is_head=False, new_kind=None):
+    def emit(layer, out_shape, prefix=None, new_kind=None):
         nonlocal shape, kind
-        stages.append(StagePlan(layer, shape, tuple(out_shape), prefix, is_head))
+        params = _stage_params(layer, shape, prefix) if prefix else ()
+        stages.append(StagePlan(layer, shape, tuple(out_shape), params))
         shape = tuple(out_shape)
         if new_kind:
             kind = new_kind
@@ -356,8 +367,8 @@ def plan_shapes(spec: ModelSpec) -> ShapePlan:
             raise ConfigError(f"layer {i}: unknown layer specification {layer!r}")
 
     to_flat(len(spec.layers))  # classifier head
-    emit(Dense(spec.n_classes), (spec.n_classes,), "head", is_head=True)
-    return ShapePlan(spec, tuple(stages))
+    emit(Dense(spec.n_classes), (spec.n_classes,), "head")
+    return tuple(stages)
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +379,12 @@ def plan_shapes(spec: ModelSpec) -> ShapePlan:
 @dataclass
 class Model:
     spec: ModelSpec
-    plan: ShapePlan
+    plan: tuple[StagePlan, ...]
     params: dict[str, Tensor] = field(default_factory=dict)
 
     @property
     def n_classes(self) -> int:
         return self.spec.n_classes
-
-    def clone_parameters(self) -> dict[str, np.ndarray]:
-        """Copies of the parameter arrays, keyed by checkpoint name (see ``checkpoint_arrays``)."""
-        return {name: arr.copy() for name, arr in checkpoint_arrays(self)}
 
     def load_parameters(self, arrays: dict[str, np.ndarray]):
         """Copy ``arrays``, keyed by checkpoint name, into the parameters."""
@@ -407,25 +414,8 @@ def _glorot(rng, fan_in, fan_out, shape, dtype):
 def init_model(spec: ModelSpec, dtype=np.float32) -> Model:
     """Glorot-uniform weights, zero biases (LSTM forget gate 1.0), seeded."""
     plan = plan_shapes(spec)
-    shapes = {}
-    for stage in plan.stages:
-        layer, prefix = stage.layer, stage.param_prefix
-        if isinstance(layer, Dense):
-            shapes[f"{prefix}.weight"] = (stage.in_shape[0], layer.nodes)
-            shapes[f"{prefix}.bias"] = (layer.nodes,)
-        elif isinstance(layer, Conv):
-            shapes[f"{prefix}.weight"] = (layer.out_channels, stage.in_shape[0], *layer.kernel)
-            shapes[f"{prefix}.bias"] = (layer.out_channels,)
-        elif isinstance(layer, Recurrent):
-            dirs, hid, in_features = layer.directions, layer.hidden_nodes, stage.in_shape[1]
-            width = len(RECURRENT_GATES[layer.cell]) * hid
-            for sub in range(layer.layers):
-                shapes[f"{prefix}.l{sub}.W"] = (dirs, in_features, width)
-                shapes[f"{prefix}.l{sub}.U"] = (dirs, hid, width)
-                shapes[f"{prefix}.l{sub}.b"] = (dirs, width)
-                in_features = dirs * hid
     model = Model(spec, plan, {name: Tensor(np.zeros(shape, dtype), requires_grad=True)
-                               for name, shape in shapes.items()})
+                               for stage in plan for name, shape in stage.params})
     rng = np.random.default_rng(spec.seed)
     for name, view in checkpoint_arrays(model):
         if view.ndim == 2:  # a [fan_in, fan_out] matrix
@@ -445,29 +435,24 @@ def checkpoint_arrays(model: Model):
     and [H] views, one per direction and gate, named like
     ``layer0.l0.fwd.W_r`` (``bwd`` for direction 1, no gate suffix for rnn).
     """
-    for stage in model.plan.stages:
-        layer, prefix = stage.layer, stage.param_prefix
+    for stage in model.plan:
+        layer = stage.layer
         if isinstance(layer, Recurrent):
             gates, hid = RECURRENT_GATES[layer.cell], layer.hidden_nodes
-            for sub, d, k, kind in itertools.product(range(layer.layers), range(layer.directions),
-                                                     range(len(gates)), "WUb"):
-                name = f"{prefix}.l{sub}.{('fwd', 'bwd')[d]}.{kind}" + (f"_{gates[k]}" if gates[k] else "")
-                yield name, model.params[f"{prefix}.l{sub}.{kind}"].data[d, ..., k * hid:(k + 1) * hid]
-        elif prefix is not None:
-            for kind in ("weight", "bias"):
-                yield f"{prefix}.{kind}", model.params[f"{prefix}.{kind}"].data
+            for sub in range(0, len(stage.params), 3):  # each sub-layer's W, U and b
+                for d, k, (name, _) in itertools.product(range(layer.directions), range(len(gates)),
+                                                         stage.params[sub:sub + 3]):
+                    base, _, kind = name.rpartition(".")
+                    yield (f"{base}.{('fwd', 'bwd')[d]}.{kind}" + (f"_{gates[k]}" if gates[k] else ""),
+                           model.params[name].data[d, ..., k * hid:(k + 1) * hid])
+        else:
+            for name, _ in stage.params:
+                yield name, model.params[name].data
 
 
 # ---------------------------------------------------------------------------
-# Recurrent layers
+# CNN->RNN glue
 # ---------------------------------------------------------------------------
-
-
-def run_recurrent_layer(x: Tensor, params, prefix, layer: Recurrent) -> Tensor:
-    """Full sub-stack on a [B, T, F] tensor; returns its [B, T, width] outputs."""
-    for sub in range(layer.layers):
-        x = recurrent(x, *(params[f"{prefix}.l{sub}.{kind}"] for kind in "WUb"), layer.cell)
-    return x
 
 
 def cnn_to_rnn_reshape(x: Tensor) -> Tensor:
@@ -497,20 +482,20 @@ def forward(model: Model, batch):
     params = model.params
     value = x
     try:
-        for idx, stage in enumerate(model.plan.stages):
+        for idx, stage in enumerate(model.plan):
             layer = stage.layer
+            arrays = [params[name] for name, _ in stage.params]
             if isinstance(layer, Dense):
-                value = linear(value, params[f"{stage.param_prefix}.weight"],
-                               params[f"{stage.param_prefix}.bias"])
-                if not stage.is_head:
+                value = linear(value, *arrays)
+                if stage is not model.plan[-1]:  # the classifier head gives raw logits
                     value = activation(value, model.spec.activation)
             elif isinstance(layer, Conv):
-                value = conv_nd_batched(value, params[f"{stage.param_prefix}.weight"],
-                                        layer.stride, layer.padding,
-                                        params[f"{stage.param_prefix}.bias"])
+                weight, bias = arrays
+                value = conv_nd_batched(value, weight, layer.stride, layer.padding, bias)
                 value = activation(value, model.spec.activation)
             elif isinstance(layer, Recurrent):
-                value = run_recurrent_layer(value, params, stage.param_prefix, layer)
+                for sub in range(0, len(arrays), 3):  # each sub-layer's W, U and b
+                    value = recurrent(value, *arrays[sub:sub + 3], layer.cell)
             elif isinstance(layer, SequenceHead):
                 value = final_states(value, layer.directions)
             elif isinstance(layer, Flatten):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+import os
 import struct
 import time
 from dataclasses import dataclass, replace
@@ -234,8 +235,6 @@ def train(model: Model, train_set, dev_set, config: TrainConfig):
     rng = np.random.default_rng(config.seed)
     adam_state = AdamState()
     history: TrainHistory = []
-    best_uar = -1.0
-    best_params = None
     n = x_train.shape[0]
 
     for epoch in range(1, config.epochs + 1):
@@ -243,8 +242,6 @@ def train(model: Model, train_set, dev_set, config: TrainConfig):
         order = rng.permutation(n)
         loss_sum = 0.0
         epoch_pred = np.empty(n, dtype=np.int64)
-        epoch_true = np.empty(n, dtype=np.int64)
-        cursor = 0
         for batch_no, start in enumerate(range(0, n, config.batch_size), start=1):
             rows = order[start:start + config.batch_size]
             xb, yb = x_train[rows], y_train[rows]
@@ -263,21 +260,19 @@ def train(model: Model, train_set, dev_set, config: TrainConfig):
             else:
                 adam_step(model.params, grads, adam_state, config.learning_rate)
             loss_sum += loss.item() * len(rows)
-            epoch_pred[cursor:cursor + len(rows)] = np.argmax(probs.data, axis=1)
-            epoch_true[cursor:cursor + len(rows)] = yb
-            cursor += len(rows)
+            epoch_pred[start:start + len(rows)] = np.argmax(probs.data, axis=1)
 
-        train_uar = uar_from_labels(epoch_true, epoch_pred, model.n_classes)
+        train_uar = uar_from_labels(y_train[order], epoch_pred, model.n_classes)
         dev_uar = evaluate_uar(model, (x_dev, y_dev), config.batch_size)
         history.append(EpochRecord(epoch, loss_sum / n, train_uar, dev_uar))
         seconds = time.perf_counter() - started  # includes the dev evaluation
         log.info("epoch %d: train loss %.6f, train UAR %.2f, dev UAR %.2f, %.2f s, %.1f samples/s",
                  epoch, loss_sum / n, train_uar, dev_uar, seconds, n / seconds)
-        if dev_uar > best_uar:
-            best_uar = dev_uar
-            best_params = model.clone_parameters()
+        if best_epoch_index(rec.dev_uar for rec in history) == epoch - 1:
+            best_params = {name: p.data.copy() for name, p in model.params.items()}
 
-    model.load_parameters(best_params)
+    for name, arr in best_params.items():
+        model.params[name].data = arr
     return model, history
 
 
@@ -307,6 +302,8 @@ class Checkpoint:
 def save_checkpoint(model: Model, metadata: dict, path):
     """Write ``model`` and ``metadata`` to ``path``, parameters under their checkpoint names.
 
+    The file is written beside ``path`` under a temporary name, then moved
+    into place, so ``path`` holds either its old bytes or the new ones.
     Each metadata item is stored as one ``key=value`` line, so a key may not
     hold ``=`` and neither may hold a line break; such an item is rejected
     before the file is opened.
@@ -318,21 +315,28 @@ def save_checkpoint(model: Model, metadata: dict, path):
             raise FormatError(f"metadata item {key!r}={value!r} cannot be stored as one key=value line")
     meta_bytes = "".join(f"{k}={v}\n" for k, v in metadata.items()).encode("utf-8")
     arrays = sorted(checkpoint_arrays(model), key=lambda item: item[0])
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(spec_bytes)))
-        fh.write(spec_bytes)
-        fh.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays:
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f4", copy=False).tobytes())
-        fh.write(struct.pack("<I", len(meta_bytes)))
-        fh.write(meta_bytes)
+    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<I", len(spec_bytes)))
+            fh.write(spec_bytes)
+            fh.write(struct.pack("<I", len(arrays)))
+            for name, arr in arrays:
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<B", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.astype("<f4", copy=False).tobytes())
+            fh.write(struct.pack("<I", len(meta_bytes)))
+            fh.write(meta_bytes)
+        os.replace(temporary, path)
+    except BaseException:
+        if os.path.exists(temporary):
+            os.remove(temporary)
+        raise
 
 
 class _Reader:
@@ -383,6 +387,8 @@ def read_checkpoint(path) -> Checkpoint:
     params = {}
     for _ in range(reader.u32()):
         name = reader.text(reader.u16(), "parameter name")
+        if name in params:
+            raise FormatError(f"{path}: parameter {name!r} is stored twice")
         rank = reader.u8()
         shape = struct.unpack(f"<{rank}I", reader.take(4 * rank))
         if 0 in shape:
@@ -395,6 +401,8 @@ def read_checkpoint(path) -> Checkpoint:
         if line:
             key, _, value = line.partition("=")
             metadata[key] = value
+    if reader.pos != len(blob):
+        raise FormatError(f"{path}: {len(blob) - reader.pos} bytes after the metadata block")
     return Checkpoint(version, spec_text, params, metadata)
 
 
@@ -422,15 +430,16 @@ def fine_tune(checkpoint_path, new_train_set, new_dev_set, config: TrainConfig,
               new_n_classes: int | None = None, freeze_backbone: bool = False):
     """Continue training from a checkpoint, optionally with a fresh head."""
     model, _ = load_checkpoint(checkpoint_path)
+    head = {name for name, _ in model.plan[-1].params}
     if new_n_classes is not None and new_n_classes != model.n_classes:
         new_spec = replace(model.spec, n_classes=int(new_n_classes), seed=config.seed)
         fresh = init_model(new_spec)
         for name, p in fresh.params.items():
-            if not name.startswith("head."):
+            if name not in head:
                 p.data = model.params[name].data.copy()
         model = fresh
     if freeze_backbone:
         for name, p in model.params.items():
-            if not name.startswith("head."):
+            if name not in head:
                 p.requires_grad = False
     return train(model, new_train_set, new_dev_set, config)

@@ -17,8 +17,8 @@ from deepself.cli import (
     main,
 )
 from deepself.config import DOMAINS, METAVARS, MODEL_TYPES, SCHEMA, RunConfig
-from deepself.data import load_manifest, load_sample
-from deepself.dsp import apply_iir, design_butterworth_bandpass, read_feature_map
+from deepself.data import load_manifest, load_sample, load_wav_pcm16, write_wav_pcm16
+from deepself.dsp import Signal, apply_iir, design_butterworth_bandpass, read_feature_map
 from deepself.evaluation import read_predictions, uar_from_labels
 from deepself.training import load_checkpoint
 
@@ -134,15 +134,22 @@ class TestPreprocess:
 
     def test_filter_matches_api(self, tmp_path):
         manifest = self.make_wavs(tmp_path, n=2)
+        # a filtered 2-channel clip must load in the [C x N] layout of its raw file
+        t = np.arange(400) / 100.0
+        write_wav_pcm16(Signal(0.5 * np.stack([np.sin(2 * np.pi * 4 * t), np.cos(2 * np.pi * 7 * t)]), 100.0),
+                        tmp_path / "w2.wav")
+        with open(manifest, "a", newline="") as fh:
+            csv.writer(fh).writerow(["w2.wav", "a"])
         out = tmp_path / "pre"
         assert run(["preprocess", "--manifest", str(manifest), "--output-dir", str(out),
                     "--filter", "on", "--filter-low", "2", "--filter-high", "10"]) == 0
         derived = load_manifest(out / "manifest.csv")
-        from deepself.data import load_wav_pcm16
         cascade = design_butterworth_bandpass(2.0, 10.0, 100.0)
-        for src, row in zip(["w0.wav", "w1.wav"], derived.rows):
+        for src, row in zip(["w0.wav", "w1.wav", "w2.wav"], derived.rows, strict=True):
+            raw = load_sample(tmp_path / src)
             expected = apply_iir(load_wav_pcm16(tmp_path / src), cascade).samples
             got = load_sample(row.path)
+            assert got.shape == raw.shape == expected.shape
             np.testing.assert_allclose(got, expected, atol=1e-7)
 
     def test_jobs_parallel_matches_serial(self, tmp_path):

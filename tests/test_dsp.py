@@ -7,6 +7,7 @@ path is never trusted to judge itself.
 
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -367,6 +368,20 @@ class TestFeatureMapFile:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 7])
         with pytest.raises(TruncatedFileError):
+            read_feature_map(path)
+
+    @pytest.mark.parametrize("rows, cols", [(0, 5), (2, 0)], ids=["no-rows", "no-columns"])
+    def test_empty_map_rejected(self, tmp_path, rows, cols):
+        path = tmp_path / "map.dsfm"
+        path.write_bytes(b"DSFM" + struct.pack("<IIId", 1, rows, cols, 0.01) + bytes(8 * rows))
+        with pytest.raises(FormatError, match=f"declares an empty {rows}x{cols} map"):
+            read_feature_map(path)
+
+    def test_bytes_after_map_rejected(self, tmp_path):
+        path = tmp_path / "map.dsfm"
+        write_feature_map(self._sample_map(), path)
+        path.write_bytes(path.read_bytes() + b"\0" * 4)
+        with pytest.raises(FormatError, match="4 bytes after the declared 5x9 map"):
             read_feature_map(path)
 
     def test_truncated_header(self, tmp_path):

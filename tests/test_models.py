@@ -19,13 +19,19 @@ from deepself.models import (
     forward,
     init_model,
     plan_shapes,
-    run_recurrent_layer,
 )
-from deepself.tensor import RECURRENT_GATES, Tensor, final_states, infer_conv_output_size
+from deepself.tensor import RECURRENT_GATES, Tensor, final_states, infer_conv_output_size, recurrent
 
 
 def conv1d(channels, kernel, stride=1, padding=0):
     return Conv(1, channels, (kernel,), (stride,), (padding,))
+
+
+def run_recurrent_stack(x, params, prefix, layer):
+    """``layer``'s sub-layers on a [B, T, F] tensor, from the fused ``{prefix}.l{k}`` W, U and b."""
+    for sub in range(layer.layers):
+        x = recurrent(x, *(params[f"{prefix}.l{sub}.{kind}"] for kind in "WUb"), layer.cell)
+    return x
 
 
 class TestInferConvOutputSize:
@@ -58,20 +64,20 @@ class TestPlanShapes:
             n_classes=2,
         )
         plan = plan_shapes(spec)
-        assert plan.output_shape == (2,)
-        dense_stages = [s for s in plan.stages if isinstance(s.layer, Dense)]
-        conv_stages = [s for s in plan.stages if isinstance(s.layer, Conv)]
+        assert plan[-1].out_shape == (2,)
+        dense_stages = [s for s in plan if isinstance(s.layer, Dense)]
+        conv_stages = [s for s in plan if isinstance(s.layer, Conv)]
         assert len(conv_stages) == 4
         assert len(dense_stages) == 2
-        assert dense_stages[-1].is_head
-        flattens = [s for s in plan.stages if isinstance(s.layer, Flatten)]
+        assert dense_stages[-1] is plan[-1]
+        flattens = [s for s in plan if isinstance(s.layer, Flatten)]
         assert len(flattens) == 1
         assert flattens[0].in_shape == conv_stages[-1].out_shape
 
     def test_shrinking_chain_errors_where_extent_collapses(self):
         layers = tuple(conv1d(1, 3, 2) for _ in range(3))
         plan = plan_shapes(ModelSpec((1, 17), layers, 2))
-        conv_out = [s.out_shape for s in plan.stages if isinstance(s.layer, Conv)]
+        conv_out = [s.out_shape for s in plan if isinstance(s.layer, Conv)]
         assert conv_out == [(1, 8), (1, 3), (1, 1)]
         with pytest.raises(ConfigError, match="layer 3"):
             plan_shapes(ModelSpec((1, 17), layers + (conv1d(1, 3, 2),), 2))
@@ -94,7 +100,7 @@ class TestPlanShapes:
     def test_implicit_reshape_after_1d_conv(self):
         spec = ModelSpec((1, 64), (conv1d(8, 5, 2), Recurrent("gru", 12)), 3)
         plan = plan_shapes(spec)
-        reshape_stages = [s for s in plan.stages if isinstance(s.layer, CnnToRnnReshape)]
+        reshape_stages = [s for s in plan if isinstance(s.layer, CnnToRnnReshape)]
         assert len(reshape_stages) == 1
         assert reshape_stages[0].in_shape == (8, 30)
         assert reshape_stages[0].out_shape == (30, 8)
@@ -106,16 +112,16 @@ class TestPlanShapes:
             2,
         )
         plan = plan_shapes(spec)
-        reshape_stage = next(s for s in plan.stages if isinstance(s.layer, CnnToRnnReshape))
+        reshape_stage = next(s for s in plan if isinstance(s.layer, CnnToRnnReshape))
         assert reshape_stage.in_shape == (4, 10, 18)
         assert reshape_stage.out_shape == (18, 40)
 
     def test_bidirectional_head_width(self):
         plan = plan_shapes(ModelSpec((10, 4), (Recurrent("gru", 6, 2, "bi"),), 3))
-        head_in = next(s for s in plan.stages if isinstance(s.layer, SequenceHead))
+        head_in = next(s for s in plan if isinstance(s.layer, SequenceHead))
         assert head_in.layer == SequenceHead(2)
         assert head_in.out_shape == (12,)
-        assert plan.output_shape == (3,)
+        assert plan[-1].out_shape == (3,)
 
     def test_sequence_without_recurrent_layer_rejected(self):
         with pytest.raises(ConfigError, match="layer 1: CnnToRnnReshape"):
@@ -125,9 +131,9 @@ class TestPlanShapes:
 
     def test_dense_head_appended_to_hidden_layers(self):
         plan = plan_shapes(ModelSpec((8,), (Dense(5),), 4))
-        assert [type(s.layer).__name__ for s in plan.stages] == ["Dense", "Dense"]
-        assert plan.stages[-1].is_head
-        assert plan.stages[-1].out_shape == (4,)
+        assert [type(s.layer).__name__ for s in plan] == ["Dense", "Dense"]
+        assert [name for name, _ in plan[-1].params] == ["head.weight", "head.bias"]
+        assert plan[-1].out_shape == (4,)
 
 
 class TestInitModel:
@@ -236,7 +242,7 @@ def _cell_params(cell, **values):
 def _run_cell(cell, params, inputs):
     """Hidden state after each step of a one-feature sequence, batch of one."""
     x = Tensor(np.array(inputs, dtype=np.float64).reshape(1, len(inputs), 1))
-    out = run_recurrent_layer(x, params, "c", Recurrent(cell, 1))
+    out = run_recurrent_stack(x, params, "c", Recurrent(cell, 1))
     return out.data[0, :, 0]
 
 
@@ -293,7 +299,7 @@ class TestBidirectional:
         x = Tensor(rng.standard_normal((3, 6, 5)))
         model = init_model(ModelSpec((6, 5), (Recurrent("gru", 7, 1, "bi"),), 2, seed=0),
                            dtype=np.float64)
-        outputs = run_recurrent_layer(x, model.params, "layer0", Recurrent("gru", 7, 1, "bi"))
+        outputs = run_recurrent_stack(x, model.params, "layer0", Recurrent("gru", 7, 1, "bi"))
         assert outputs.shape == (3, 6, 14)
         assert final_states(outputs, 2).shape == (3, 14)
 
@@ -302,8 +308,8 @@ class TestBidirectional:
         layer = Recurrent("gru", 4, 1, "bi")
         params = _tied_bi_params(rng, 3, 4)
         x = rng.standard_normal((2, 5, 3))
-        out_fwd_order = run_recurrent_layer(Tensor(x), params, "r", layer)
-        out_rev_order = run_recurrent_layer(Tensor(x[:, ::-1]), params, "r", layer)
+        out_fwd_order = run_recurrent_stack(Tensor(x), params, "r", layer)
+        out_rev_order = run_recurrent_stack(Tensor(x[:, ::-1]), params, "r", layer)
         for t in range(5):
             fwd_half_on_reversed = out_rev_order.data[:, t, :4]
             bwd_half_original = out_fwd_order.data[:, 4 - t, 4:]
@@ -313,7 +319,7 @@ class TestBidirectional:
         rng = np.random.default_rng(1)
         layer = Recurrent("rnn", 4, 1, "bi")
         params = _tied_bi_params(rng, 3, 4, cell="rnn")
-        outputs = run_recurrent_layer(Tensor(rng.standard_normal((2, 1, 3))), params, "r", layer)
+        outputs = run_recurrent_stack(Tensor(rng.standard_normal((2, 1, 3))), params, "r", layer)
         assert outputs.shape[1] == 1
         head = final_states(outputs, 2)
         np.testing.assert_array_equal(head.data[:, :4], head.data[:, 4:])
@@ -325,8 +331,8 @@ class TestBidirectional:
         base = rng.standard_normal((8, 3))
         perturbed = base.copy()
         perturbed[4] += 10.0
-        out_a = run_recurrent_layer(Tensor(base[None]), model.params, "layer0", layer)
-        out_b = run_recurrent_layer(Tensor(perturbed[None]), model.params, "layer0", layer)
+        out_a = run_recurrent_stack(Tensor(base[None]), model.params, "layer0", layer)
+        out_b = run_recurrent_stack(Tensor(perturbed[None]), model.params, "layer0", layer)
         for t in range(4):
             np.testing.assert_array_equal(out_a.data[:, t], out_b.data[:, t])
         assert not np.allclose(out_a.data[:, 4], out_b.data[:, 4])

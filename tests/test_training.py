@@ -1,6 +1,8 @@
 """Optimizer, training-loop, checkpoint, and fine-tuning tests."""
 
 import logging
+import os
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +20,7 @@ from deepself.errors import (
     VersionError,
 )
 from deepself.models import Conv, Dense, ModelSpec, Recurrent, checkpoint_arrays, forward, init_model
+from deepself import training
 from deepself.tensor import Tensor, backward, softmax_cross_entropy
 from deepself.training import (
     ADAM_BETA1,
@@ -251,7 +254,7 @@ class TestTrainLoop:
         features = rng.standard_normal((8, 2))
         labels = np.array([0, 1, 1, 0, 1, 0, 0, 1])
         model = init_model(ModelSpec((2,), (Dense(3),), 2, seed=4), dtype=np.float64)
-        p = model.clone_parameters()
+        p = {name: arr.copy() for name, arr in checkpoint_arrays(model)}
         lr = 0.5
         # train's one epoch of seed 0 visits the rows in this order
         order = np.random.default_rng(0).permutation(8)
@@ -440,6 +443,49 @@ class TestCheckpoint:
         with pytest.raises(error, match=message):
             read_checkpoint(path)
 
+    def test_bytes_after_metadata_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._model(), {"run": "x"}, path)
+        path.write_bytes(path.read_bytes() + b"\0\0\0")
+        with pytest.raises(FormatError, match="3 bytes after the metadata block"):
+            read_checkpoint(path)
+
+    def test_parameter_stored_twice_rejected(self, tmp_path, monkeypatch):
+        model = self._model()
+        first = next(checkpoint_arrays(model))
+        monkeypatch.setattr(training, "checkpoint_arrays", lambda m: [*checkpoint_arrays(m), first])
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, {}, path)
+        with pytest.raises(FormatError, match=f"parameter '{first[0]}' is stored twice"):
+            read_checkpoint(path)
+
+    def test_failed_save_keeps_previous_bytes_and_leaves_no_stray_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._model(seed=1), {"run": "old"}, path)
+        before = path.read_bytes()
+        pack = struct.pack
+
+        def pack_until_rank(fmt, *values):
+            if fmt == "<B":  # the first parameter's rank byte: the file is half written
+                raise OSError("disk full")
+            return pack(fmt, *values)
+
+        monkeypatch.setattr(struct, "pack", pack_until_rank)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(self._model(seed=2), {"run": "new"}, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+
+    def test_save_over_existing_file_writes_the_same_bytes_as_a_new_one(self, tmp_path):
+        model = self._model()
+        fresh, over = tmp_path / "fresh.ckpt", tmp_path / "over.ckpt"
+        over.write_bytes(bytes(100_000))
+        save_checkpoint(model, {"run": "x"}, fresh)
+        save_checkpoint(model, {"run": "x"}, over)
+        assert over.read_bytes() == fresh.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["fresh.ckpt", "over.ckpt"]
+
     def test_every_bit_flip_loads_or_raises_deepself_error(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(init_model(ModelSpec((3,), (Dense(2),), 2, seed=0)), {"epoch": 1}, path)
@@ -501,34 +547,45 @@ class TestCheckpoint:
         assert load_checkpoint(path)[1] == {"expr": "a=b", "": "empty key"}
 
 
+# the backbones fine_tune must carry over or freeze: dense, conv and recurrent stages
+FINE_TUNE_SPECS = {
+    "dense": ModelSpec((2,), (Dense(8),), 2, seed=5),
+    "cnn1d": ModelSpec((1, 24), (Conv(1, 4, (5,), (2,), (0,)), Dense(6)), 2, seed=5),
+    "bigru2": ModelSpec((6, 3), (Recurrent("gru", 4, 2, "bi"),), 2, seed=5),
+}
+HEAD = {"head.weight", "head.bias"}
+
+
+def spec_dataset(rng, spec, n, n_classes=2):
+    """``n`` random samples of ``spec``'s input shape, labels in [0, n_classes)."""
+    return rng.standard_normal((n, *spec.input_shape)).astype(np.float32), rng.integers(0, n_classes, size=n)
+
+
 class TestFineTune:
-    def _pretrain(self, tmp_path, seed=5):
-        rng = np.random.default_rng(seed)
-        data = blob_dataset(rng, 40)
-        dev = blob_dataset(rng, 20)
-        model = init_model(ModelSpec((2,), (Dense(8),), 2, seed=seed))
-        config = TrainConfig(learning_rate=0.05, batch_size=8, epochs=10, seed=seed)
-        best, history = train(model, data, dev, config)
+    def _pretrain(self, tmp_path, name="dense"):
+        spec = FINE_TUNE_SPECS[name]
+        rng = np.random.default_rng(spec.seed)
+        data, dev = spec_dataset(rng, spec, 40), spec_dataset(rng, spec, 20)
+        config = TrainConfig(learning_rate=0.05, batch_size=8, epochs=10, seed=spec.seed)
+        best, history = train(init_model(spec), data, dev, config)
         path = tmp_path / "pretrained.ckpt"
         save_checkpoint(best, {"dev_uar": history[-1].dev_uar}, path)
         return path
 
-    def test_freeze_backbone_keeps_non_head_parameters(self, tmp_path):
-        path = self._pretrain(tmp_path)
+    @pytest.mark.parametrize("name", sorted(FINE_TUNE_SPECS))
+    def test_freeze_backbone_keeps_non_head_parameters(self, tmp_path, name):
+        path = self._pretrain(tmp_path, name)
         before, _ = load_checkpoint(path)
-        frozen = {n: p.data.copy() for n, p in before.params.items()
-                  if not n.startswith("head.")}
-        rng = np.random.default_rng(6)
-        data = blob_dataset(rng, 30)
+        frozen = {n: p.data.copy() for n, p in before.params.items() if n not in HEAD}
+        data = spec_dataset(np.random.default_rng(6), FINE_TUNE_SPECS[name], 30)
         tuned, _ = fine_tune(path, data, data,
                              TrainConfig(learning_rate=0.05, batch_size=8, epochs=4, seed=6),
                              freeze_backbone=True)
-        for name, arr in frozen.items():
-            np.testing.assert_array_equal(tuned.params[name].data, arr)
+        assert set(tuned.params) == set(frozen) | HEAD
+        for n, arr in frozen.items():
+            np.testing.assert_array_equal(tuned.params[n].data, arr)
         # the head must actually have moved
-        head_before, _ = load_checkpoint(path)
-        assert not np.array_equal(tuned.params["head.weight"].data,
-                                  head_before.params["head.weight"].data)
+        assert not np.array_equal(tuned.params["head.weight"].data, before.params["head.weight"].data)
 
     def test_new_head_when_class_count_changes(self, tmp_path):
         path = self._pretrain(tmp_path)
@@ -541,17 +598,19 @@ class TestFineTune:
         assert tuned.n_classes == 3
         assert tuned.params["head.weight"].shape == (8, 3)
 
-    def test_backbone_carried_over_when_head_swapped(self, tmp_path):
-        path = self._pretrain(tmp_path)
+    @pytest.mark.parametrize("name", sorted(FINE_TUNE_SPECS))
+    def test_backbone_carried_over_when_head_swapped(self, tmp_path, name):
+        path = self._pretrain(tmp_path, name)
         original, _ = load_checkpoint(path)
-        rng = np.random.default_rng(8)
-        features = rng.standard_normal((24, 2)).astype(np.float32)
-        labels = rng.integers(0, 3, size=24)
-        tuned, _ = fine_tune(path, (features, labels), (features, labels),
+        data = spec_dataset(np.random.default_rng(8), FINE_TUNE_SPECS[name], 24, n_classes=3)
+        tuned, _ = fine_tune(path, data, data,
                              TrainConfig(learning_rate=0.05, batch_size=8, epochs=1, seed=8),
                              new_n_classes=3, freeze_backbone=True)
-        np.testing.assert_array_equal(tuned.params["layer0.weight"].data,
-                                      original.params["layer0.weight"].data)
+        assert tuned.params["head.bias"].shape == (3,)
+        assert set(tuned.params) == set(original.params)
+        for n, p in original.params.items():
+            if n not in HEAD:
+                np.testing.assert_array_equal(tuned.params[n].data, p.data)
 
     def test_zero_epoch_budget_rejected(self):
         with pytest.raises(ConfigError):
