@@ -13,12 +13,15 @@ import hashlib
 import math
 from dataclasses import dataclass, fields, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, check_integer
 from .models import ACTIVATIONS, DIRECTIONS, RECURRENT_CELLS, Conv, Dense, ModelSpec, Recurrent
-from .training import OPTIMIZERS, TrainConfig, check_integer
+from .training import OPTIMIZERS, TrainConfig
 
 MODEL_TYPES = ("nn", "cnn", "rnn", "cnn+rnn")
 FEATURES = ("none", "spectrogram", "logmel", "scalogram")
+# the least value of each integer key that no spec object built from it checks
+_LEAST = {"nn_hidden_layers": 1, "window_size": 2, "hop_size": 1, "n_mels": 1, "n_voices": 1,
+          "fixed_length": 1, "jobs": 1}
 
 
 @dataclass
@@ -77,13 +80,11 @@ class RunConfig:
                     for entry in value:
                         check_integer(f"{attr} entry", entry)
                 elif parse is _int and value is not None:
-                    check_integer(attr, value)
+                    check_integer(attr, value, _LEAST.get(attr))
         # the spec objects own the domains of the keys they are built from
         _in_section("general", self.train_config)
         if self.model_type not in MODEL_TYPES:
             raise ConfigError(f"model type must be one of {MODEL_TYPES}, got {self.model_type!r}")
-        if self.nn_hidden_layers < 1:
-            raise ConfigError(f"nn hidden_layers must be >= 1, got {self.nn_hidden_layers}")
         _in_section("nn", Dense, self.nn_hidden_nodes)
         lists = {
             "channels": self.cnn_channels, "kernel": self.cnn_kernel,
@@ -112,22 +113,8 @@ class RunConfig:
             if not self.filter_low < self.filter_high:
                 raise ConfigError(
                     f"low must be < high, got low={self.filter_low}, high={self.filter_high}")
-        if self.window_size < 2:
-            raise ConfigError(f"window_size must be at least 2, got {self.window_size}")
-        if self.hop_size < 1:
-            raise ConfigError(f"hop_size must be at least 1, got {self.hop_size}")
-        if self.n_mels < 1:
-            raise ConfigError(f"n_mels must be at least 1, got {self.n_mels}")
-        if self.n_voices < 1:
-            raise ConfigError(f"n_voices must be at least 1, got {self.n_voices}")
-        if self.fixed_length is not None and self.fixed_length < 1:
-            raise ConfigError(f"fixed_length must be positive, got {self.fixed_length}")
         if self.sample_rate is not None and self.sample_rate <= 0:
             raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
         return self
 
     # -- derived objects ---------------------------------------------------

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the integer check that raises one."""
+
+import numbers
 
 
 class DeepSelfError(Exception):
@@ -43,3 +45,13 @@ class IntegrityError(FormatError):
 
 class MetricError(DeepSelfError, ValueError):
     """A metric is undefined for the given inputs."""
+
+
+def check_integer(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as an int; ConfigError naming ``name`` unless it is an int or a NumPy
+    integer (not a bool) of at least ``minimum``, when given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)

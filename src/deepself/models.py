@@ -1,23 +1,22 @@
-"""Declarative model topologies: shape planning, initialization, forward pass.
+"""Declarative model topologies: layer kinds, shape planning, initialization, forward pass.
 
-A ``ModelSpec`` lists the *hidden* layers; planning always appends the
-classifier Dense producing ``n_classes`` logits.  The planner also inserts the
-implicit glue stages: ``Flatten`` between a grid (conv) stage and a Dense,
-``CnnToRnnReshape`` between a grid stage and a Recurrent (time stays the
-sequence axis), and ``SequenceHead`` between the last Recurrent and the
-classifier (last hidden state for uni-directional stacks, the concatenation
-of each direction's final state for bi-directional ones).
+A ``ModelSpec`` lists the *hidden* layers, written with ``Dense``, ``Conv``,
+``Recurrent`` and ``CnnToRnnReshape``; planning always appends the classifier
+Dense producing ``n_classes`` logits.  The planner also inserts the implicit
+glue stages: ``Flatten`` between a grid (a conv stage or a multi-axis input)
+and a Dense, ``CnnToRnnReshape`` between a conv stage and a Recurrent (time
+stays the sequence axis), and ``SequenceHead`` between the last Recurrent and
+the next Dense (last hidden state for uni-directional stacks, the
+concatenation of each direction's final state for bi-directional ones).
+
+Each layer kind is one frozen dataclass holding all of its facts: its text
+fields (``TEXT``), its output shape and input checks (``plan``), the
+``(name, shape)`` of each parameter its op takes, in argument order
+(``params``), its op (``apply``), and its checkpoint arrays (``views``: one
+per gate of a fused recurrent array) and their initial values.
 
 Grid values are channels-first ``[B, C, *spatial]`` with time as the trailing
-spatial axis; sequences are ``[B, T, F]`` tensors end to end.  Each
-recurrent sub-layer, with both its directions, is one fused
-``tensor.recurrent`` op, and the head state is one ``tensor.final_states``
-op.
-
-The plan is the model's parameter table: each stage lists the parameters
-its op takes, as ``(name, shape)`` pairs in argument order (see
-``_stage_params``).  Checkpoints name each gate's slice of a fused recurrent
-array apart; ``checkpoint_arrays`` is the one place that maps the two.
+spatial axis; sequences are ``[B, T, F]`` tensors end to end.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, NumericError, ShapeError
+from .errors import ConfigError, FormatError, NumericError, ShapeError, check_integer
 from .tensor import (
     ACTIVATIONS,
     RECURRENT_GATES,
@@ -48,211 +47,326 @@ from .tensor import (
 RECURRENT_CELLS = ("rnn", "lstm", "gru")
 DIRECTIONS = ("uni", "bi")
 
-def _positive(value, name) -> int:
-    value = int(value)
-    if value < 1:
-        raise ConfigError(f"{name} must be a positive integer, got {value}")
-    return value
-
 
 # ---------------------------------------------------------------------------
-# Layer specifications
+# Layer kinds and their spec text
 # ---------------------------------------------------------------------------
+
+# the (parse, format) pair of a spec-text value
+_INT = (int, str)
+_NAME = (str, str)
+_AXES = (lambda text: tuple(int(v) for v in text.split("x")), lambda axes: "x".join(map(str, axes)))
+_SHAPE = (lambda text: tuple(int(v) for v in text.split(",")), lambda shape: ",".join(map(str, shape)))
+
+
+def _write_fields(obj, table, sep) -> str:
+    return sep.join(f"{key}={write(getattr(obj, attr))}" for key, attr, (_, write) in table)
+
+
+def _read(cls, items, what, **values):
+    """A ``cls`` from ``key=value`` items, read by its ``TEXT`` rows, and ``values``.
+
+    An empty item, a key not in the table, a key given twice, a missing
+    field and a value outside its domain raise FormatError.
+    """
+    rows = {key: (attr, parse) for key, attr, (parse, _) in cls.TEXT}
+    for item in items:
+        key, _, text = item.partition("=")
+        if key not in rows:
+            raise FormatError(f"{what}: " + (f"unknown key {key!r}" if item else "empty item"))
+        attr, parse = rows[key]
+        if attr in values:
+            raise FormatError(f"{what}: key {key!r} given twice")
+        try:
+            values[attr] = parse(text)
+        except ValueError as exc:
+            raise FormatError(f"{what}: bad {key} value {text!r}") from exc
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{what}: {exc}") from exc
+
+
+class _Layer:
+    """What the layer kinds share; a kind without parameters keeps these defaults.
+
+    ``KIND`` names a spec kind in the text.  ``READS`` and ``MAKES`` name the
+    value a kind takes and gives (``grid``, ``seq`` or ``flat``);
+    ``plan_shapes`` glues a stage to the next by them.
+    """
+
+    TEXT = ()  # (text key, field, (parse, format)) of each field, in text order
+
+    def to_text(self) -> str:
+        fields = _write_fields(self, self.TEXT, ",")
+        return f"{self.KIND}:{fields}" if fields else self.KIND
+
+    def params(self, in_shape, prefix) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        return ()
+
+    def views(self, named):
+        """The ``(checkpoint name, array)`` pairs of the stage's ``(parameter name, array)`` pairs."""
+        return named
+
+    def initialize(self, rng, named):
+        """Set the initial values of the stage's ``(parameter name, array)`` pairs, allocated as zeros."""
+
+
+def _glorot(rng, fan_in, fan_out, out):
+    limit = math.sqrt(6.0 / (fan_in + fan_out))
+    out[...] = rng.uniform(-limit, limit, size=out.shape).astype(out.dtype)
 
 
 @dataclass(frozen=True)
-class Dense:
+class Dense(_Layer):
     nodes: int
 
+    KIND, READS, MAKES = "dense", "flat", "flat"
+    TEXT = (("nodes", "nodes", _INT),)
+
     def __post_init__(self):
-        _positive(self.nodes, "Dense nodes")
+        check_integer("Dense nodes", self.nodes, 1)
+
+    def plan(self, in_shape, where):
+        return (self.nodes,)
+
+    def params(self, in_shape, prefix):
+        return (f"{prefix}.weight", (in_shape[0], self.nodes)), (f"{prefix}.bias", (self.nodes,))
+
+    def apply(self, x, arrays, act):
+        x = linear(x, *arrays)
+        return activation(x, act) if act else x
+
+    def initialize(self, rng, named):
+        (_, weight), _ = named
+        _glorot(rng, *weight.shape, weight)
 
 
 @dataclass(frozen=True)
-class Conv:
+class Conv(_Layer):
     rank: int
     out_channels: int
     kernel: tuple[int, ...]
     stride: tuple[int, ...]
     padding: tuple[int, ...]
 
+    KIND, READS, MAKES = "conv", "grid", "grid"
+    TEXT = (("rank", "rank", _INT), ("channels", "out_channels", _INT),
+            ("kernel", "kernel", _AXES), ("stride", "stride", _AXES), ("padding", "padding", _AXES))
+
     def __post_init__(self):
-        if self.rank not in (1, 2, 3):
+        if check_integer("Conv rank", self.rank) not in (1, 2, 3):
             raise ConfigError(f"Conv rank must be 1, 2 or 3, got {self.rank}")
-        _positive(self.out_channels, "Conv out_channels")
-        object.__setattr__(self, "kernel", _per_axis(self.kernel, self.rank, "kernel"))
-        object.__setattr__(self, "stride", _per_axis(self.stride, self.rank, "stride"))
-        object.__setattr__(self, "padding", _per_axis(self.padding, self.rank, "padding"))
-        for k in self.kernel:
-            _positive(k, "Conv kernel")
-        for s in self.stride:
-            _positive(s, "Conv stride")
-        for p in self.padding:
-            if p < 0:
-                raise ConfigError(f"Conv padding must be non-negative, got {p}")
+        check_integer("Conv out_channels", self.out_channels, 1)
+        for attr, least in (("kernel", 1), ("stride", 1), ("padding", 0)):
+            axes = _per_axis(getattr(self, attr), self.rank, f"Conv {attr}")
+            if min(axes) < least:
+                raise ConfigError(f"Conv {attr} must be at least {least} on every axis, got {axes}")
+            object.__setattr__(self, attr, axes)
+
+    def plan(self, in_shape, where):
+        if len(in_shape) != self.rank + 1:
+            raise ConfigError(
+                f"{where}: rank-{self.rank} convolution needs a "
+                f"[channels x {self.rank} spatial] input, got shape {in_shape}"
+            )
+        try:
+            out_spatial = [infer_conv_output_size(*geometry, axis=axis) for axis, geometry in
+                           enumerate(zip(in_shape[1:], self.kernel, self.stride, self.padding))]
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        return (self.out_channels, *out_spatial)
+
+    def params(self, in_shape, prefix):
+        return ((f"{prefix}.weight", (self.out_channels, in_shape[0], *self.kernel)),
+                (f"{prefix}.bias", (self.out_channels,)))
+
+    def apply(self, x, arrays, act):
+        weight, bias = arrays
+        return activation(conv_nd_batched(x, weight, self.stride, self.padding, bias), act)
+
+    def initialize(self, rng, named):
+        (_, weight), _ = named
+        window = math.prod(self.kernel)
+        _glorot(rng, weight.shape[1] * window, weight.shape[0] * window, weight)
 
 
 @dataclass(frozen=True)
-class Recurrent:
+class Recurrent(_Layer):
     cell: str
     hidden_nodes: int
     layers: int = 1
     direction: str = "uni"
+
+    KIND, READS, MAKES = "recurrent", "seq", "seq"
+    TEXT = (("cell", "cell", _NAME), ("hidden", "hidden_nodes", _INT),
+            ("layers", "layers", _INT), ("direction", "direction", _NAME))
 
     def __post_init__(self):
         if self.cell not in RECURRENT_CELLS:
             raise ConfigError(f"recurrent cell must be one of {RECURRENT_CELLS}, got {self.cell!r}")
         if self.direction not in DIRECTIONS:
             raise ConfigError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
-        _positive(self.hidden_nodes, "Recurrent hidden_nodes")
-        _positive(self.layers, "Recurrent layers")
+        check_integer("Recurrent hidden_nodes", self.hidden_nodes, 1)
+        check_integer("Recurrent layers", self.layers, 1)
 
     @property
     def directions(self) -> int:
         return 2 if self.direction == "bi" else 1
 
+    def plan(self, in_shape, where):
+        if len(in_shape) != 2:
+            raise ConfigError(
+                f"{where}: a recurrent layer needs a [time x features] input, got shape {in_shape}")
+        return in_shape[0], self.hidden_nodes * self.directions
+
+    def params(self, in_shape, prefix):
+        """Sub-layer k's ``{prefix}.l{k}.W``, ``.U`` and ``.b``, each fused over
+        directions and gates in the layout ``tensor.recurrent`` reads."""
+        dirs, hid = self.directions, self.hidden_nodes
+        width = len(RECURRENT_GATES[self.cell]) * hid
+        in_features = [in_shape[1]] + [dirs * hid] * (self.layers - 1)
+        return tuple(pair for sub, features in enumerate(in_features) for pair in (
+            (f"{prefix}.l{sub}.W", (dirs, features, width)),
+            (f"{prefix}.l{sub}.U", (dirs, hid, width)),
+            (f"{prefix}.l{sub}.b", (dirs, width)),
+        ))
+
+    def apply(self, x, arrays, act):
+        for sub in range(0, len(arrays), 3):  # each sub-layer's W, U and b
+            x = recurrent(x, *arrays[sub:sub + 3], self.cell)
+        return x
+
+    def views(self, named):
+        """Each fused W, U and b as [F, H], [H, H] and [H] views, one per direction and gate,
+        named like ``layer0.l0.fwd.W_r`` (``bwd`` for direction 1, no gate suffix for rnn)."""
+        gates, hid = RECURRENT_GATES[self.cell], self.hidden_nodes
+        for sub in range(0, len(named), 3):  # each sub-layer's W, U and b
+            for d, k, (name, array) in itertools.product(range(self.directions), range(len(gates)),
+                                                          named[sub:sub + 3]):
+                base, _, kind = name.rpartition(".")
+                yield (f"{base}.{('fwd', 'bwd')[d]}.{kind}" + (f"_{gates[k]}" if gates[k] else ""),
+                       array[d, ..., k * hid:(k + 1) * hid])
+
+    def initialize(self, rng, named):
+        for _, view in self.views(named):
+            if view.ndim == 2:  # a W or U matrix
+                _glorot(rng, *view.shape, view)
+        if self.cell == "lstm":  # the forget gate's bias starts at 1
+            f = RECURRENT_GATES["lstm"].index("f") * self.hidden_nodes
+            for _, bias in named[2::3]:
+                bias[:, f:f + self.hidden_nodes] = 1.0
+
 
 @dataclass(frozen=True)
-class Flatten:
-    pass
+class CnnToRnnReshape(_Layer):
+    """A grid as a sequence; implicit between a conv stage and a Recurrent."""
+
+    KIND, READS, MAKES = "cnn_to_rnn", "grid", "seq"
+
+    def plan(self, in_shape, where):
+        """[C, T] -> [T, C], [C, F, T] -> [T, C*F]: time stays the sequence axis."""
+        if len(in_shape) == 2:
+            return in_shape[1], in_shape[0]
+        if len(in_shape) == 3:
+            return in_shape[2], in_shape[0] * in_shape[1]
+        raise ConfigError(f"{where}: a sequence needs a [C x T] or [C x F x T] input, got {in_shape}")
+
+    def apply(self, x, arrays, act):
+        return cnn_to_rnn_reshape(x)
 
 
 @dataclass(frozen=True)
-class CnnToRnnReshape:
-    pass
+class Flatten(_Layer):
+    """Implicit: a grid as flat features."""
+
+    def plan(self, in_shape, where):
+        return (math.prod(in_shape),)
+
+    def apply(self, x, arrays, act):
+        return reshape(x, (x.shape[0], math.prod(x.shape[1:])))
 
 
 @dataclass(frozen=True)
-class SequenceHead:
+class SequenceHead(_Layer):
     """Implicit: reduce a sequence to the final state of each of its ``directions``."""
 
     directions: int
 
+    def plan(self, in_shape, where):
+        return (in_shape[1],)
 
-LayerSpec = Dense | Conv | Recurrent | Flatten | CnnToRnnReshape
+    def apply(self, x, arrays, act):
+        return final_states(x, self.directions)
+
+
+SPEC_KINDS = (Dense, Conv, Recurrent, CnnToRnnReshape)
+
+
+def _read_layer(text: str) -> _Layer:
+    kind, colon, options = text.partition(":")
+    if kind == "flatten":
+        raise FormatError(
+            "layer kind 'flatten' was removed: the planner inserts Flatten wherever a Dense needs "
+            "it; delete the line (each later layer's parameters are then named one index lower)"
+        )
+    for cls in SPEC_KINDS:
+        if cls.KIND == kind:
+            return _read(cls, options.split(",") if colon else (), f"layer {text!r}")
+    raise FormatError(f"unknown layer kind {kind!r}")
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     input_shape: tuple[int, ...]
-    layers: tuple[LayerSpec, ...]
+    layers: tuple[_Layer, ...]
     n_classes: int
     activation: str = "relu"
     seed: int = 0
 
+    TEXT = (("input_shape", "input_shape", _SHAPE), ("n_classes", "n_classes", _INT),
+            ("activation", "activation", _NAME), ("seed", "seed", _INT))
+
     def __post_init__(self):
-        object.__setattr__(self, "input_shape", tuple(int(d) for d in self.input_shape))
+        object.__setattr__(self, "input_shape",
+                           tuple(check_integer("input dimension", d, 1) for d in self.input_shape))
         object.__setattr__(self, "layers", tuple(self.layers))
-        for d in self.input_shape:
-            _positive(d, "input dimension")
         if not self.input_shape:
             raise ConfigError("input_shape must not be empty")
-        _positive(self.n_classes, "n_classes")
+        for i, layer in enumerate(self.layers):
+            if not isinstance(layer, SPEC_KINDS):
+                kinds = ", ".join(kind.__name__ for kind in SPEC_KINDS)
+                raise ConfigError(f"layer {i}: {layer!r} is not a spec layer kind ({kinds})")
+        check_integer("n_classes", self.n_classes, 1)
+        check_integer("seed", self.seed, 0)
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
     # -- canonical text form (embedded in checkpoints / config round trip) --
 
     def to_text(self) -> str:
-        lines = [
-            "input_shape=" + ",".join(str(d) for d in self.input_shape),
-            f"n_classes={self.n_classes}",
-            f"activation={self.activation}",
-            f"seed={self.seed}",
-        ]
-        for layer in self.layers:
-            lines.append("layer=" + _layer_to_text(layer))
+        lines = [_write_fields(self, self.TEXT, "\n")]
+        lines += ["layer=" + layer.to_text() for layer in self.layers]
         return "\n".join(lines) + "\n"
 
     @staticmethod
     def from_text(text: str) -> "ModelSpec":
-        fields = {}
-        layers = []
+        items, layers = [], []
         for raw in text.splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise FormatError(f"model spec line {line!r} is not key=value")
-            key, value = line.split("=", 1)
+            key, _, value = line.partition("=")
             if key == "layer":
-                layers.append(_layer_from_text(value))
+                layers.append(_read_layer(value))
             else:
-                fields[key] = value
-        try:
-            input_shape = tuple(int(d) for d in fields["input_shape"].split(","))
-            n_classes = int(fields["n_classes"])
-            act = fields.get("activation", "relu")
-            seed = int(fields.get("seed", "0"))
-        except (KeyError, ValueError) as exc:
-            raise FormatError(f"model spec text is missing or corrupt: {exc}") from exc
-        return ModelSpec(input_shape, tuple(layers), n_classes, act, seed)
-
-
-def _layer_to_text(layer: LayerSpec) -> str:
-    if isinstance(layer, Dense):
-        return f"dense:nodes={layer.nodes}"
-    if isinstance(layer, Conv):
-        return (
-            f"conv:rank={layer.rank},channels={layer.out_channels},"
-            f"kernel={'x'.join(map(str, layer.kernel))},"
-            f"stride={'x'.join(map(str, layer.stride))},"
-            f"padding={'x'.join(map(str, layer.padding))}"
-        )
-    if isinstance(layer, Recurrent):
-        return (
-            f"recurrent:cell={layer.cell},hidden={layer.hidden_nodes},"
-            f"layers={layer.layers},direction={layer.direction}"
-        )
-    if isinstance(layer, Flatten):
-        return "flatten"
-    if isinstance(layer, CnnToRnnReshape):
-        return "cnn_to_rnn"
-    raise ConfigError(f"unknown layer {layer!r}")
-
-
-def _layer_from_text(text: str) -> LayerSpec:
-    kind, _, rest = text.partition(":")
-    opts = {}
-    if rest:
-        for item in rest.split(","):
-            k, _, v = item.partition("=")
-            opts[k] = v
-    try:
-        if kind == "dense":
-            return Dense(int(opts["nodes"]))
-        if kind == "conv":
-            return Conv(
-                int(opts["rank"]),
-                int(opts["channels"]),
-                tuple(int(v) for v in opts["kernel"].split("x")),
-                tuple(int(v) for v in opts["stride"].split("x")),
-                tuple(int(v) for v in opts["padding"].split("x")),
-            )
-        if kind == "recurrent":
-            return Recurrent(opts["cell"], int(opts["hidden"]),
-                             int(opts.get("layers", "1")), opts.get("direction", "uni"))
-        if kind == "flatten":
-            return Flatten()
-        if kind == "cnn_to_rnn":
-            return CnnToRnnReshape()
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"bad layer description {text!r}: {exc}") from exc
-    raise FormatError(f"unknown layer kind {kind!r}")
+                items.append(line)
+        return _read(ModelSpec, items, "model spec text", layers=tuple(layers))
 
 
 # ---------------------------------------------------------------------------
 # Shape planning
 # ---------------------------------------------------------------------------
-
-
-def _sequence_shape(shape, context) -> tuple[int, int]:
-    """CNN->RNN layout: [C, T] -> [T, C], [C, F, T] -> [T, C*F]; time stays the sequence axis."""
-    if len(shape) == 2:
-        return shape[1], shape[0]
-    if len(shape) == 3:
-        return shape[2], shape[0] * shape[1]
-    raise ConfigError(f"{context}: a sequence needs a [C x T] or [C x F x T] input, got {shape}")
 
 
 @dataclass(frozen=True)
@@ -263,26 +377,23 @@ class StagePlan:
     params: tuple[tuple[str, tuple[int, ...]], ...] = ()
 
 
-def _stage_params(layer, in_shape, prefix) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    """The ``(name, shape)`` of each parameter stage ``prefix`` owns, in the order its op takes them.
-
-    Dense and Conv own ``{prefix}.weight`` and ``{prefix}.bias``; recurrent
-    sub-layer k owns ``{prefix}.l{k}.W``, ``.U`` and ``.b``, each fused over
-    directions and gates in the layout ``tensor.recurrent`` reads.
-    """
-    if isinstance(layer, Dense):
-        return (f"{prefix}.weight", (in_shape[0], layer.nodes)), (f"{prefix}.bias", (layer.nodes,))
-    if isinstance(layer, Conv):
-        return ((f"{prefix}.weight", (layer.out_channels, in_shape[0], *layer.kernel)),
-                (f"{prefix}.bias", (layer.out_channels,)))
-    dirs, hid = layer.directions, layer.hidden_nodes
-    width = len(RECURRENT_GATES[layer.cell]) * hid
-    in_features = [in_shape[1]] + [dirs * hid] * (layer.layers - 1)
-    return tuple(pair for sub, features in enumerate(in_features) for pair in (
-        (f"{prefix}.l{sub}.W", (dirs, features, width)),
-        (f"{prefix}.l{sub}.U", (dirs, hid, width)),
-        (f"{prefix}.l{sub}.b", (dirs, width)),
-    ))
+def _glue(kind, layer, shape, last, i):
+    """The implicit stage between a ``kind`` value of ``shape`` (from stage ``last``) and
+    spec layer ``i``, or None; a ConfigError when nothing joins them."""
+    reads = layer.READS
+    if reads == kind or (kind == "input" and reads != "flat"):
+        return None  # a layer reading a raw input checks its rank itself
+    if reads == "flat":
+        if kind != "seq":
+            return Flatten() if len(shape) > 1 else None
+        if not isinstance(last, Recurrent):
+            raise ConfigError(f"layer {i - 1}: CnnToRnnReshape must be followed by a recurrent layer")
+        return SequenceHead(last.directions)
+    if kind == "grid":  # a Recurrent after a conv stage
+        return CnnToRnnReshape()
+    source = ("the sequence of a recurrent layer or CnnToRnnReshape (only input-to-output "
+              "CNN->RNN stacking is supported)" if kind == "seq" else "the flat features of a Dense")
+    raise ConfigError(f"layer {i}: {type(layer).__name__} cannot read {source}")
 
 
 def plan_shapes(spec: ModelSpec) -> tuple[StagePlan, ...]:
@@ -291,83 +402,20 @@ def plan_shapes(spec: ModelSpec) -> tuple[StagePlan, ...]:
         raise ConfigError("model has no layers; at least one hidden layer is required")
 
     stages: list[StagePlan] = []
-    shape = spec.input_shape
-    kind = "input"  # input | grid | seq | flat
+    shape, kind = spec.input_shape, "input"  # input | grid | seq | flat
 
-    def emit(layer, out_shape, prefix=None, new_kind=None):
-        nonlocal shape, kind
-        params = _stage_params(layer, shape, prefix) if prefix else ()
-        stages.append(StagePlan(layer, shape, tuple(out_shape), params))
-        shape = tuple(out_shape)
-        if new_kind:
-            kind = new_kind
+    def emit(layer, i, prefix=None):
+        nonlocal shape
+        out_shape = tuple(layer.plan(shape, f"layer {i}"))
+        stages.append(StagePlan(layer, shape, out_shape, layer.params(shape, prefix)))
+        shape = out_shape
 
-    def to_flat(i):
-        """Flat features for spec layer ``i`` (the classifier when past the last)."""
-        nonlocal kind
-        if kind == "seq":
-            last = stages[-1].layer  # a Recurrent or the CnnToRnnReshape at i - 1
-            if not isinstance(last, Recurrent):
-                raise ConfigError(f"layer {i - 1}: CnnToRnnReshape must be followed by a recurrent layer")
-            emit(SequenceHead(last.directions), (shape[1],), new_kind="flat")
-        elif len(shape) > 1:
-            emit(Flatten(), (int(np.prod(shape)),), new_kind="flat")
-        else:
-            kind = "flat"
-
-    for i, layer in enumerate(spec.layers):
-        prefix = f"layer{i}"
-        if isinstance(layer, Conv):
-            if kind == "seq":
-                raise ConfigError(
-                    f"layer {i}: a convolution may not follow a recurrent layer "
-                    "(only input-to-output CNN->RNN stacking is supported)"
-                )
-            if kind == "flat":
-                raise ConfigError(f"layer {i}: convolution after Flatten is not defined")
-            if len(shape) != layer.rank + 1:
-                raise ConfigError(
-                    f"layer {i}: rank-{layer.rank} convolution needs a "
-                    f"[channels x {layer.rank} spatial] input, got shape {shape}"
-                )
-            try:
-                out_spatial = [infer_conv_output_size(*geometry, axis=axis) for axis, geometry in
-                               enumerate(zip(shape[1:], layer.kernel, layer.stride, layer.padding))]
-            except ConfigError as exc:
-                raise ConfigError(f"layer {i}: {exc}") from None
-            emit(layer, (layer.out_channels, *out_spatial), prefix, new_kind="grid")
-        elif isinstance(layer, Recurrent):
-            if kind == "grid":
-                emit(CnnToRnnReshape(), _sequence_shape(shape, f"layer {i}"), new_kind="seq")
-            elif kind == "input":
-                if len(shape) != 2:
-                    raise ConfigError(
-                        f"layer {i}: a recurrent layer needs a [time x features] input, "
-                        f"got shape {shape}"
-                    )
-                kind = "seq"
-            elif kind == "flat":
-                raise ConfigError(f"layer {i}: a recurrent layer cannot consume flattened features")
-            emit(layer, (shape[0], layer.hidden_nodes * layer.directions), prefix, new_kind="seq")
-        elif isinstance(layer, Dense):
-            to_flat(i)
-            emit(layer, (layer.nodes,), prefix, new_kind="flat")
-        elif isinstance(layer, Flatten):
-            if kind == "seq":
-                raise ConfigError(
-                    f"layer {i}: a sequence feeds the classifier through its head state, "
-                    "not through Flatten"
-                )
-            to_flat(i)
-        elif isinstance(layer, CnnToRnnReshape):
-            if kind == "seq":
-                raise ConfigError(f"layer {i}: input is already a sequence")
-            emit(layer, _sequence_shape(shape, f"layer {i}"), new_kind="seq")
-        else:
-            raise ConfigError(f"layer {i}: unknown layer specification {layer!r}")
-
-    to_flat(len(spec.layers))  # classifier head
-    emit(Dense(spec.n_classes), (spec.n_classes,), "head")
+    for i, layer in enumerate(spec.layers + (Dense(spec.n_classes),)):  # the classifier head last
+        glue = _glue(kind, layer, shape, stages[-1].layer if stages else None, i)
+        if glue is not None:
+            emit(glue, i)
+        emit(layer, i, f"layer{i}" if i < len(spec.layers) else "head")
+        kind = layer.MAKES
     return tuple(stages)
 
 
@@ -406,48 +454,22 @@ class Model:
             target[...] = arr
 
 
-def _glorot(rng, fan_in, fan_out, shape, dtype):
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
-
-
 def init_model(spec: ModelSpec, dtype=np.float32) -> Model:
     """Glorot-uniform weights, zero biases (LSTM forget gate 1.0), seeded."""
     plan = plan_shapes(spec)
     model = Model(spec, plan, {name: Tensor(np.zeros(shape, dtype), requires_grad=True)
                                for stage in plan for name, shape in stage.params})
     rng = np.random.default_rng(spec.seed)
-    for name, view in checkpoint_arrays(model):
-        if view.ndim == 2:  # a [fan_in, fan_out] matrix
-            view[...] = _glorot(rng, *view.shape, view.shape, dtype)
-        elif view.ndim > 2:  # a [C_out, C_in, *kernel] conv weight
-            window = math.prod(view.shape[2:])
-            view[...] = _glorot(rng, view.shape[1] * window, view.shape[0] * window, view.shape, dtype)
-        elif name.endswith(".b_f"):  # the LSTM forget gate
-            view[...] = 1.0
+    for stage in plan:
+        stage.layer.initialize(rng, [(name, model.params[name].data) for name, _ in stage.params])
     return model
 
 
 def checkpoint_arrays(model: Model):
-    """Yield each parameter's checkpoint name and array, in initialization order.
-
-    A recurrent sub-layer's fused W, U and b are yielded as [F, H], [H, H]
-    and [H] views, one per direction and gate, named like
-    ``layer0.l0.fwd.W_r`` (``bwd`` for direction 1, no gate suffix for rnn).
-    """
+    """Yield each parameter's checkpoint name and array, in initialization order
+    (a recurrent stage's per-gate views: see ``Recurrent.views``)."""
     for stage in model.plan:
-        layer = stage.layer
-        if isinstance(layer, Recurrent):
-            gates, hid = RECURRENT_GATES[layer.cell], layer.hidden_nodes
-            for sub in range(0, len(stage.params), 3):  # each sub-layer's W, U and b
-                for d, k, (name, _) in itertools.product(range(layer.directions), range(len(gates)),
-                                                         stage.params[sub:sub + 3]):
-                    base, _, kind = name.rpartition(".")
-                    yield (f"{base}.{('fwd', 'bwd')[d]}.{kind}" + (f"_{gates[k]}" if gates[k] else ""),
-                           model.params[name].data[d, ..., k * hid:(k + 1) * hid])
-        else:
-            for name, _ in stage.params:
-                yield name, model.params[name].data
+        yield from stage.layer.views([(name, model.params[name].data) for name, _ in stage.params])
 
 
 # ---------------------------------------------------------------------------
@@ -479,29 +501,13 @@ def forward(model: Model, batch):
             f"batch shape {tuple(x.shape)} does not match model input "
             f"[B x {' x '.join(str(d) for d in expected)}]"
         )
-    params = model.params
+    params, last = model.params, model.plan[-1]
     value = x
     try:
         for idx, stage in enumerate(model.plan):
             layer = stage.layer
-            arrays = [params[name] for name, _ in stage.params]
-            if isinstance(layer, Dense):
-                value = linear(value, *arrays)
-                if stage is not model.plan[-1]:  # the classifier head gives raw logits
-                    value = activation(value, model.spec.activation)
-            elif isinstance(layer, Conv):
-                weight, bias = arrays
-                value = conv_nd_batched(value, weight, layer.stride, layer.padding, bias)
-                value = activation(value, model.spec.activation)
-            elif isinstance(layer, Recurrent):
-                for sub in range(0, len(arrays), 3):  # each sub-layer's W, U and b
-                    value = recurrent(value, *arrays[sub:sub + 3], layer.cell)
-            elif isinstance(layer, SequenceHead):
-                value = final_states(value, layer.directions)
-            elif isinstance(layer, Flatten):
-                value = reshape(value, (value.shape[0], int(np.prod(stage.out_shape))))
-            elif isinstance(layer, CnnToRnnReshape):
-                value = cnn_to_rnn_reshape(value)
+            value = layer.apply(value, [params[name] for name, _ in stage.params],
+                                None if stage is last else model.spec.activation)  # raw logits from the head
             if tuple(value.shape[1:]) != tuple(stage.out_shape):
                 raise ShapeError(
                     f"stage {idx} ({type(layer).__name__}) produced shape {tuple(value.shape[1:])}, "

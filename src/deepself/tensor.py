@@ -23,7 +23,7 @@ import threading
 
 import numpy as np
 
-from .errors import ConfigError, DeepSelfError, NumericError, ShapeError
+from .errors import ConfigError, DeepSelfError, NumericError, ShapeError, check_integer
 
 DEFAULT_DTYPE = np.float32
 
@@ -264,13 +264,10 @@ def linear(x, weight, bias) -> Tensor:
 
 
 def _per_axis(value, rank, name) -> tuple[int, ...]:
-    if np.isscalar(value):
-        out = (int(value),) * rank
-    else:
-        out = tuple(int(v) for v in value)
+    out = (value,) * rank if np.isscalar(value) else tuple(value)
     if len(out) != rank:
         raise ConfigError(f"{name} needs one entry per spatial axis (rank {rank}), got {out}")
-    return out
+    return tuple(check_integer(name, v) for v in out)
 
 
 def infer_conv_output_size(in_extent: int, kernel: int, stride: int, padding: int,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import os
 import struct
 import time
@@ -27,6 +26,7 @@ from .errors import (
     ShapeError,
     TruncatedFileError,
     VersionError,
+    check_integer,
 )
 from .evaluation import uar_from_labels
 from .models import Model, ModelSpec, checkpoint_arrays, forward, init_model
@@ -41,12 +41,6 @@ ADAM_EPSILON = 1e-8
 log = logging.getLogger(__name__)
 
 
-def check_integer(name: str, value):
-    """Raise ConfigError naming ``name`` unless ``value`` is an int or a NumPy integer."""
-    if not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.001
@@ -56,14 +50,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "epochs", "seed"):
-            check_integer(name, getattr(self, name))
+        for name, least in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
+            check_integer(name, getattr(self, name), least)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
 

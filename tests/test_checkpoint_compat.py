@@ -16,7 +16,7 @@ import os
 import numpy as np
 import pytest
 
-from deepself.models import Conv, ModelSpec, Recurrent, checkpoint_arrays, forward
+from deepself.models import CnnToRnnReshape, Conv, Dense, ModelSpec, Recurrent, checkpoint_arrays, forward
 from deepself.tensor import no_grad
 from deepself.training import CHECKPOINT_VERSION, load_checkpoint, read_checkpoint, save_checkpoint
 
@@ -74,6 +74,12 @@ class TestRecurrentCheckpointCompat:
         np.testing.assert_allclose(logits.data, dev["logits"], rtol=1e-5, atol=1e-6)
 
 
+@pytest.mark.parametrize("name", sorted(FIXTURES) + sorted(conv_fixtures.FIXTURES))
+def test_stored_spec_text_re_renders_byte_identically(name):
+    text = read_checkpoint(os.path.join(DATA, f"{name}.ckpt")).spec_text
+    assert ModelSpec.from_text(text).to_text() == text
+
+
 @pytest.mark.parametrize("name", sorted(conv_fixtures.FIXTURES))
 def test_conv_retrain_reproduces_checkpoint_bytes(name, tmp_path):
     model, metadata = conv_fixtures.train_fixture(name)
@@ -123,9 +129,41 @@ RECURRENT_SPEC_SHA256 = {
 }
 
 
+# the layer paths no other pin covers: hidden Dense layers under tanh, the
+# implicit Flatten and [C,F,T] -> [T,C*F] reshape, and an explicit
+# CnnToRnnReshape on a raw [C x T] input; recorded at commit f647f9c, the last
+# one whose layer kinds were dispatched by isinstance chains
+LAYER_PATH_SPECS = {
+    "fnn_tanh": ModelSpec((12,), (Dense(8), Dense(6)), 3, activation="tanh", seed=27),
+    "cnn1d_dense": ModelSpec((2, 20), (Conv(1, 3, 5, 2, 1), Dense(6)), 2, seed=28),
+    "raw_lstm": ModelSpec((3, 10), (CnnToRnnReshape(), Recurrent("lstm", 4)), 2, seed=29),
+    "cnn2d_bigru": ModelSpec((1, 6, 12), (Conv(2, 2, (3, 3), (1, 2), (1, 0)), Recurrent("gru", 4, 1, "bi")),
+                             2, seed=30),
+}
+
+LAYER_PATH_SHA256 = {
+    ("cnn1d_dense", "adam"): "1de02eb669aacb6e30a90ccb8a1583f3f0b84b70773339f4864bc61f428a22a5",
+    ("cnn1d_dense", "sgd"): "b251547a9966f09bff97602c3625378192688ef0c9c648e1c915d6805f1db105",
+    ("cnn2d_bigru", "adam"): "b3809bbb654ce40ed93e6af256c4ea770eb4582c09f21ce7b03a8ae0ec8e68af",
+    ("cnn2d_bigru", "sgd"): "52ac8fb49768e0ce9254cb336ced714ae6ece24aed7e3d73db338ab9554a15f2",
+    ("fnn_tanh", "adam"): "d1815ef15cd42eedc30ffc45560ff4f662c5c7490776aff3191f934ff0597d73",
+    ("fnn_tanh", "sgd"): "a9e5e3b1d483169cf7578cb557713ad030ab96bc0bab7edd517d61dff06a3f61",
+    ("raw_lstm", "adam"): "ca6b4ddf7fbc78b8ce9508ff93123ecefcd395f49cf0cc615ce3a72e072c59da",
+    ("raw_lstm", "sgd"): "63729edf1468c5f85773c0812a58fc186bd57d96ae46ae7d86843385a8b41411",
+}
+
+
 @pytest.mark.parametrize("name, optimizer", sorted(RECURRENT_SPEC_SHA256))
 def test_recurrent_topology_retrain_reproduces_recorded_bytes(name, optimizer, tmp_path):
     model, metadata, _ = recurrent_fixtures.train_spec(RECURRENT_SPECS[name], optimizer, epochs=4)
     save_checkpoint(model, metadata, tmp_path / "best.ckpt")
     digest = hashlib.sha256((tmp_path / "best.ckpt").read_bytes()).hexdigest()
     assert digest == RECURRENT_SPEC_SHA256[name, optimizer]
+
+
+@pytest.mark.parametrize("name, optimizer", sorted(LAYER_PATH_SHA256))
+def test_layer_path_retrain_reproduces_recorded_bytes(name, optimizer, tmp_path):
+    model, metadata, _ = recurrent_fixtures.train_spec(LAYER_PATH_SPECS[name], optimizer, epochs=4)
+    save_checkpoint(model, metadata, tmp_path / "best.ckpt")
+    digest = hashlib.sha256((tmp_path / "best.ckpt").read_bytes()).hexdigest()
+    assert digest == LAYER_PATH_SHA256[name, optimizer]

@@ -95,7 +95,7 @@ class TestPlanShapes:
         with pytest.raises(ConfigError):
             plan_shapes(ModelSpec((2, 5, 7, 3), (Recurrent("rnn", 4),), 2))
         with pytest.raises(ConfigError):
-            plan_shapes(ModelSpec((9,), (Flatten(), Recurrent("rnn", 4)), 2))
+            plan_shapes(ModelSpec((9,), (Dense(4), Recurrent("rnn", 4)), 2))
 
     def test_implicit_reshape_after_1d_conv(self):
         spec = ModelSpec((1, 64), (conv1d(8, 5, 2), Recurrent("gru", 12)), 3)
@@ -377,15 +377,43 @@ class TestModelSpecText:
     def test_round_trip(self):
         spec = ModelSpec(
             (1, 16, 30),
-            (Conv(2, 3, (3, 5), (1, 2), (1, 0)), Recurrent("gru", 7, 2, "bi"),
-             Flatten(), Dense(6)),
+            (Conv(2, 3, (3, 5), (1, 2), (1, 0)), Recurrent("gru", 7, 2, "bi"), Dense(6)),
             4, activation="tanh", seed=42,
         )
         assert ModelSpec.from_text(spec.to_text()) == spec
+        short = "input_shape=3,10\nn_classes=2\nlayer=recurrent:cell=lstm,hidden=5\n"
+        assert ModelSpec.from_text(short).layers == (Recurrent("lstm", 5, 1, "uni"),)
+
+    @pytest.mark.parametrize("layer, text", [
+        (Dense(4), "dense:nodes=4"),
+        (conv1d(2, 3), "conv:rank=1,channels=2,kernel=3,stride=1,padding=0"),
+        (Recurrent("lstm", 5), "recurrent:cell=lstm,hidden=5,layers=1,direction=uni"),
+        (CnnToRnnReshape(), "cnn_to_rnn"),
+    ])
+    def test_each_kind_round_trips(self, layer, text):
+        spec = ModelSpec((3, 10), (layer,), 2)
+        assert spec.to_text().splitlines()[-1] == f"layer={text}"
+        assert ModelSpec.from_text(spec.to_text()) == spec
 
     def test_bad_line_rejected(self):
-        with pytest.raises(FormatError):
-            ModelSpec.from_text("input_shape=4\nn_classes=2\nlayer=warp:speed=9\n")
+        for extra in (
+            "layer=warp:speed=9\n",
+            "layer=dense:nodes=4,bogus=1\n",  # unknown key
+            "layer=dense:nodes=4,nodes=5\n",  # key given twice
+            "layer=dense:nodes=4,\n",  # empty item
+            "layer=cnn_to_rnn:\n",
+            "layer=dense:nodes=0\n",
+            "foo=3\nlayer=dense:nodes=4\n",
+            "n_classes=3\nlayer=dense:nodes=4\n",
+        ):
+            with pytest.raises(FormatError):
+                ModelSpec.from_text("input_shape=4\nn_classes=2\n" + extra)
+
+    def test_flatten_was_removed(self):
+        with pytest.raises(FormatError, match="'flatten' was removed"):
+            ModelSpec.from_text("input_shape=1,8\nn_classes=2\nlayer=flatten\nlayer=dense:nodes=4\n")
+        with pytest.raises(ConfigError, match="not a spec layer"):
+            ModelSpec((1, 8), (Flatten(), Dense(4)), 2)
 
     def test_missing_fields_rejected(self):
         with pytest.raises(FormatError):
@@ -402,3 +430,21 @@ class TestModelSpecText:
             Conv(4, 1, (3,), (1,), (0,))
         with pytest.raises(ConfigError):
             ModelSpec((8,), (Dense(4),), 2, activation="swish")
+
+    @pytest.mark.parametrize("build", [
+        lambda: Dense(4.5),
+        lambda: Dense("4"),
+        lambda: Dense(True),
+        lambda: Recurrent("gru", 3.5),
+        lambda: Recurrent("gru", 3, layers=2.0),
+        lambda: Conv(1, 2.0, 3, 1, 0),
+        lambda: Conv(1, 2, 3.5, 1, 0),
+        lambda: Conv(1.0, 2, 3, 1, 0),
+        lambda: ModelSpec((8,), (Dense(4),), 2.0),
+        lambda: ModelSpec((8.9,), (Dense(4),), 2),
+        lambda: ModelSpec((8,), (Dense(4),), 2, seed=1.5),
+    ], ids=["dense-float", "dense-str", "dense-bool", "recurrent-hidden", "recurrent-layers",
+            "conv-channels", "conv-kernel", "conv-rank", "n_classes", "input-shape", "seed"])
+    def test_non_integer_size_rejected_at_construction(self, build):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            build()
