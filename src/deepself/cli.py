@@ -47,8 +47,8 @@ from .evaluation import (
     write_fold_report,
     write_predictions,
 )
-from .models import Recurrent, cnn_to_rnn_reshape, init_model
-from .tensor import Tensor
+from .models import Recurrent, init_model
+from .tensor import Tensor, cnn_to_rnn_reshape
 from .training import (
     best_epoch_index,
     load_checkpoint,

@@ -41,6 +41,12 @@ PROTOTYPE_ORDER = 4
 # ---------------------------------------------------------------------------
 
 
+def _check_sample_rate(sample_rate) -> float:
+    if not 0 < sample_rate < math.inf:
+        raise ConfigError(f"sample rate must be positive and finite, got {sample_rate}")
+    return float(sample_rate)
+
+
 @dataclass
 class Signal:
     """Uniformly sampled multi-channel series, stored as [channels x samples]."""
@@ -56,10 +62,8 @@ class Signal:
             raise ShapeError(f"signal must be [channels x samples] with at least one sample, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise NumericError("signal holds non-finite values")
-        if self.sample_rate <= 0:
-            raise ConfigError(f"sample rate must be positive, got {self.sample_rate}")
         self.samples = arr
-        self.sample_rate = float(self.sample_rate)
+        self.sample_rate = _check_sample_rate(self.sample_rate)
 
     @property
     def channels(self) -> int:
@@ -114,9 +118,7 @@ class FilterCascade:
 
 
 def _validate_band(low_hz: float, high_hz: float, sample_rate: float):
-    if sample_rate <= 0:
-        raise ConfigError(f"sample rate must be positive, got {sample_rate}")
-    nyquist = sample_rate / 2.0
+    nyquist = _check_sample_rate(sample_rate) / 2.0
     if not (0.0 < low_hz < high_hz < nyquist):
         raise ConfigError(
             f"band edges must satisfy 0 < low < high < {nyquist} Hz "

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and the integer check that raises one."""
+"""Exception types shared across the toolkit, and the integer and sequence checks that raise one."""
 
 import numbers
 
@@ -55,3 +55,11 @@ def check_integer(name: str, value, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be at least {minimum}, got {value}")
     return int(value)
+
+
+def check_sequence(name: str, value) -> tuple:
+    """``value`` as a tuple; ConfigError naming ``name`` unless it is iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be a sequence, got {value!r}") from None

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import csv_records, read_text
-from .errors import ConfigError, DataError, FormatError, MetricError, ShapeError
+from .errors import ConfigError, DataError, FormatError, MetricError, ShapeError, check_integer
 from .models import init_model
 
 
@@ -41,9 +41,7 @@ def confusion_matrix(truth, pred, n_classes: int) -> ConfusionMatrix:
             f"truth and predictions must be equal-length non-empty vectors, "
             f"got {truth.shape} vs {pred.shape}"
         )
-    n_classes = int(n_classes)
-    if n_classes < 1:
-        raise ConfigError(f"n_classes must be positive, got {n_classes}")
+    n_classes = check_integer("n_classes", n_classes, 1)
     for name, labels in (("truth", truth), ("prediction", pred)):
         bad = (labels < 0) | (labels >= n_classes)
         if bad.any():

@@ -3,17 +3,19 @@
 A ``ModelSpec`` lists the *hidden* layers, written with ``Dense``, ``Conv``,
 ``Recurrent`` and ``CnnToRnnReshape``; planning always appends the classifier
 Dense producing ``n_classes`` logits.  The planner also inserts the implicit
-glue stages: ``Flatten`` between a grid (a conv stage or a multi-axis input)
-and a Dense, ``CnnToRnnReshape`` between a conv stage and a Recurrent (time
+glue stages: ``CnnToRnnReshape`` between a conv stage and a Recurrent (time
 stays the sequence axis), and ``SequenceHead`` between the last Recurrent and
 the next Dense (last hidden state for uni-directional stacks, the
-concatenation of each direction's final state for bi-directional ones).
+concatenation of each direction's final state for bi-directional ones).  A
+Dense reads a grid (a conv stage or a multi-axis input) as flat features
+itself, with no stage between.
 
 Each layer kind is one frozen dataclass holding all of its facts: its text
 fields (``TEXT``), its output shape and input checks (``plan``), the
 ``(name, shape)`` of each parameter its op takes, in argument order
-(``params``), its op (``apply``), and its checkpoint arrays (``views``: one
-per gate of a fused recurrent array) and their initial values.
+(``params``), its op (``apply``: one tape record, the hidden layers'
+activation included), and its checkpoint arrays (``views``: one per gate of
+a fused recurrent array) and their initial values.
 
 Grid values are channels-first ``[B, C, *spatial]`` with time as the trailing
 spatial axis; sequences are ``[B, T, F]`` tensors end to end.
@@ -27,20 +29,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, NumericError, ShapeError, check_integer
+from .errors import ConfigError, FormatError, NumericError, ShapeError, check_integer, check_sequence
 from .tensor import (
     ACTIVATIONS,
     RECURRENT_GATES,
     Tensor,
-    activation,
+    cnn_to_rnn_reshape,
     conv_nd_batched,
     final_states,
     infer_conv_output_size,
     linear,
     recurrent,
-    reshape,
     softmax,
-    transpose,
     _per_axis,
 )
 
@@ -131,11 +131,10 @@ class Dense(_Layer):
         return (self.nodes,)
 
     def params(self, in_shape, prefix):
-        return (f"{prefix}.weight", (in_shape[0], self.nodes)), (f"{prefix}.bias", (self.nodes,))
+        return (f"{prefix}.weight", (math.prod(in_shape), self.nodes)), (f"{prefix}.bias", (self.nodes,))
 
     def apply(self, x, arrays, act):
-        x = linear(x, *arrays)
-        return activation(x, act) if act else x
+        return linear(x, *arrays, act)
 
     def initialize(self, rng, named):
         (_, weight), _ = named
@@ -183,7 +182,7 @@ class Conv(_Layer):
 
     def apply(self, x, arrays, act):
         weight, bias = arrays
-        return activation(conv_nd_batched(x, weight, self.stride, self.padding, bias), act)
+        return conv_nd_batched(x, weight, self.stride, self.padding, bias, act)
 
     def initialize(self, rng, named):
         (_, weight), _ = named
@@ -277,17 +276,6 @@ class CnnToRnnReshape(_Layer):
 
 
 @dataclass(frozen=True)
-class Flatten(_Layer):
-    """Implicit: a grid as flat features."""
-
-    def plan(self, in_shape, where):
-        return (math.prod(in_shape),)
-
-    def apply(self, x, arrays, act):
-        return reshape(x, (x.shape[0], math.prod(x.shape[1:])))
-
-
-@dataclass(frozen=True)
 class SequenceHead(_Layer):
     """Implicit: reduce a sequence to the final state of each of its ``directions``."""
 
@@ -307,8 +295,8 @@ def _read_layer(text: str) -> _Layer:
     kind, colon, options = text.partition(":")
     if kind == "flatten":
         raise FormatError(
-            "layer kind 'flatten' was removed: the planner inserts Flatten wherever a Dense needs "
-            "it; delete the line (each later layer's parameters are then named one index lower)"
+            "layer kind 'flatten' was removed: a Dense reads a grid as flat features itself; "
+            "delete the line (each later layer's parameters are then named one index lower)"
         )
     for cls in SPEC_KINDS:
         if cls.KIND == kind:
@@ -328,9 +316,9 @@ class ModelSpec:
             ("activation", "activation", _NAME), ("seed", "seed", _INT))
 
     def __post_init__(self):
-        object.__setattr__(self, "input_shape",
-                           tuple(check_integer("input dimension", d, 1) for d in self.input_shape))
-        object.__setattr__(self, "layers", tuple(self.layers))
+        shape = check_sequence("input_shape", self.input_shape)
+        object.__setattr__(self, "input_shape", tuple(check_integer("input dimension", d, 1) for d in shape))
+        object.__setattr__(self, "layers", check_sequence("layers", self.layers))
         if not self.input_shape:
             raise ConfigError("input_shape must not be empty")
         for i, layer in enumerate(self.layers):
@@ -377,15 +365,13 @@ class StagePlan:
     params: tuple[tuple[str, tuple[int, ...]], ...] = ()
 
 
-def _glue(kind, layer, shape, last, i):
-    """The implicit stage between a ``kind`` value of ``shape`` (from stage ``last``) and
-    spec layer ``i``, or None; a ConfigError when nothing joins them."""
+def _glue(kind, layer, last, i):
+    """The implicit stage between a ``kind`` value (from stage ``last``) and spec layer
+    ``i``, or None; a ConfigError when nothing joins them."""
     reads = layer.READS
-    if reads == kind or (kind == "input" and reads != "flat"):
-        return None  # a layer reading a raw input checks its rank itself
-    if reads == "flat":
-        if kind != "seq":
-            return Flatten() if len(shape) > 1 else None
+    if reads == kind or kind == "input" or (reads, kind) == ("flat", "grid"):
+        return None  # a layer reading a raw input checks its rank itself; a Dense reads any grid
+    if reads == "flat":  # after a sequence
         if not isinstance(last, Recurrent):
             raise ConfigError(f"layer {i - 1}: CnnToRnnReshape must be followed by a recurrent layer")
         return SequenceHead(last.directions)
@@ -411,7 +397,7 @@ def plan_shapes(spec: ModelSpec) -> tuple[StagePlan, ...]:
         shape = out_shape
 
     for i, layer in enumerate(spec.layers + (Dense(spec.n_classes),)):  # the classifier head last
-        glue = _glue(kind, layer, shape, stages[-1].layer if stages else None, i)
+        glue = _glue(kind, layer, stages[-1].layer if stages else None, i)
         if glue is not None:
             emit(glue, i)
         emit(layer, i, f"layer{i}" if i < len(spec.layers) else "head")
@@ -470,21 +456,6 @@ def checkpoint_arrays(model: Model):
     (a recurrent stage's per-gate views: see ``Recurrent.views``)."""
     for stage in model.plan:
         yield from stage.layer.views([(name, model.params[name].data) for name, _ in stage.params])
-
-
-# ---------------------------------------------------------------------------
-# CNN->RNN glue
-# ---------------------------------------------------------------------------
-
-
-def cnn_to_rnn_reshape(x: Tensor) -> Tensor:
-    """[B, C, T] -> [B, T, C] or [B, C, F, T] -> [B, T, C*F] (values permuted only)."""
-    if x.data.ndim == 3:
-        return transpose(x, (0, 2, 1))
-    if x.data.ndim == 4:
-        b, c, f, t = x.shape
-        return reshape(transpose(x, (0, 3, 1, 2)), (b, t, c * f))
-    raise ShapeError(f"cnn_to_rnn_reshape needs a [B,C,T] or [B,C,F,T] tensor, got {tuple(x.shape)}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,19 +11,21 @@ never clear ``grad`` themselves.
 
 Arithmetic defaults to float32; verification code builds float64 tensors
 instead.  The ops are whole layers (``linear``, ``conv_nd_batched``,
-``recurrent``), their activations and the shape moves between them: a layer
-is one tape record, its activation another, and there is no general
-elementwise algebra.  Convolution is cross-correlation (no kernel flip).
+``recurrent``, ``cnn_to_rnn_reshape``, ``final_states``) and the loss: a
+layer is one tape record, its activation applied inside it, and there is no
+general elementwise algebra.  Convolution is cross-correlation (no kernel
+flip).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import threading
 
 import numpy as np
 
-from .errors import ConfigError, DeepSelfError, NumericError, ShapeError, check_integer
+from .errors import ConfigError, DeepSelfError, NumericError, ShapeError, check_integer, check_sequence
 
 DEFAULT_DTYPE = np.float32
 
@@ -124,12 +126,19 @@ def _tracked(inputs) -> bool:
     return _recording() and any(t.requires_grad for t in inputs)
 
 
-def _make_result(op, arr, inputs, backward_fn):
-    """Wrap an op result, recording it on the tape when gradients are live."""
+def _make_result(op, arr, inputs, backward_fn, activation=None):
+    """Wrap an op result, recording it on the tape when gradients are live.
+
+    With an ``activation`` kind, ``arr`` is the op's pre-activation: it is
+    activated in place, and ``backward_fn`` receives its gradient.
+    """
     out = Tensor.__new__(Tensor)
     arr = np.ascontiguousarray(arr)
-    if not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():  # an activation of finite values is finite
         raise NumericError(f"{op} produced non-finite values")
+    if activation is not None:
+        d_pre, layer_backward = _activate(activation, arr), backward_fn
+        backward_fn = lambda g: layer_backward(d_pre(g))
     out.data = arr
     out.grad = None
     track = _tracked(inputs)
@@ -202,19 +211,17 @@ def _sigmoid(x, out=None):
     return out
 
 
-def activation(x, kind: str) -> Tensor:
-    """Elementwise nonlinearity; ``kind`` is one of relu, sigmoid, tanh."""
-    x = _as_tensor(x)
-    xd = x.data
+def _activate(kind: str, a):
+    """Apply ``kind`` to ``a`` in place; returns the map from the gradient at ``a`` to its pre-activation's."""
     if kind == "relu":
-        out = np.maximum(xd, 0)
-        return _make_result("relu", out, (x,), lambda g: (g * (xd > 0),))
+        np.maximum(a, 0, out=a)
+        return lambda g: g * (a > 0)
     if kind == "sigmoid":
-        s = _sigmoid(xd)
-        return _make_result("sigmoid", s, (x,), lambda g: (g * s * (1.0 - s),))
+        _sigmoid(a, out=a)
+        return lambda g: g * a * (1.0 - a)
     if kind == "tanh":
-        t = np.tanh(xd)
-        return _make_result("tanh", t, (x,), lambda g: (g * (1.0 - t * t),))
+        np.tanh(a, out=a)
+        return lambda g: g * (1.0 - a * a)
     raise ConfigError(f"unknown activation {kind!r}; choose one of {ACTIVATIONS}")
 
 
@@ -234,11 +241,15 @@ def reshape(x, shape) -> Tensor:
     return _make_result("reshape", out, (x,), lambda g: (g.reshape(in_shape),))
 
 
-def transpose(x, axes) -> Tensor:
+def cnn_to_rnn_reshape(x) -> Tensor:
+    """[B, C, T] -> [B, T, C] or [B, C, F, T] -> [B, T, C*F]: time stays the sequence axis."""
     x = _as_tensor(x)
-    axes = tuple(int(a) for a in axes)
-    inverse = tuple(np.argsort(axes))
-    return _make_result("transpose", np.transpose(x.data, axes), (x,), lambda g: (np.transpose(g, inverse),))
+    if x.data.ndim not in (3, 4):
+        raise ShapeError(f"cnn_to_rnn_reshape needs a [B,C,T] or [B,C,F,T] tensor, got {tuple(x.shape)}")
+    axes = (0, x.data.ndim - 1, *range(1, x.data.ndim - 1))  # time second
+    moved, inverse = np.transpose(x.data, axes), np.argsort(axes)
+    out = moved.reshape(*moved.shape[:2], math.prod(moved.shape[2:]))
+    return _make_result("cnn_to_rnn_reshape", out, (x,), lambda g: (np.transpose(g.reshape(moved.shape), inverse),))
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +257,19 @@ def transpose(x, axes) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def linear(x, weight, bias) -> Tensor:
-    """x @ W + b for a [B x F] tensor, W [F x C] and a length-C bias."""
+def linear(x, weight, bias, activation=None) -> Tensor:
+    """activation(x @ W + b) for x [B, *F] read as [B, prod(F)], W [prod(F), C] and a length-C bias.
+
+    ``activation`` is one of ``ACTIVATIONS``, or None for the affine map alone.
+    """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
-    if (x.data.ndim != 2 or weight.data.ndim != 2 or x.shape[1] != weight.shape[0]
+    if (x.data.ndim < 2 or weight.data.ndim != 2 or math.prod(x.shape[1:]) != weight.shape[0]
             or bias.shape != (weight.shape[1],)):
         raise ShapeError(f"linear: got x {tuple(x.shape)}, weight {tuple(weight.shape)} "
                          f"and bias {tuple(bias.shape)}")
-    xd, wd = x.data, weight.data
+    xd, wd = x.data.reshape(x.shape[0], weight.shape[0]), weight.data
     return _make_result("linear", xd @ wd + bias.data[None, :], (x, weight, bias),
-                        lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)))
+                        lambda g: ((g @ wd.T).reshape(x.shape), xd.T @ g, g.sum(axis=0)), activation)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +278,7 @@ def linear(x, weight, bias) -> Tensor:
 
 
 def _per_axis(value, rank, name) -> tuple[int, ...]:
-    out = (value,) * rank if np.isscalar(value) else tuple(value)
+    out = (value,) * rank if np.isscalar(value) else check_sequence(name, value)
     if len(out) != rank:
         raise ConfigError(f"{name} needs one entry per spatial axis (rank {rank}), got {out}")
     return tuple(check_integer(name, v) for v in out)
@@ -276,8 +290,8 @@ def infer_conv_output_size(in_extent: int, kernel: int, stride: int, padding: in
 
     ``axis`` only names the spatial axis in the error message.
     """
-    in_extent, kernel = int(in_extent), int(kernel)
-    stride, padding = int(stride), int(padding)
+    in_extent, kernel, stride, padding = (check_integer(name, value) for name, value in (
+        ("conv input extent", in_extent), ("kernel", kernel), ("stride", stride), ("padding", padding)))
     where = "" if axis is None else f" on spatial axis {axis}"
     if in_extent < 1 or kernel < 1 or stride < 1 or padding < 0:
         raise ConfigError(
@@ -319,10 +333,11 @@ def _window_indices(padded_sp, out_sp, kernel_sp, stride):
     return idx
 
 
-def conv_nd_batched(x, kernels, stride, padding, bias) -> Tensor:
+def conv_nd_batched(x, kernels, stride, padding, bias, activation=None) -> Tensor:
     """Batched cross-correlation: [B, C_in, *sp] with [C_out, C_in, *k].
 
-    Zero padding, per-output-channel bias, spatial rank 1 to 3.
+    Zero padding, per-output-channel bias, spatial rank 1 to 3, then
+    ``activation`` (one of ``ACTIVATIONS``, or None for none).
     """
     x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
     rank = x.data.ndim - 2
@@ -378,7 +393,7 @@ def conv_nd_batched(x, kernels, stride, padding, bias) -> Tensor:
         d_x = np.ascontiguousarray(d_padded[unpad])
         return (d_x, d_kernels, d_bias)
 
-    return _make_result("conv", out, (x, kernels, bias), _backward)
+    return _make_result("conv", out, (x, kernels, bias), _backward, activation)
 
 
 # ---------------------------------------------------------------------------

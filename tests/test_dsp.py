@@ -69,6 +69,14 @@ class TestSignal:
         with pytest.raises(ConfigError):
             Signal(np.zeros(4), 0.0)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_rejects_non_finite_rate(self, rate):
+        # NaN <= 0 is false: a NaN rate once reached spectrogram's row axis
+        with pytest.raises(ConfigError, match="positive and finite"):
+            Signal(np.zeros(4), rate)
+        with pytest.raises(ConfigError, match="positive and finite"):
+            design_butterworth_bandpass(0.5, 30.0, rate)
+
 
 class TestButterworthDesign:
     def test_eeg_band_edges_sit_three_db_below_peak(self):

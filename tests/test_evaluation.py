@@ -51,6 +51,10 @@ class TestConfusionMatrix:
         with pytest.raises(ShapeError):
             confusion_matrix([0, 1, 0], [0, 1, 0, 1], 2)
 
+    def test_fractional_class_count_rejected(self):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            confusion_matrix([0, 1], [0, 1], 2.5)
+
     def test_out_of_range_label_rejected(self):
         with pytest.raises(DataError):
             confusion_matrix([0, 2], [0, 1], 2)

@@ -20,12 +20,16 @@ from deepself.models import (
     init_model,
 )
 from deepself.tensor import (
+    ACTIVATIONS,
     RECURRENT_GATES,
     Tensor,
     active_tape,
     backward,
+    cnn_to_rnn_reshape,
+    conv_nd_batched,
     finite_diff_grad,
     linear,
+    no_grad,
     recurrent,
     reshape,
     softmax_cross_entropy,
@@ -168,24 +172,20 @@ class TestRecurrentGradients:
         check_recurrent_op(cell, directions, frozen_cell=True)
 
 
-def check_recurrent_op(cell, directions, seed=21, frozen_cell=False):
-    """The op alone, with an upstream gradient at every position rather than
-    only at the head state a classifier reads; checks dx and every element
-    of the fused W, U and b against finite differences.  With
-    ``frozen_cell`` only x requires grad, and only dx is checked."""
-    rng = np.random.default_rng(seed)
-    width = 3 * len(RECURRENT_GATES[cell])
-    names = ("x", "W", "U", "b")
-    arrays = [rng.standard_normal((2, 4, 3)), 0.5 * rng.standard_normal((directions, 3, width)),
-              0.5 * rng.standard_normal((directions, 3, width)), 0.1 * rng.standard_normal((directions, width))]
-    upstream = Tensor(rng.standard_normal((2, 4, 3 * directions)))
+def check_op(op, names, arrays, rng, grads=None):
+    """One op alone on float64 ``arrays``, with an upstream gradient at every
+    output element: checks that the op is one tape record, and the gradient
+    of each argument in ``grads`` (default: all; the rest take none) against
+    finite differences."""
+    with no_grad():
+        upstream = Tensor(rng.standard_normal(op(*arrays).shape))
 
     def loss(args):
-        return dot(recurrent(*args, cell), upstream)
+        return dot(op(*args), upstream)
 
-    inputs = [Tensor(a, requires_grad=k == 0 or not frozen_cell) for k, a in enumerate(arrays)]
+    inputs = [Tensor(a, requires_grad=grads is None or k in grads) for k, a in enumerate(arrays)]
     total = loss(inputs)
-    assert cell in [rec.op for rec in active_tape()]
+    assert [rec.op for rec in active_tape()][1:] == ["reshape", "linear"]  # the op, then dot
     backward(total)
     for k, (name, t) in enumerate(zip(names, inputs)):
         if not t.requires_grad:
@@ -196,7 +196,45 @@ def check_recurrent_op(cell, directions, seed=21, frozen_cell=False):
             args[_k] = v
             return loss(args)
         err = max_rel_error(t.grad, finite_diff_grad(f, t, h=1e-5))
-        assert err <= TOL, f"{cell} {name}: max relative error {err:.3e}"
+        assert err <= TOL, f"{name}: max relative error {err:.3e}"
+
+
+def check_recurrent_op(cell, directions, seed=21, frozen_cell=False):
+    """The recurrent op with an upstream gradient at every position rather
+    than only at the head state a classifier reads; checks dx and every
+    element of the fused W, U and b.  With ``frozen_cell`` only x requires
+    grad, and only dx is checked."""
+    rng = np.random.default_rng(seed)
+    width = 3 * len(RECURRENT_GATES[cell])
+    arrays = [rng.standard_normal((2, 4, 3)), 0.5 * rng.standard_normal((directions, 3, width)),
+              0.5 * rng.standard_normal((directions, 3, width)), 0.1 * rng.standard_normal((directions, width))]
+    check_op(lambda *args: recurrent(*args, cell), [f"{cell} {name}" for name in ("x", "W", "U", "b")],
+             arrays, rng, (0,) if frozen_cell else None)
+
+
+class TestFusedLayerGradients:
+    """linear, conv_nd_batched and cnn_to_rnn_reshape, each one tape record, activation included."""
+
+    @pytest.mark.parametrize("activation", [None, *ACTIVATIONS])
+    @pytest.mark.parametrize("in_shape", [(5,), (2, 3)], ids=["BF", "BCT"])
+    def test_linear(self, activation, in_shape):
+        rng = np.random.default_rng(22)
+        arrays = [rng.standard_normal((3, *in_shape)), 0.5 * rng.standard_normal((int(np.prod(in_shape)), 4)),
+                  0.1 * rng.standard_normal(4)]
+        check_op(lambda *args: linear(*args, activation), ("x", "W", "b"), arrays, rng)
+
+    @pytest.mark.parametrize("activation", [None, *ACTIVATIONS])
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_conv_nd_batched(self, activation, rank):
+        rng = np.random.default_rng(23)
+        arrays = [rng.standard_normal((2, 2, *(6,) * rank)), 0.5 * rng.standard_normal((3, 2, *(3,) * rank)),
+                  0.1 * rng.standard_normal(3)]
+        check_op(lambda x, k, b: conv_nd_batched(x, k, 2, 1, b, activation), ("x", "kernels", "b"), arrays, rng)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 5), (2, 3, 2, 5)], ids=["BCT", "BCFT"])
+    def test_cnn_to_rnn_reshape(self, shape):
+        rng = np.random.default_rng(24)
+        check_op(cnn_to_rnn_reshape, ("x",), [rng.standard_normal(shape)], rng)
 
 
 class TestStackedGradients:

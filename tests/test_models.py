@@ -10,17 +10,25 @@ from deepself.models import (
     CnnToRnnReshape,
     Conv,
     Dense,
-    Flatten,
     ModelSpec,
     Recurrent,
     SequenceHead,
     checkpoint_arrays,
-    cnn_to_rnn_reshape,
     forward,
     init_model,
     plan_shapes,
 )
-from deepself.tensor import RECURRENT_GATES, Tensor, final_states, infer_conv_output_size, recurrent
+from deepself.tensor import (
+    RECURRENT_GATES,
+    Tensor,
+    active_tape,
+    backward,
+    cnn_to_rnn_reshape,
+    final_states,
+    infer_conv_output_size,
+    recurrent,
+    softmax_cross_entropy,
+)
 
 
 def conv1d(channels, kernel, stride=1, padding=0):
@@ -53,6 +61,10 @@ class TestInferConvOutputSize:
         with pytest.raises(ConfigError):
             infer_conv_output_size(0, 3, 1, 0)
 
+    def test_fractional_size_rejected(self):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            infer_conv_output_size(5.7, 2, 1, 0)
+
 
 class TestPlanShapes:
     def test_eeg_style_cnn_plan(self):
@@ -70,9 +82,10 @@ class TestPlanShapes:
         assert len(conv_stages) == 4
         assert len(dense_stages) == 2
         assert dense_stages[-1] is plan[-1]
-        flattens = [s for s in plan if isinstance(s.layer, Flatten)]
-        assert len(flattens) == 1
-        assert flattens[0].in_shape == conv_stages[-1].out_shape
+        # the first Dense reads the last conv grid as flat features, with no stage between
+        assert plan.index(dense_stages[0]) == plan.index(conv_stages[-1]) + 1
+        assert dense_stages[0].in_shape == conv_stages[-1].out_shape == (32, 250)
+        assert dense_stages[0].params[0] == ("layer4.weight", (32 * 250, 64))
 
     def test_shrinking_chain_errors_where_extent_collapses(self):
         layers = tuple(conv1d(1, 3, 2) for _ in range(3))
@@ -228,6 +241,20 @@ class TestForward:
         logits, probs = forward(model, np.random.default_rng(1).standard_normal((2, 1, 16, 30)))
         assert logits.shape == (2, 4)
         np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-6)
+
+    def test_cnn_training_step_records_one_record_per_layer_op(self):
+        # the benchmark's 1-D CNN: each layer op records once, its activation inside it
+        spec = ModelSpec((1, 4097), (conv1d(8, 8, 4), conv1d(16, 4, 4), Dense(32)), 2, seed=3)
+        model = init_model(spec)
+        rng = np.random.default_rng(4)
+        tape = active_tape()
+        tape.clear()
+        logits, _ = forward(model, rng.standard_normal((16, 1, 4097)).astype(np.float32))
+        loss, _ = softmax_cross_entropy(logits, rng.integers(0, 2, size=16))
+        assert [rec.op for rec in tape] == ["conv", "conv", "linear", "linear", "softmax_cross_entropy"]
+        backward(loss)
+        assert not tape
+        assert all(p.grad.shape == p.shape and p.grad.any() for p in model.params.values())
 
 
 def _cell_params(cell, **values):
@@ -413,7 +440,7 @@ class TestModelSpecText:
         with pytest.raises(FormatError, match="'flatten' was removed"):
             ModelSpec.from_text("input_shape=1,8\nn_classes=2\nlayer=flatten\nlayer=dense:nodes=4\n")
         with pytest.raises(ConfigError, match="not a spec layer"):
-            ModelSpec((1, 8), (Flatten(), Dense(4)), 2)
+            ModelSpec((1, 8), (SequenceHead(1), Dense(4)), 2)
 
     def test_missing_fields_rejected(self):
         with pytest.raises(FormatError):
@@ -447,4 +474,13 @@ class TestModelSpecText:
             "conv-channels", "conv-kernel", "conv-rank", "n_classes", "input-shape", "seed"])
     def test_non_integer_size_rejected_at_construction(self, build):
         with pytest.raises(ConfigError, match="must be an integer"):
+            build()
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Conv(1, 2, None, 1, 0), "Conv kernel must be a sequence"),
+        (lambda: ModelSpec(8, (Dense(4),), 2), "input_shape must be a sequence"),
+        (lambda: ModelSpec((8,), Dense(4), 2), "layers must be a sequence"),
+    ], ids=["conv-kernel-none", "input-shape-int", "layers-not-a-tuple"])
+    def test_non_sequence_rejected_at_construction(self, build, message):
+        with pytest.raises(ConfigError, match=message):
             build()

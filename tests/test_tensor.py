@@ -184,6 +184,12 @@ class TestConvolveNd:
         with pytest.raises(ConfigError):
             convolve_one(x, k, stride=1, padding=-1)
 
+    def test_stride_none_is_config_error(self):
+        x = Tensor(np.zeros((1, 1, 4)))
+        k = Tensor(np.zeros((1, 1, 2)))
+        with pytest.raises(ConfigError, match="stride must be a sequence"):
+            T.conv_nd_batched(x, k, None, 0, zero_bias(k))
+
 
 def scatter_conv_input_grad(g, kernels, spatial, stride, padding):
     """d loss / d x of a conv by the np.add.at scatter of every window gradient.
@@ -294,23 +300,28 @@ class TestConvWindowCache:
             np.testing.assert_allclose(full[i], convolve_one(x[i], k, (2, 1), (1, 1)), rtol=1e-5, atol=1e-6)
 
 
+def activated(values, kind):
+    """``values`` through ``linear`` with an identity weight, a zero bias and activation ``kind``."""
+    n = len(values)
+    return T.linear(Tensor([values]), Tensor(np.eye(n)), Tensor(np.zeros(n)), kind).data[0]
+
+
 class TestActivations:
     def test_relu_negative(self):
-        assert T.activation(Tensor([-1.0]), "relu").data[0] == 0.0
+        assert activated([-1.0], "relu")[0] == 0.0
 
     def test_sigmoid_zero(self):
-        assert T.activation(Tensor([0.0]), "sigmoid").data[0] == pytest.approx(0.5)
+        assert activated([0.0], "sigmoid")[0] == pytest.approx(0.5)
 
     def test_tanh_zero(self):
-        assert T.activation(Tensor([0.0]), "tanh").data[0] == 0.0
+        assert activated([0.0], "tanh")[0] == 0.0
 
     def test_sigmoid_saturation_is_finite(self):
-        out = T.activation(Tensor([-1000.0, 1000.0]), "sigmoid").data
-        np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(activated([-1000.0, 1000.0], "sigmoid"), [0.0, 1.0], atol=1e-12)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
-            T.activation(Tensor([0.0]), "gelu")
+            activated([0.0], "gelu")
 
 
 class TestSoftmaxCrossEntropy:
@@ -438,12 +449,17 @@ class TestShapeOps:
         dot(y, y).backward()
         np.testing.assert_allclose(x.grad, 2 * np.arange(6))
 
-    def test_transpose_gradient(self):
-        x = Tensor(np.arange(24, dtype=np.float64).reshape(2, 3, 4), requires_grad=True)
-        y = T.transpose(x, (2, 0, 1))
-        assert y.shape == (4, 2, 3)
-        dot(y, y).backward()
-        np.testing.assert_allclose(x.grad, 2 * x.data)
+    def test_cnn_to_rnn_reshape_gradient(self):
+        # values only move: input [b, c, f, t] gets the upstream value of output [b, t, c*F + f]
+        rng = np.random.default_rng(15)
+        for shape in ((2, 3, 4), (2, 3, 2, 4)):
+            freq = shape[2] if len(shape) == 4 else 1
+            x = Tensor(rng.standard_normal(shape), requires_grad=True)
+            upstream = rng.standard_normal((2, 4, 3 * freq))
+            dot(T.cnn_to_rnn_reshape(x), Tensor(upstream)).backward()
+            grad = x.grad.reshape(2, 3, freq, 4)
+            for b, c, f, t in np.ndindex(grad.shape):
+                assert grad[b, c, f, t] == upstream[b, t, c * freq + f]
 
 
 def fused_params(cell, features, hidden, directions=1, w=0.0):
