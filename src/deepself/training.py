@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import struct
 import time
 from dataclasses import dataclass, replace
@@ -29,6 +28,7 @@ from .errors import (
     check_integer,
 )
 from .evaluation import uar_from_labels
+from .files import atomic_write
 from .models import Model, ModelSpec, checkpoint_arrays, forward, init_model
 from .tensor import backward, no_grad, softmax_cross_entropy
 
@@ -292,8 +292,8 @@ class Checkpoint:
 def save_checkpoint(model: Model, metadata: dict, path):
     """Write ``model`` and ``metadata`` to ``path``, parameters under their checkpoint names.
 
-    The file is written beside ``path`` under a temporary name, then moved
-    into place, so ``path`` holds either its old bytes or the new ones.
+    The file is written through ``files.atomic_write``, so ``path`` holds
+    either its old bytes or the new ones.
     Each metadata item is stored as one ``key=value`` line, so a key may not
     hold ``=`` and neither may hold a line break; such an item is rejected
     before the file is opened.
@@ -305,28 +305,21 @@ def save_checkpoint(model: Model, metadata: dict, path):
             raise FormatError(f"metadata item {key!r}={value!r} cannot be stored as one key=value line")
     meta_bytes = "".join(f"{k}={v}\n" for k, v in metadata.items()).encode("utf-8")
     arrays = sorted(checkpoint_arrays(model), key=lambda item: item[0])
-    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(temporary, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            fh.write(struct.pack("<I", len(spec_bytes)))
-            fh.write(spec_bytes)
-            fh.write(struct.pack("<I", len(arrays)))
-            for name, arr in arrays:
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<B", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(arr.astype("<f4", copy=False).tobytes())
-            fh.write(struct.pack("<I", len(meta_bytes)))
-            fh.write(meta_bytes)
-        os.replace(temporary, path)
-    except BaseException:
-        if os.path.exists(temporary):
-            os.remove(temporary)
-        raise
+    with atomic_write(path) as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+        fh.write(struct.pack("<I", len(spec_bytes)))
+        fh.write(spec_bytes)
+        fh.write(struct.pack("<I", len(arrays)))
+        for name, arr in arrays:
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<B", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            fh.write(arr.astype("<f4", copy=False).tobytes())
+        fh.write(struct.pack("<I", len(meta_bytes)))
+        fh.write(meta_bytes)
 
 
 class _Reader:

@@ -18,9 +18,10 @@ from deepself.cli import (
 )
 from deepself.config import DOMAINS, METAVARS, MODEL_TYPES, SCHEMA, RunConfig
 from deepself.data import load_manifest, load_sample, load_wav_pcm16, write_wav_pcm16
-from deepself.dsp import Signal, apply_iir, design_butterworth_bandpass, read_feature_map
+from deepself.dsp import Signal, design_butterworth_bandpass, read_feature_map
 from deepself.evaluation import read_predictions, uar_from_labels
 from deepself.training import load_checkpoint
+from iir_oracle import oracle_apply_iir
 
 
 def run(argv):
@@ -147,7 +148,7 @@ class TestPreprocess:
         cascade = design_butterworth_bandpass(2.0, 10.0, 100.0)
         for src, row in zip(["w0.wav", "w1.wav", "w2.wav"], derived.rows, strict=True):
             raw = load_sample(tmp_path / src)
-            expected = apply_iir(load_wav_pcm16(tmp_path / src), cascade).samples
+            expected = oracle_apply_iir(load_wav_pcm16(tmp_path / src), cascade)
             got = load_sample(row.path)
             assert got.shape == raw.shape == expected.shape
             np.testing.assert_allclose(got, expected, atol=1e-7)

@@ -7,12 +7,15 @@ path is never trusted to judge itself.
 
 import cmath
 import math
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from deepself import dsp
 from deepself.dsp import (
+    IIR_BLOCK,
     FeatureMap,
     Signal,
     apply_iir,
@@ -30,11 +33,13 @@ from deepself.dsp import (
 from deepself.errors import (
     ConfigError,
     FormatError,
+    IntegrityError,
     NumericError,
     ShapeError,
     TruncatedFileError,
     VersionError,
 )
+from iir_oracle import oracle_apply_iir
 
 
 def cascade_gain(sections, freq_hz, sample_rate):
@@ -171,6 +176,56 @@ class TestApplyIir:
     def test_output_length_matches_input(self):
         out = apply_iir(Signal(np.ones(123), 173.61), self.cascade)
         assert out.length == 123 and out.channels == 1
+
+
+def relative_error(got, oracle):
+    """Worst |got - oracle| as a fraction of the oracle's peak, per channel."""
+    peak = np.max(np.abs(oracle), axis=1, keepdims=True)
+    return float(np.max(np.abs(got - oracle) / peak))
+
+
+class TestBlockFilterAgainstOracle:
+    """apply_iir's block realization against the per-sample loop it replaced."""
+
+    def test_default_eeg_band_within_1e_11(self):
+        cascade = design_butterworth_bandpass(0.5, 30.0, 173.61)
+        rng = np.random.default_rng(17)
+        t = np.arange(4097) / 173.61
+        x = np.concatenate([100.0 * rng.standard_normal((3, 4097)),
+                            np.sin(2 * math.pi * np.array([[0.5], [10.0], [30.0]]) * t)])
+        sig = Signal(x, 173.61)
+        assert relative_error(apply_iir(sig, cascade).samples, oracle_apply_iir(sig, cascade)) < 1e-11
+
+    def test_design_range_within_1e_8_and_channels_do_not_share_bits(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        lengths = st.one_of(st.sampled_from([1, IIR_BLOCK - 1, IIR_BLOCK, IIR_BLOCK + 1, 4097]),
+                            st.integers(1, 3 * IIR_BLOCK))
+
+        # the acceptance design range: high = 1.05 * low at width 0, the narrowest band
+        @hypothesis.settings(max_examples=60, deadline=None, database=None)
+        @hypothesis.given(st.floats(50.0, 48000.0), st.floats(1e-3, 0.45), st.floats(0.0, 1.0),
+                          st.integers(1, 3), lengths, st.integers(0, 2**32 - 1))
+        def check(fs, low_fraction, width, channels, length, seed):
+            low = low_fraction * fs
+            high = 1.05 * low + width * (0.499 * fs - 1.05 * low)
+            cascade = design_butterworth_bandpass(low, high, fs)
+            sig = Signal(np.random.default_rng(seed).standard_normal((channels, length)), fs)
+            got = apply_iir(sig, cascade).samples
+            assert relative_error(got, oracle_apply_iir(sig, cascade)) <= 1e-8
+            for ch in range(channels):
+                alone = apply_iir(Signal(sig.samples[ch], fs), cascade).samples[0]
+                assert got[ch].tobytes() == alone.tobytes()
+
+        check()
+
+    def test_block_matrices_are_built_once_per_cascade(self):
+        dsp._block_matrices.cache_clear()
+        cascade = design_butterworth_bandpass(0.5, 30.0, 173.61)
+        for _ in range(3):
+            apply_iir(Signal(np.ones(100), 173.61), cascade)
+        info = dsp._block_matrices.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestSpectrogram:
@@ -337,6 +392,20 @@ class TestScalogram:
             scalogram(sig, 0, 1.0, 40.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda sig: spectrogram(sig, 64.7, 32),
+    lambda sig: spectrogram(sig, 64, 32.5),
+    lambda sig: scalogram(sig, 2.5, 2.0, 32.0),
+    lambda sig: scalogram(sig, math.nan, 2.0, 32.0),
+    lambda sig: mel_filterbank(2.5, 33, 100.0, 0.0, 50.0),
+    lambda sig: log_mel_spectrogram(sig, 64, 32, 2.5, 0.0, 50.0),
+], ids=["spectrogram-window_len", "spectrogram-hop", "scalogram-n_voices", "scalogram-n_voices-nan",
+        "mel_filterbank-n_mels", "log_mel_spectrogram-n_mels"])
+def test_non_integer_sizes_rejected(call):
+    with pytest.raises(ConfigError, match="must be an integer"):
+        call(Signal(np.ones(256), 100.0))
+
+
 class TestFeatureMapFile:
     def _sample_map(self):
         rng = np.random.default_rng(21)
@@ -397,3 +466,33 @@ class TestFeatureMapFile:
         path.write_bytes(b"DSFM\x01\x00")
         with pytest.raises(TruncatedFileError):
             read_feature_map(path)
+
+    @pytest.mark.parametrize("field", ["values", "row_axis_hz", "seconds_per_frame"])
+    def test_non_finite_numbers_rejected(self, tmp_path, field):
+        fm = self._sample_map()
+        if field == "seconds_per_frame":
+            fm.seconds_per_frame = math.nan
+        else:
+            getattr(fm, field)[1] = math.nan
+        path = tmp_path / "map.dsfm"
+        write_feature_map(fm, path)
+        with pytest.raises(IntegrityError, match="non-finite"):
+            read_feature_map(path)
+
+    def test_failed_write_keeps_previous_bytes_and_leaves_no_stray_file(self, tmp_path):
+        class FailingValues(np.ndarray):
+            def astype(self, *args, **kwargs):  # reached after the header and row axis are written
+                raise OSError("disk full")
+
+        path = tmp_path / "map.dsfm"
+        write_feature_map(self._sample_map(), path)
+        before = path.read_bytes()
+        failing = self._sample_map()
+        failing.values = np.zeros((5, 9)).view(FailingValues)
+        with pytest.raises(OSError, match="disk full"):
+            write_feature_map(failing, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["map.dsfm"]
+        with pytest.raises(OSError, match="disk full"):
+            write_feature_map(failing, tmp_path / "new.dsfm")
+        assert os.listdir(tmp_path) == ["map.dsfm"]
