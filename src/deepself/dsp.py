@@ -465,15 +465,22 @@ def write_feature_map(fm: FeatureMap, path):
     """Binary little-endian layout: magic, version, rows, cols, axis, f32 data.
 
     Written through ``files.atomic_write``: ``path`` holds either its old
-    bytes or the whole new map.
+    bytes or the whole new map.  Values beyond float32's range raise
+    ``NumericError`` before anything is written, since ``read_feature_map``
+    refuses the ``inf`` they would store.
     """
     rows, cols = fm.rows, fm.cols
+    try:
+        with np.errstate(over="raise"):
+            values = fm.values.astype("<f4")
+    except FloatingPointError:
+        raise NumericError(f"{path}: feature values beyond the float32 range of a .dsfm file") from None
     with atomic_write(path) as fh:
         fh.write(DSFM_MAGIC)
         fh.write(struct.pack("<III", DSFM_VERSION, rows, cols))
         fh.write(struct.pack("<d", fm.seconds_per_frame))
         fh.write(fm.row_axis_hz.astype("<f8").tobytes())
-        fh.write(fm.values.astype("<f4").tobytes())
+        fh.write(values.tobytes())
 
 
 def read_feature_map(path) -> FeatureMap:

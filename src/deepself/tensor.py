@@ -308,27 +308,19 @@ def infer_conv_output_size(in_extent: int, kernel: int, stride: int, padding: in
 
 
 @functools.lru_cache(maxsize=64)
-def _window_indices(padded_sp, out_sp, kernel_sp, stride):
-    """Flat indices into the padded spatial block, shaped [n_windows, window_size].
+def _patch_indices(c_in, padded_sp, out_sp, kernel_sp, stride):
+    """Flat indices into one sample's [C_in * prod(padded_sp)] values, in patch-matrix order [O, C_in, K].
 
-    Cached per geometry (all arguments are tuples), so the array is read-only.
+    Taken from a [B, C_in * prod(padded_sp)] batch, they give the im2col
+    matrix as [B, O * C_in * K], whose reshape to [B*O, C_in*K] is a view.
+    Cached per geometry (``c_in`` and tuples), so the array is read-only.  It
+    holds C_in * O * K int64 values: 2/B times the bytes of a float32 patch
+    matrix of batch B.
     """
-    rank = len(padded_sp)
-    sp_strides = np.ones(rank, dtype=np.int64)
-    for i in range(rank - 2, -1, -1):
-        sp_strides[i] = sp_strides[i + 1] * padded_sp[i + 1]
-    idx = np.zeros((1,) * (2 * rank), dtype=np.int64)
-    for i in range(rank):
-        starts = np.arange(out_sp[i], dtype=np.int64) * stride[i]
-        offs = np.arange(kernel_sp[i], dtype=np.int64)
-        axis_idx = (starts[:, None] + offs[None, :]) * sp_strides[i]
-        shape = [1] * (2 * rank)
-        shape[i] = out_sp[i]
-        shape[rank + i] = kernel_sp[i]
-        idx = idx + axis_idx.reshape(shape)
-    n_windows = int(np.prod(out_sp))
-    window = int(np.prod(kernel_sp))
-    idx = np.ascontiguousarray(np.broadcast_to(idx, out_sp + kernel_sp).reshape(n_windows, window))
+    starts = np.indices(out_sp).reshape(len(out_sp), -1, 1) * np.reshape(stride, (-1, 1, 1))
+    offsets = np.indices(kernel_sp).reshape(len(kernel_sp), 1, -1)
+    win = np.ravel_multi_index(tuple(starts + offsets), padded_sp)  # [O, K]
+    idx = (win[:, None, :] + np.arange(c_in, dtype=np.int64)[None, :, None] * math.prod(padded_sp)).ravel()
     idx.flags.writeable = False
     return idx
 
@@ -366,15 +358,13 @@ def conv_nd_batched(x, kernels, stride, padding, bias, activation=None) -> Tenso
     else:
         padded = x.data
     padded_sp = padded.shape[2:]
-    win = _window_indices(padded_sp, out_sp, kernel_sp, stride)  # [O, K]
-    n_win, win_size = win.shape
-    patches = padded.reshape(batch, c_in, -1)[:, :, win]  # [B, C_in, O, K]
-    pmat = patches.transpose(0, 2, 1, 3).reshape(batch * n_win, c_in * win_size)
+    n_win, win_size = math.prod(out_sp), math.prod(kernel_sp)
+    idx = _patch_indices(c_in, padded_sp, out_sp, kernel_sp, stride)
+    pmat = np.take(padded.reshape(batch, -1), idx, axis=1).reshape(batch * n_win, c_in * win_size)
     kmat = kernels.data.reshape(c_out, c_in * win_size)
-    out = pmat @ kmat.T  # [B*O, C_out]
-    out = out.reshape(batch, n_win, c_out).transpose(0, 2, 1)
-    out = out + bias.data[None, :, None]
-    out = out.reshape(batch, c_out, *out_sp)
+    prod = (pmat @ kmat.T).reshape(batch, n_win, c_out).transpose(0, 2, 1)  # [B, C_out, O] view
+    out = np.empty((batch, c_out, *out_sp), dtype=np.result_type(prod, bias.data))
+    np.add(prod, bias.data[:, None], out=out.reshape(batch, c_out, n_win))
 
     def _backward(g):
         g2 = g.reshape(batch, c_out, n_win).transpose(0, 2, 1).reshape(batch * n_win, c_out)

@@ -133,6 +133,21 @@ class TestPreprocess:
         assert code != 0
         assert "low must be < high" in capsys.readouterr().err
 
+    def test_values_beyond_float32_exit_1_naming_the_map(self, tmp_path, capsys):
+        t = np.arange(200) / 100.0
+        for i in range(2):
+            write_series(tmp_path / f"s{i}.csv", (1e20 * np.sin(2 * np.pi * (3 + i) * t)).tolist())
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,label\ns0.csv,a\ns1.csv,b\n")
+        out = tmp_path / "pre"
+        code = run(["preprocess", "--manifest", str(manifest), "--output-dir", str(out),
+                    "--feature", "spectrogram", "--window-size", "64", "--hop-size", "32",
+                    "--sample-rate", "100"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{out / '00000_s0.dsfm'}: feature values beyond the float32 range" in err
+        assert os.listdir(out) == []
+
     def test_filter_matches_api(self, tmp_path):
         manifest = self.make_wavs(tmp_path, n=2)
         # a filtered 2-channel clip must load in the [C x N] layout of its raw file

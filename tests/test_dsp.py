@@ -479,9 +479,18 @@ class TestFeatureMapFile:
         with pytest.raises(IntegrityError, match="non-finite"):
             read_feature_map(path)
 
+    def test_values_beyond_float32_raise_before_writing(self, tmp_path):
+        fm = self._sample_map()
+        fm.values[2, 3] = 1e39
+        path = tmp_path / "map.dsfm"
+        with pytest.raises(NumericError, match="feature values beyond the float32 range") as err:
+            write_feature_map(fm, path)
+        assert str(path) in str(err.value)
+        assert os.listdir(tmp_path) == []
+
     def test_failed_write_keeps_previous_bytes_and_leaves_no_stray_file(self, tmp_path):
         class FailingValues(np.ndarray):
-            def astype(self, *args, **kwargs):  # reached after the header and row axis are written
+            def tobytes(self, *args, **kwargs):  # reached after the header and row axis are written
                 raise OSError("disk full")
 
         path = tmp_path / "map.dsfm"

@@ -191,6 +191,13 @@ class TestConvolveNd:
             T.conv_nd_batched(x, k, None, 0, zero_bias(k))
 
 
+def window_indices(padded_sp, out_sp, kernel_sp, stride):
+    """Flat index of each window's each offset in one padded spatial block, [O, K]."""
+    starts = np.indices(out_sp).reshape(len(out_sp), -1, 1) * np.reshape(stride, (-1, 1, 1))
+    offsets = np.indices(kernel_sp).reshape(len(kernel_sp), 1, -1)
+    return np.ravel_multi_index(tuple(starts + offsets), padded_sp)
+
+
 def scatter_conv_input_grad(g, kernels, spatial, stride, padding):
     """d loss / d x of a conv by the np.add.at scatter of every window gradient.
 
@@ -200,9 +207,7 @@ def scatter_conv_input_grad(g, kernels, spatial, stride, padding):
     batch, c_out, *out_sp = g.shape
     c_in, kernel_sp = kernels.shape[1], kernels.shape[2:]
     padded_sp = tuple(n + 2 * p for n, p in zip(spatial, padding))
-    starts = np.indices(out_sp).reshape(len(out_sp), -1, 1) * np.reshape(stride, (-1, 1, 1))
-    offsets = np.indices(kernel_sp).reshape(len(kernel_sp), 1, -1)
-    win = np.ravel_multi_index(tuple(starts + offsets), padded_sp)  # [O, K]
+    win = window_indices(padded_sp, tuple(out_sp), kernel_sp, stride)
     g2 = g.reshape(batch, c_out, -1).transpose(0, 2, 1).reshape(-1, c_out)
     d_pmat = g2 @ kernels.reshape(c_out, -1)
     d_patches = d_pmat.reshape(batch, win.shape[0], c_in, win.shape[1]).transpose(0, 2, 1, 3)
@@ -216,6 +221,24 @@ def scatter_conv_input_grad(g, kernels, spatial, stride, padding):
     return d_padded.reshape(batch, c_in, *padded_sp)[(slice(None), slice(None)) + unpad]
 
 
+def gather_conv_forward(x, kernels, bias, stride, padding):
+    """A conv's output and patch matrix by the [:, :, win] gather of every window.
+
+    The oracle for conv_nd_batched's one-take im2col: the gather into
+    [B, C_in, O, K], a transpose copy to the [B*O, C_in*K] patch matrix, the
+    same matmul, then the bias added to the transposed product.
+    """
+    batch, c_in, *spatial = x.shape
+    c_out, kernel_sp = kernels.shape[0], kernels.shape[2:]
+    padded = np.pad(x, [(0, 0), (0, 0)] + [(p, p) for p in padding])
+    out_sp = tuple((n - k) // s + 1 for n, k, s in zip(padded.shape[2:], kernel_sp, stride))
+    win = window_indices(padded.shape[2:], out_sp, kernel_sp, stride)
+    patches = padded.reshape(batch, c_in, -1)[:, :, win]  # [B, C_in, O, K]
+    pmat = patches.transpose(0, 2, 1, 3).reshape(batch * win.shape[0], c_in * win.shape[1])
+    out = (pmat @ kernels.reshape(c_out, -1).T).reshape(batch, win.shape[0], c_out).transpose(0, 2, 1)
+    return (out + bias[None, :, None]).reshape(batch, c_out, *out_sp), pmat
+
+
 # [B, C_in, *sp], [C_out, C_in, *k], stride, padding
 CONV_GEOMETRIES = {
     "1d-overlap-padded": ((3, 2, 29), (4, 2, 5), (2,), (2,)),
@@ -224,6 +247,56 @@ CONV_GEOMETRIES = {
     "2d-overlap-padded": ((2, 3, 9, 10), (4, 3, 3, 3), (1, 2), (1, 1)),
     "3d-overlap-padded": ((2, 2, 5, 6, 5), (3, 2, 3, 2, 3), (1, 2, 1), (1, 0, 1)),
 }
+
+# the conv layers of the benchmark's 1-D (cnn-train) and 2-D (cli-pipeline) CNNs
+BENCHMARK_CONV_LAYERS = {
+    "cnn-train-conv1": ((16, 1, 4097), (8, 1, 8), (4,), (0,)),
+    "cnn-train-conv2": ((16, 8, 1023), (16, 8, 4), (4,), (0,)),
+    "cli-pipeline-conv1": ((16, 1, 26, 31), (8, 1, 3, 3), (2, 2), (0, 0)),
+    "cli-pipeline-conv2": ((16, 8, 12, 15), (16, 8, 3, 3), (2, 2), (0, 0)),
+}
+
+
+def check_conv_equals_gather(x_shape, k_shape, stride, padding, dtype, seed):
+    """conv_nd_batched's output, d_kernels and d_bias are bit-equal to the gather oracle's."""
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal(x_shape).astype(dtype), requires_grad=True)
+    k = Tensor(rng.standard_normal(k_shape).astype(dtype), requires_grad=True)
+    bias = Tensor(rng.standard_normal(k_shape[0]).astype(dtype), requires_grad=True)
+    y = T.conv_nd_batched(x, k, stride, padding, bias)
+    expected, pmat = gather_conv_forward(x.data, k.data, bias.data, stride, padding)
+    assert y.data.dtype == expected.dtype and y.data.flags.c_contiguous
+    np.testing.assert_array_equal(y.data, expected)
+    upstream = rng.standard_normal(y.shape).astype(dtype)
+    T.backward(dot(y, Tensor(upstream)))
+    g2 = upstream.reshape(x_shape[0], k_shape[0], -1).transpose(0, 2, 1).reshape(-1, k_shape[0])
+    np.testing.assert_array_equal(k.grad, (g2.T @ pmat).reshape(k_shape))
+    np.testing.assert_array_equal(bias.grad, g2.sum(axis=0))
+
+
+class TestConvForward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(CONV_GEOMETRIES) + sorted(BENCHMARK_CONV_LAYERS))
+    def test_equals_gather_oracle(self, name, dtype):
+        geometry = CONV_GEOMETRIES.get(name) or BENCHMARK_CONV_LAYERS[name]
+        check_conv_equals_gather(*geometry, dtype, seed=15)
+
+    def test_random_geometries_equal_gather_oracle(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None)
+        @hypothesis.given(st.data(), st.integers(1, 3), st.integers(1, 4), st.integers(1, 3),
+                          st.integers(1, 3), st.sampled_from([np.float32, np.float64]))
+        def check(data, rank, c_in, batch, c_out, dtype):
+            axes = st.lists(st.integers(1, 3), min_size=rank, max_size=rank)
+            kernel, stride = data.draw(axes), data.draw(axes)
+            padding = data.draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank))
+            spatial = [data.draw(st.integers(max(1, k - 2 * p), k - 2 * p + 6)) for k, p in zip(kernel, padding)]
+            check_conv_equals_gather((batch, c_in, *spatial), (c_out, c_in, *kernel), tuple(stride),
+                                     tuple(padding), dtype, seed=data.draw(st.integers(0, 2**32 - 1)))
+
+        check()
 
 
 class TestConvBackward:
@@ -258,10 +331,15 @@ class TestConvBackward:
 
 class TestConvWindowCache:
     def test_cached_window_indices_are_read_only(self):
-        win = T._window_indices((10,), (4,), (3,), (2,))
-        assert win is T._window_indices((10,), (4,), (3,), (2,))
+        idx = T._patch_indices(2, (10,), (4,), (3,), (2,))
+        assert idx is T._patch_indices(2, (10,), (4,), (3,), (2,))
         with pytest.raises(ValueError):
-            win[0, 0] = 1
+            idx[0] = 1
+        # [O, C_in, K] order: window o's offset k of channel c sits at 2*o + k + 10*c
+        expected = [2 * o + k + 10 * c for o in range(4) for c in range(2) for k in range(3)]
+        assert idx.dtype == np.int64 and idx.tolist() == expected
+        other = T._patch_indices(3, (10,), (4,), (3,), (2,))
+        assert other.tolist() == [2 * o + k + 10 * c for o in range(4) for c in range(3) for k in range(3)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("name", sorted(CONV_GEOMETRIES))
@@ -288,13 +366,14 @@ class TestConvWindowCache:
         rng = np.random.default_rng(14)
         x = rng.standard_normal((5, 2, 9, 8)).astype(np.float32)
         k = Tensor(rng.standard_normal((3, 2, 3, 3)).astype(np.float32))
-        T._window_indices.cache_clear()
+        T._patch_indices.cache_clear()
         bias = zero_bias(k)
         cold = T.conv_nd_batched(x[3:], k, (2, 1), (1, 1), bias).data
-        T._window_indices.cache_clear()
+        T._patch_indices.cache_clear()
         full = T.conv_nd_batched(x, k, (2, 1), (1, 1), bias).data
         warm = T.conv_nd_batched(x[3:], k, (2, 1), (1, 1), bias).data
-        assert T._window_indices.cache_info().hits >= 1
+        info = T._patch_indices.cache_info()
+        assert (info.misses, info.hits) == (1, 1)  # batch is not part of the index
         np.testing.assert_array_equal(warm, cold)
         for i in range(5):
             np.testing.assert_allclose(full[i], convolve_one(x[i], k, (2, 1), (1, 1)), rtol=1e-5, atol=1e-6)
