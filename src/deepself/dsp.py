@@ -40,6 +40,7 @@ from .files import atomic_write
 
 LOG_EPS = 1e-10
 MORLET_OMEGA0 = 6.0
+MORLET_SUPPORT = 8.6  # wavelet half-width in scales: exp(-8.6**2 / 2) < 1e-16
 PROTOTYPE_ORDER = 4
 IIR_BLOCK = 64  # samples apply_iir filters per matmul
 
@@ -397,8 +398,16 @@ def log_mel_spectrogram(signal: Signal, window_len: int, hop: int, n_mels: int,
     return FeatureMap(values, centers, power.seconds_per_frame)
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << (n - 1).bit_length()
+def _fft_length(m: int) -> int:
+    """Smallest even 2^a * 3^b * 5^c not below ``m``, a length pocketfft transforms fast."""
+    best, p5 = 2 * m, 1
+    while p5 <= m:
+        p35 = p5
+        while p35 <= m:  # the shortest 2 * p35 * 2^k not below m
+            best = min(best, 2 * p35 << ((m - 1) // (2 * p35)).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 @functools.lru_cache(maxsize=8)
@@ -431,6 +440,10 @@ def scalogram(signal: Signal, n_voices: int, fmin_hz: float, fmax_hz: float) -> 
     Scales run ``n_voices`` per octave from ``fmax_hz`` down to ``fmin_hz``
     using the centre-frequency rule f = omega0 * fs / (2 pi s); rows are
     ordered high frequency to low, one column per input sample.
+
+    The FFT zero-pads by the widest wavelet's support (``MORLET_SUPPORT``
+    scales at ``fmin_hz``), capped at the signal length, so no column reads a
+    wrapped sample while that support fits in the signal, at any length.
     """
     x = _require_single_channel(signal, "scalogram")
     n_voices = check_integer("n_voices", n_voices, 1)
@@ -441,15 +454,15 @@ def scalogram(signal: Signal, n_voices: int, fmin_hz: float, fmax_hz: float) -> 
             f"got fmin={fmin_hz}, fmax={fmax_hz}"
         )
     n = x.size
-    n_fft = _next_pow2(n)
+    s_max = MORLET_OMEGA0 * signal.sample_rate / (2.0 * math.pi * fmin_hz)
+    n_fft = _fft_length(n + min(math.ceil(MORLET_SUPPORT * s_max), n))
     freqs, bank = _morlet_bank(n_fft, signal.sample_rate, n_voices, fmin_hz, fmax_hz)
     spectrum = np.fft.fft(x, n=n_fft)[1:n_fft // 2]
     product = np.zeros(n_fft, dtype=np.complex128)
     values = np.empty((len(freqs), n), dtype=np.float64)
     for row, psi_hat in enumerate(bank):
         np.multiply(spectrum, psi_hat, out=product[1:n_fft // 2])
-        coeff = np.fft.ifft(product)
-        values[row] = np.abs(coeff[:n])
+        np.abs(np.fft.ifft(product)[:n], out=values[row])
     return FeatureMap(values, freqs.copy(), 1.0 / signal.sample_rate)  # the cached axis stays read-only
 
 
@@ -465,22 +478,21 @@ def write_feature_map(fm: FeatureMap, path):
     """Binary little-endian layout: magic, version, rows, cols, axis, f32 data.
 
     Written through ``files.atomic_write``: ``path`` holds either its old
-    bytes or the whole new map.  Values beyond float32's range raise
-    ``NumericError`` before anything is written, since ``read_feature_map``
-    refuses the ``inf`` they would store.
+    bytes or the whole new map.  Values that are NaN, infinite or beyond
+    float32's range raise ``NumericError`` before anything is written, since
+    ``read_feature_map`` refuses the non-finite numbers they would store.
     """
     rows, cols = fm.rows, fm.cols
-    try:
-        with np.errstate(over="raise"):
-            values = fm.values.astype("<f4")
-    except FloatingPointError:
-        raise NumericError(f"{path}: feature values beyond the float32 range of a .dsfm file") from None
+    with np.errstate(over="ignore"):
+        values = fm.values.astype("<f4", order="C")
+    if not np.isfinite(values).all():
+        raise NumericError(f"{path}: feature values beyond the float32 range of a .dsfm file, or not finite")
     with atomic_write(path) as fh:
         fh.write(DSFM_MAGIC)
         fh.write(struct.pack("<III", DSFM_VERSION, rows, cols))
         fh.write(struct.pack("<d", fm.seconds_per_frame))
         fh.write(fm.row_axis_hz.astype("<f8").tobytes())
-        fh.write(values.tobytes())
+        fh.write(values)
 
 
 def read_feature_map(path) -> FeatureMap:

@@ -17,8 +17,8 @@ from deepself.cli import (
     main,
 )
 from deepself.config import DOMAINS, METAVARS, MODEL_TYPES, SCHEMA, RunConfig
-from deepself.data import load_manifest, load_sample, load_wav_pcm16, write_wav_pcm16
-from deepself.dsp import Signal, design_butterworth_bandpass, read_feature_map
+from deepself.data import load_csv_series, load_manifest, load_sample, load_wav_pcm16, write_wav_pcm16
+from deepself.dsp import Signal, apply_iir, design_butterworth_bandpass, read_feature_map, scalogram
 from deepself.evaluation import read_predictions, uar_from_labels
 from deepself.training import load_checkpoint
 from iir_oracle import oracle_apply_iir
@@ -147,6 +147,29 @@ class TestPreprocess:
         err = capsys.readouterr().err
         assert f"{out / '00000_s0.dsfm'}: feature values beyond the float32 range" in err
         assert os.listdir(out) == []
+
+    def test_scalogram_maps_match_api_and_repeat_bytes(self, tmp_path):
+        rng = np.random.default_rng(8)
+        t = np.arange(1000) / 173.61
+        for i in range(2):
+            series = rng.standard_normal(1000) + np.sin(2 * np.pi * (6 + i) * t)
+            write_series(tmp_path / f"s{i}.csv", series.tolist())
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,label\ns0.csv,a\ns1.csv,b\n")
+        args = ["preprocess", "--manifest", str(manifest), "--sample-rate", "173.61",
+                "--filter", "on", "--filter-low", "0.5", "--filter-high", "30",
+                "--feature", "scalogram", "--fmin", "2", "--fmax", "32"]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(args + ["--output-dir", str(first)]) == 0
+        assert run(args + ["--output-dir", str(second)]) == 0
+        cascade = design_butterworth_bandpass(0.5, 30.0, 173.61)
+        rows = load_manifest(first / "manifest.csv").rows
+        for src, row in zip(["s0.csv", "s1.csv"], rows, strict=True):
+            expected = scalogram(apply_iir(load_csv_series(tmp_path / src, 173.61), cascade), 12, 2.0, 32.0)
+            got = read_feature_map(row.path)
+            np.testing.assert_array_equal(got.values, expected.values.astype(np.float32).astype(np.float64))
+            np.testing.assert_array_equal(got.row_axis_hz, expected.row_axis_hz)
+            assert (second / row.raw_path).read_bytes() == Path(row.path).read_bytes()
 
     def test_filter_matches_api(self, tmp_path):
         manifest = self.make_wavs(tmp_path, n=2)

@@ -6,6 +6,7 @@ path is never trusted to judge itself.
 """
 
 import cmath
+import contextlib
 import math
 import os
 import struct
@@ -15,6 +16,7 @@ import pytest
 
 from deepself import dsp
 from deepself.dsp import (
+    DSFM_MAGIC,
     IIR_BLOCK,
     FeatureMap,
     Signal,
@@ -40,6 +42,7 @@ from deepself.errors import (
     VersionError,
 )
 from iir_oracle import oracle_apply_iir
+from scalogram_oracle import next_pow2, oracle_scalogram
 
 
 def cascade_gain(sections, freq_hz, sample_rate):
@@ -392,6 +395,103 @@ class TestScalogram:
             scalogram(sig, 0, 1.0, 40.0)
 
 
+def peak_relative_error(got, oracle):
+    """Worst |got - oracle| as a fraction of the oracle map's peak."""
+    return float(np.max(np.abs(got - oracle)) / np.max(np.abs(oracle)))
+
+
+def widest_support(sample_rate, fmin_hz):
+    """MORLET_SUPPORT scales of the widest wavelet, in samples, rounded up."""
+    return math.ceil(dsp.MORLET_SUPPORT * dsp.MORLET_OMEGA0 * sample_rate / (2.0 * math.pi * fmin_hz))
+
+
+def band_passed_noise(seed, n, fs, low, high):
+    """Noise through the Butterworth band-pass, as ``preprocess --filter on`` feeds the scalogram."""
+    noise = Signal(np.random.default_rng(seed).standard_normal(n), fs)
+    return apply_iir(noise, design_butterworth_bandpass(low, high, fs))
+
+
+class TestScalogramFftLength:
+    """scalogram's wavelet-sized FFT against the power-of-two one it replaced.
+
+    The random-geometry signals are band-passed to the scalogram's range.
+    Both transforms drop the DC bin and the negative frequencies, where
+    exp(-omega0^2 / 2) ~ 1.5e-8 of the Morlet spectrum lies, and each FFT
+    length samples that share on its own grid; on white noise, with its
+    energy near DC, the two lengths differ by up to ~2.7e-9 of the peak.
+    """
+
+    def test_benchmark_geometry_within_1e_9_of_the_power_of_two_transform(self):
+        fs = 173.61
+        rng = np.random.default_rng(17)
+        t = np.arange(4097) / fs
+        sig = Signal(rng.standard_normal(4097) + np.sin(2 * math.pi * 10.0 * t), fs)
+        assert peak_relative_error(scalogram(sig, 12, 2.0, 32.0).values,
+                                   oracle_scalogram(sig, 12, 2.0, 32.0)) <= 1e-9
+
+    @staticmethod
+    def geometries(min_length, max_length, room):
+        """(n, fs, n_voices, fmin, fmax) strategy whose widest wavelet fits in ``room(n)`` samples."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def draw(draw):
+            n = draw(st.one_of(st.sampled_from([1 << k for k in range(6, 13)]),
+                               st.integers(min_length, max_length)))
+            fs = draw(st.floats(50.0, 1000.0))
+            fmax = draw(st.floats(0.02, 0.2)) * fs  # far from Nyquist, where the wavelets are cut
+            least_fmin = 1.001 * dsp.MORLET_OMEGA0 * fs * dsp.MORLET_SUPPORT / (2.0 * math.pi * max(room(n), 1))
+            hypothesis.assume(least_fmin < fmax / 1.01)
+            return n, fs, draw(st.integers(1, 12)), draw(st.floats(least_fmin, fmax / 1.01)), fmax
+
+        return draw()
+
+    def test_random_lengths_where_the_power_of_two_does_not_wrap_within_1e_9(self):
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None)
+        @hypothesis.given(self.geometries(64, 6000, lambda n: next_pow2(n) - n),
+                          hypothesis.strategies.integers(0, 2**32 - 1))
+        def check(geometry, seed):
+            n, fs, n_voices, fmin, fmax = geometry
+            assert next_pow2(n) >= n + widest_support(fs, fmin)
+            sig = band_passed_noise(seed, n, fs, fmin, fmax)
+            assert peak_relative_error(scalogram(sig, n_voices, fmin, fmax).values,
+                                       oracle_scalogram(sig, n_voices, fmin, fmax)) <= 1e-9
+
+        check()
+
+    def test_zero_extension_keeps_the_first_columns(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None)
+        @hypothesis.given(self.geometries(64, 4096, lambda n: n), st.integers(1, 8192),
+                          st.integers(0, 2**32 - 1))
+        @hypothesis.example((4096, 173.61, 12, 2.0, 32.0), 1000, 5)  # the power-of-two FFT wraps here
+        def check(geometry, extra, seed):
+            n, fs, n_voices, fmin, fmax = geometry
+            assert widest_support(fs, fmin) <= n
+            x = band_passed_noise(seed, n, fs, fmin, fmax).samples[0]
+            alone = scalogram(Signal(x, fs), n_voices, fmin, fmax).values
+            extended = scalogram(Signal(np.concatenate([x, np.zeros(extra)]), fs), n_voices, fmin, fmax)
+            assert peak_relative_error(extended.values[:, :n], alone) <= 1e-9
+
+        check()
+
+    def test_fft_length_is_the_smallest_even_5_smooth_number_not_below(self):
+        def five_smooth(k):
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            return k == 1
+
+        smooth_evens = [k for k in range(2, 12002, 2) if five_smooth(k)]
+        for m in range(1, 6001):
+            assert dsp._fft_length(m) == next(k for k in smooth_evens if k >= m)
+
+
 @pytest.mark.parametrize("call", [
     lambda sig: spectrogram(sig, 64.7, 32),
     lambda sig: spectrogram(sig, 64, 32.5),
@@ -475,9 +575,27 @@ class TestFeatureMapFile:
         else:
             getattr(fm, field)[1] = math.nan
         path = tmp_path / "map.dsfm"
-        write_feature_map(fm, path)
+        if field == "values":  # the writer refuses such a map, so its bytes are built here
+            path.write_bytes(DSFM_MAGIC + struct.pack("<IIId", 1, fm.rows, fm.cols, fm.seconds_per_frame)
+                             + fm.row_axis_hz.astype("<f8").tobytes() + fm.values.astype("<f4").tobytes())
+        else:
+            write_feature_map(fm, path)
         with pytest.raises(IntegrityError, match="non-finite"):
             read_feature_map(path)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e39], ids=["nan", "inf", "float32-overflow"])
+    def test_non_finite_values_raise_before_writing(self, tmp_path, bad):
+        path = tmp_path / "map.dsfm"
+        write_feature_map(self._sample_map(), path)
+        before = path.read_bytes()
+        fm = self._sample_map()
+        fm.values[4, 8] = bad
+        for target in (path, tmp_path / "new.dsfm"):
+            with pytest.raises(NumericError, match="not finite") as err:
+                write_feature_map(fm, target)
+            assert str(target) in str(err.value)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["map.dsfm"]
 
     def test_values_beyond_float32_raise_before_writing(self, tmp_path):
         fm = self._sample_map()
@@ -488,16 +606,30 @@ class TestFeatureMapFile:
         assert str(path) in str(err.value)
         assert os.listdir(tmp_path) == []
 
-    def test_failed_write_keeps_previous_bytes_and_leaves_no_stray_file(self, tmp_path):
-        class FailingValues(np.ndarray):
-            def tobytes(self, *args, **kwargs):  # reached after the header and row axis are written
-                raise OSError("disk full")
+    def test_failed_write_keeps_previous_bytes_and_leaves_no_stray_file(self, tmp_path, monkeypatch):
+        class FailingValues:
+            """Handle whose write of the values array, after the header and row axis, fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                if isinstance(data, np.ndarray):
+                    raise OSError("disk full")
+                return self.fh.write(data)
 
         path = tmp_path / "map.dsfm"
         write_feature_map(self._sample_map(), path)
         before = path.read_bytes()
         failing = self._sample_map()
-        failing.values = np.zeros((5, 9)).view(FailingValues)
+        real_atomic_write = dsp.atomic_write
+
+        @contextlib.contextmanager
+        def failing_atomic_write(target):
+            with real_atomic_write(target) as fh:
+                yield FailingValues(fh)
+
+        monkeypatch.setattr(dsp, "atomic_write", failing_atomic_write)
         with pytest.raises(OSError, match="disk full"):
             write_feature_map(failing, path)
         assert path.read_bytes() == before
