@@ -1,9 +1,11 @@
 """Run configuration: flat INI files, domain validation, plan assembly.
 
-``SCHEMA`` is the one table of config keys: the INI reader and the
-command-line flags (which override file values) are both built from it.
-All values are validated against their documented domains before any work
-starts.
+``RunConfig``'s fields are the one table of config keys: each field carries
+its INI section, file key, parser, integer floor and, for an enumerated key,
+its domain. ``SCHEMA`` and ``DOMAINS`` are derived from those fields, and the
+INI reader and the command-line flags (which override file values) are both
+built from ``SCHEMA``. All values are validated against their documented
+domains before any work starts.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError, check_integer
 from .models import ACTIVATIONS, DIRECTIONS, RECURRENT_CELLS, Conv, Dense, ModelSpec, Recurrent
@@ -19,72 +21,114 @@ from .training import OPTIMIZERS, TrainConfig
 
 MODEL_TYPES = ("nn", "cnn", "rnn", "cnn+rnn")
 FEATURES = ("none", "spectrogram", "logmel", "scalogram")
-# the least value of each integer key that no spec object built from it checks
-_LEAST = {"nn_hidden_layers": 1, "window_size": 2, "hop_size": 1, "n_mels": 1, "n_voices": 1,
-          "fixed_length": 1, "jobs": 1}
+
+
+# ---------------------------------------------------------------------------
+# INI parsing
+# ---------------------------------------------------------------------------
+
+def _int_list(text: str) -> tuple:
+    try:
+        return tuple(int(part.strip()) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from None
+
+
+def _bool(text: str):
+    lowered = text.strip().lower()
+    if lowered in ("on", "true", "yes", "1"):
+        return True
+    if lowered in ("off", "false", "no", "0"):
+        return False
+    raise ConfigError(f"expected on/off, got {text!r}")
+
+
+def _float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"expected an integer, got {text!r}") from None
+
+
+# how --help shows the values these parsers accept
+METAVARS = {_bool: "on|off", _int_list: "N,N,..."}
+
+
+def _key(section: str, default, parse, *, key: str | None = None,
+         least: int | None = None, domain: tuple | None = None):
+    """A config key: its INI ``[section]``, its file ``key`` (default: the field
+    name), the parser of its text, the least value of an integer key that no spec
+    object built from it checks, and the values an enumerated key may take."""
+    return field(default=default, metadata={
+        "section": section, "key": key, "parse": parse, "least": least, "domain": domain})
+
+
+def _file_key(f) -> str:
+    return f.metadata["key"] or f.name
 
 
 @dataclass
 class RunConfig:
-    # [general]
-    learning_rate: float = 0.001
-    batch_size: int = 16
-    epochs: int = 20
-    optimizer: str = "adam"
-    # [model]
-    model_type: str = "nn"
-    # [nn]
-    nn_hidden_layers: int = 1
-    nn_hidden_nodes: int = 64
-    # [cnn] — one entry per convolutional layer
-    cnn_channels: tuple = (8,)
-    cnn_kernel: tuple = (3,)
-    cnn_stride: tuple = (1,)
-    cnn_padding: tuple = (0,)
-    # [rnn]
-    rnn_type: str = "gru"
-    rnn_direction: str = "uni"
-    rnn_hidden_layers: int = 1
-    rnn_hidden_nodes: int = 32
-    # [preprocess]
-    filter: bool = False
-    filter_low: float | None = None
-    filter_high: float | None = None
-    feature: str = "none"
-    window_size: int = 256
-    hop_size: int = 128
-    n_mels: int = 26
-    fmin: float = 0.0
-    fmax: float | None = None  # None = Nyquist
-    n_voices: int = 12
-    # [data]
-    manifest: str | None = None
-    sample_rate: float | None = None
-    fixed_length: int | None = None
-    # [run]
-    seed: int = 0
-    output_dir: str = "out"
+    learning_rate: float = _key("general", 0.001, _float)
+    batch_size: int = _key("general", 16, _int)
+    epochs: int = _key("general", 20, _int)
+    optimizer: str = _key("general", "adam", str.strip, domain=OPTIMIZERS)
+    model_type: str = _key("model", "nn", str.strip, key="type", domain=MODEL_TYPES)
+    nn_hidden_layers: int = _key("nn", 1, _int, key="hidden_layers", least=1)
+    nn_hidden_nodes: int = _key("nn", 64, _int, key="hidden_nodes")
+    # one entry per convolutional layer
+    cnn_channels: tuple = _key("cnn", (8,), _int_list, key="channels")
+    cnn_kernel: tuple = _key("cnn", (3,), _int_list, key="kernel")
+    cnn_stride: tuple = _key("cnn", (1,), _int_list, key="stride")
+    cnn_padding: tuple = _key("cnn", (0,), _int_list, key="padding")
+    rnn_type: str = _key("rnn", "gru", str.strip, key="type", domain=RECURRENT_CELLS)
+    rnn_direction: str = _key("rnn", "uni", str.strip, key="direction", domain=DIRECTIONS)
+    rnn_hidden_layers: int = _key("rnn", 1, _int, key="hidden_layers")
+    rnn_hidden_nodes: int = _key("rnn", 32, _int, key="hidden_nodes")
+    filter: bool = _key("preprocess", False, _bool)
+    filter_low: float | None = _key("preprocess", None, _float, key="low")
+    filter_high: float | None = _key("preprocess", None, _float, key="high")
+    feature: str = _key("preprocess", "none", str.strip, domain=FEATURES)
+    window_size: int = _key("preprocess", 256, _int, least=2)
+    hop_size: int = _key("preprocess", 128, _int, least=1)
+    n_mels: int = _key("preprocess", 26, _int, least=1)
+    fmin: float = _key("preprocess", 0.0, _float)
+    fmax: float | None = _key("preprocess", None, _float)  # None = Nyquist
+    n_voices: int = _key("preprocess", 12, _int, least=1)
+    manifest: str | None = _key("data", None, str.strip)
+    sample_rate: float | None = _key("data", None, _float)
+    fixed_length: int | None = _key("data", None, _int, least=1)
+    seed: int = _key("run", 0, _int)
+    output_dir: str = _key("run", "out", str.strip)
     # validated but unused (threads lost to serial); kept because perfbench sets it
-    jobs: int = 1
-    activation: str = "relu"
+    jobs: int = _key("run", 1, _int, least=1)
+    activation: str = _key("run", "relu", str.strip, domain=ACTIVATIONS)
 
     def validate(self) -> "RunConfig":
         for f in fields(self):
-            value = getattr(self, f.name)
+            value, parse, domain = getattr(self, f.name), f.metadata["parse"], f.metadata["domain"]
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be a finite number, got {value}")
-        for table in SCHEMA.values():
-            for attr, parse in table.values():
-                value = getattr(self, attr)
-                if parse is _int_list:
-                    for entry in value:
-                        check_integer(f"{attr} entry", entry)
-                elif parse is _int and value is not None:
-                    check_integer(attr, value, _LEAST.get(attr))
-        # the spec objects own the domains of the keys they are built from
+            if parse is _int_list:
+                for entry in value:
+                    check_integer(f"{f.name} entry", entry)
+            elif parse is _int and value is not None:
+                check_integer(f.name, value, f.metadata["least"])
+            if domain is not None and value not in domain:
+                raise ConfigError(f"[{f.metadata['section']}] {_file_key(f)} must be one of "
+                                  f"{domain}, got {value!r}")
+        # the spec objects check the rest of the keys they are built from
         _in_section("general", self.train_config)
-        if self.model_type not in MODEL_TYPES:
-            raise ConfigError(f"model type must be one of {MODEL_TYPES}, got {self.model_type!r}")
         _in_section("nn", Dense, self.nn_hidden_nodes)
         lists = {
             "channels": self.cnn_channels, "kernel": self.cnn_kernel,
@@ -103,10 +147,6 @@ class RunConfig:
             raise ConfigError("cnn models need at least one convolutional layer")
         _in_section("rnn", Recurrent, self.rnn_type, self.rnn_hidden_nodes,
                     self.rnn_hidden_layers, self.rnn_direction)
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
-        if self.feature not in FEATURES:
-            raise ConfigError(f"feature must be one of {FEATURES}, got {self.feature!r}")
         if self.filter:
             if self.filter_low is None or self.filter_high is None:
                 raise ConfigError("filter=on needs both low and high cutoffs")
@@ -185,107 +225,13 @@ def _in_section(section: str, build, *args):
         raise ConfigError(f"[{section}] {exc}") from None
 
 
-# ---------------------------------------------------------------------------
-# INI parsing
-# ---------------------------------------------------------------------------
-
-def _int_list(text: str) -> tuple:
-    try:
-        return tuple(int(part.strip()) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from None
-
-
-def _bool(text: str):
-    lowered = text.strip().lower()
-    if lowered in ("on", "true", "yes", "1"):
-        return True
-    if lowered in ("off", "false", "no", "0"):
-        return False
-    raise ConfigError(f"expected on/off, got {text!r}")
-
-
-def _float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"expected a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"expected a finite number, got {text!r}")
-    return value
-
-
-def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {text!r}") from None
-
-
-# how --help shows the values these parsers accept
-METAVARS = {_bool: "on|off", _int_list: "N,N,..."}
-
-# section -> {file key -> (RunConfig attribute, parser)}
-SCHEMA = {
-    "general": {
-        "learning_rate": ("learning_rate", _float),
-        "batch_size": ("batch_size", _int),
-        "epochs": ("epochs", _int),
-        "optimizer": ("optimizer", str.strip),
-    },
-    "model": {
-        "type": ("model_type", str.strip),
-    },
-    "nn": {
-        "hidden_layers": ("nn_hidden_layers", _int),
-        "hidden_nodes": ("nn_hidden_nodes", _int),
-    },
-    "cnn": {
-        "channels": ("cnn_channels", _int_list),
-        "kernel": ("cnn_kernel", _int_list),
-        "stride": ("cnn_stride", _int_list),
-        "padding": ("cnn_padding", _int_list),
-    },
-    "rnn": {
-        "type": ("rnn_type", str.strip),
-        "direction": ("rnn_direction", str.strip),
-        "hidden_layers": ("rnn_hidden_layers", _int),
-        "hidden_nodes": ("rnn_hidden_nodes", _int),
-    },
-    "preprocess": {
-        "filter": ("filter", _bool),
-        "low": ("filter_low", _float),
-        "high": ("filter_high", _float),
-        "feature": ("feature", str.strip),
-        "window_size": ("window_size", _int),
-        "hop_size": ("hop_size", _int),
-        "n_mels": ("n_mels", _int),
-        "fmin": ("fmin", _float),
-        "fmax": ("fmax", _float),
-        "n_voices": ("n_voices", _int),
-    },
-    "data": {
-        "manifest": ("manifest", str.strip),
-        "sample_rate": ("sample_rate", _float),
-        "fixed_length": ("fixed_length", _int),
-    },
-    "run": {
-        "seed": ("seed", _int),
-        "output_dir": ("output_dir", str.strip),
-        "jobs": ("jobs", _int),
-        "activation": ("activation", str.strip),
-    },
-}
+# section -> {file key -> (RunConfig attribute, parser)}, in field order
+SCHEMA: dict = {}
+for _f in fields(RunConfig):
+    SCHEMA.setdefault(_f.metadata["section"], {})[_file_key(_f)] = (_f.name, _f.metadata["parse"])
 
 # attribute -> the values it may take, for the enumerated keys
-DOMAINS = {
-    "optimizer": OPTIMIZERS,
-    "model_type": MODEL_TYPES,
-    "rnn_type": RECURRENT_CELLS,
-    "rnn_direction": DIRECTIONS,
-    "feature": FEATURES,
-    "activation": ACTIVATIONS,
-}
+DOMAINS = {f.name: f.metadata["domain"] for f in fields(RunConfig) if f.metadata["domain"]}
 
 
 def load_config(path) -> RunConfig:
@@ -321,5 +267,8 @@ def load_config(path) -> RunConfig:
 
 def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:
     """Return a copy with non-None override values applied, re-validated."""
+    unknown = sorted(set(overrides) - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}")
     changes = {k: v for k, v in overrides.items() if v is not None}
     return replace(cfg, **changes).validate() if changes else cfg.validate()

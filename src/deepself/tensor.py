@@ -182,7 +182,7 @@ def backward(loss: Tensor):
                     continue
                 if not np.isfinite(g).all():
                     raise NumericError(f"non-finite gradient in backward of {rec.op}")
-                # out of place: a grad may be a view of another tensor's grad (reshape)
+                # out of place: a grad may be a view of another tensor's grad (cnn_to_rnn_reshape)
                 if t.grad is None:
                     t.grad = g.astype(t.data.dtype, copy=False)
                 else:
@@ -228,17 +228,6 @@ def _activate(kind: str, a):
 # ---------------------------------------------------------------------------
 # Shape manipulation
 # ---------------------------------------------------------------------------
-
-
-def reshape(x, shape) -> Tensor:
-    x = _as_tensor(x)
-    shape = tuple(int(s) for s in shape)
-    in_shape = x.shape
-    try:
-        out = x.data.reshape(shape)
-    except ValueError as exc:
-        raise ShapeError(f"reshape: cannot view {tuple(in_shape)} as {shape}") from exc
-    return _make_result("reshape", out, (x,), lambda g: (g.reshape(in_shape),))
 
 
 def cnn_to_rnn_reshape(x) -> Tensor:

@@ -17,11 +17,12 @@ from deepself.cli import (
     main,
 )
 from deepself.config import DOMAINS, METAVARS, MODEL_TYPES, SCHEMA, RunConfig
-from deepself.data import load_csv_series, load_manifest, load_sample, load_wav_pcm16, write_wav_pcm16
+from deepself.data import load_csv_series, load_manifest, load_sample, load_wav_pcm16
 from deepself.dsp import Signal, apply_iir, design_butterworth_bandpass, read_feature_map, scalogram
 from deepself.evaluation import read_predictions, uar_from_labels
 from deepself.training import load_checkpoint
 from iir_oracle import oracle_apply_iir
+from wav_writer import write_wav_pcm16
 
 
 def run(argv):

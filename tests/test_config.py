@@ -1,5 +1,6 @@
 """RunConfig: INI parsing, domain validation, model-spec assembly."""
 
+import configparser
 import math
 import re
 from collections import Counter
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deepself.config import SCHEMA, RunConfig, apply_overrides, load_config
+from deepself.config import DOMAINS, SCHEMA, RunConfig, apply_overrides, load_config
 from deepself.errors import ConfigError
 from deepself.models import Conv, Dense, Recurrent, plan_shapes
 
@@ -142,6 +143,15 @@ jobs = 2
         assert cfg.fmax == 40.0
         assert cfg.filter_low == 0.5 and cfg.jobs == 1
 
+    def test_readme_example_sets_every_key(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = re.search(r"```ini\n(.*?)```", readme.read_text(), re.S).group(1)
+        load_config(write_cfg(tmp_path, block))
+        parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+        parser.read_string(block)
+        in_readme = {(section, key) for section in parser.sections() for key in parser[section]}
+        assert in_readme == {(section, key) for section, table in SCHEMA.items() for key in table}
+
     def test_inline_comment_needs_leading_whitespace(self, tmp_path):
         p = write_cfg(tmp_path, "[data]\nmanifest = a;b.csv  ; the training rows\n")
         assert load_config(p).manifest == "a;b.csv"
@@ -184,6 +194,22 @@ class TestDomains:
     def test_feature_domain(self):
         with pytest.raises(ConfigError, match="scalogram"):
             self.base(feature="mfcc")
+
+    @pytest.mark.parametrize("attr", sorted(DOMAINS))
+    def test_domain_error_names_section_and_key(self, attr, tmp_path):
+        section, key = next((section, key) for section, table in SCHEMA.items()
+                            for key, (name, _) in table.items() if name == attr)
+        match = re.escape(f"[{section}] {key} must be one of {DOMAINS[attr]}, got 'bogus'")
+        with pytest.raises(ConfigError, match=match):
+            self.base(**{attr: "bogus"})
+        with pytest.raises(ConfigError, match=match):
+            load_config(write_cfg(tmp_path, f"[{section}]\n{key} = bogus\n"))
+
+    def test_unknown_override_key(self):
+        with pytest.raises(ConfigError, match="unknown config key 'epoch'"):
+            self.base(epoch=3)
+        with pytest.raises(ConfigError, match="'epoch'"):
+            self.base(epoch=None)
 
     def test_positive_numbers(self):
         for key, bad in [("learning_rate", 0.0), ("learning_rate", -1.0),

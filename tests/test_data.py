@@ -17,7 +17,6 @@ from deepself.data import (
     load_signal,
     load_wav_pcm16,
     write_manifest,
-    write_wav_pcm16,
 )
 from deepself.dsp import FeatureMap, Signal, write_feature_map
 from deepself.evaluation import read_predictions
@@ -28,6 +27,7 @@ from deepself.errors import (
     TruncatedFileError,
     UnsupportedFormatError,
 )
+from wav_writer import write_wav_pcm16
 
 
 def make_wav(path, frames, rate=16000, channels=1):

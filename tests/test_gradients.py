@@ -31,17 +31,12 @@ from deepself.tensor import (
     linear,
     no_grad,
     recurrent,
-    reshape,
     softmax_cross_entropy,
 )
+from tape_ops import dot
 
 TOL = 1e-4
 FLOOR = 1e-6
-
-
-def dot(a, b):
-    """Scalar sum of a * b over all elements, composed from linear and reshape."""
-    return linear(reshape(a, (1, -1)), reshape(b, (-1, 1)), Tensor(np.zeros(1, dtype=a.dtype)))
 
 
 def max_rel_error(analytic, numeric):
