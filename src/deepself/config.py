@@ -235,7 +235,7 @@ DOMAINS = {f.name: f.metadata["domain"] for f in fields(RunConfig) if f.metadata
 
 
 def load_config(path) -> RunConfig:
-    """Parse a flat INI file and validate every key against its domain."""
+    """Parse a flat INI file and validate every key against its domain; errors name the file."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         with open(path) as fh:
@@ -262,7 +262,10 @@ def load_config(path) -> RunConfig:
                 setattr(cfg, attr, parse(raw))
             except ConfigError as exc:
                 raise ConfigError(f"{path}: [{section}] {key}: {exc}") from None
-    return cfg.validate()
+    try:
+        return cfg.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:

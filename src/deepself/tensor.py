@@ -14,7 +14,9 @@ instead.  The ops are whole layers (``linear``, ``conv_nd_batched``,
 ``recurrent``, ``cnn_to_rnn_reshape``, ``final_states``) and the loss: a
 layer is one tape record, its activation applied inside it, and there is no
 general elementwise algebra.  Convolution is cross-correlation (no kernel
-flip).
+flip).  A recorded ``recurrent`` scan takes its whole-sequence buffers from
+a per-thread pool beside the tape and its backward gives them back, so a
+fixed-shape training step reuses the last step's buffers.
 """
 
 from __future__ import annotations
@@ -387,6 +389,25 @@ RECURRENT_GATES = {
 }
 
 
+# bytes of free recorded-scan buffers a thread keeps; past it, the oldest are dropped
+SCAN_POOL_BYTES = 32 << 20
+
+
+def _scan_buffer(shape, dtype, pooled):
+    """An uninitialised array: with ``pooled``, the newest free one of that shape and dtype in this thread's pool."""
+    pool = _state.__dict__.setdefault("scan_pool", []) if pooled else []  # oldest first
+    match = [i for i, a in enumerate(pool) if a.shape == shape and a.dtype == dtype]
+    return pool.pop(match[-1]) if match else np.empty(shape, dtype)
+
+
+def _free_scan_buffers(arrays):
+    """Put ``arrays`` in this thread's pool, then drop its oldest past ``SCAN_POOL_BYTES``."""
+    pool = _state.__dict__.setdefault("scan_pool", [])
+    pool += arrays
+    while sum(a.nbytes for a in pool) > SCAN_POOL_BYTES:
+        pool.pop(0)
+
+
 def _scan_views(a):
     """Each direction of a [B, T, D, H] array as a [T, B, H] view in its scan-step order."""
     return [a[:, ::1 - 2 * d, d].transpose(1, 0, 2) for d in range(a.shape[2])]
@@ -428,6 +449,13 @@ def recurrent(x, w, u, b, cell: str) -> Tensor:
     input requires grad) the scan keeps one step of gates and r*h and two of
     cell state, the one read and the one written; the pre-activations and
     states stay whole.
+
+    A recorded scan takes these buffers, ``seq``, W x and backward's
+    ``d_out``, ``d_pre``, local derivatives and ``d_seq`` from this thread's
+    pool (at most ``SCAN_POOL_BYTES``) when it holds their shape and dtype,
+    and backward gives them back once its gradients, none of which aliases
+    them, are computed.  A record never replayed leaves them to the garbage
+    collector; an unrecorded scan allocates its own.
     """
     if cell not in RECURRENT_GATES:
         raise ConfigError(f"unknown recurrent cell {cell!r}; choose one of {tuple(RECURRENT_GATES)}")
@@ -444,18 +472,30 @@ def recurrent(x, w, u, b, cell: str) -> Tensor:
     batch, steps, _ = x.shape
     dtype = np.result_type(x.data, w, u, b)
     n_h = 2 * hid if cell == "gru" else width  # gate columns fed by U h; the rest, gru's candidate, by U_n (r*h)
+    recorded = _tracked(inputs)
+    held = []  # the scan's whole-sequence arrays: recorded, they come from the pool and backward gives them back
+
+    def buffer(shape):
+        held.append(_scan_buffer(shape, dtype, recorded))
+        return held[-1]
+
     xt = x.data.transpose(1, 0, 2)
-    seq = np.stack([xt, xt[::-1]][:n_dirs]).astype(dtype, copy=False).reshape(n_dirs, -1, features)
-    proj = (seq @ w).reshape(n_dirs, steps, batch, width).transpose(1, 0, 2, 3)  # W x; U h and b are added per step
-    pre_h, pre_n = np.ascontiguousarray(proj[..., :n_h]), np.ascontiguousarray(proj[..., n_h:])
-    del proj
+    seq = np.stack([xt, xt[::-1]][:n_dirs], out=buffer((n_dirs, steps, batch, features))).reshape(n_dirs, -1, features)
+    flat = np.matmul(seq, w, out=_scan_buffer((n_dirs, steps * batch, width), dtype, recorded))
+    proj = flat.reshape(n_dirs, steps, batch, width).transpose(1, 0, 2, 3)  # W x; U h and b are added per step
     # unrecorded, the gates, rh and cs keep only the steps in flight, indexed modulo their extent
-    kept = steps if _tracked(inputs) else 1
-    gates_h = np.empty((kept, n_dirs, batch, n_h), dtype)  # gru and lstm
-    gates_n = np.empty((kept, n_dirs, batch, width - n_h), dtype)  # gru only
-    rh = np.empty((kept, n_dirs, batch, hid), dtype)  # gru only: r*h, what U_n reads
-    hs = np.zeros((steps + 1, n_dirs, batch, hid), dtype)
-    cs = np.zeros((kept + 1, n_dirs, batch, hid), dtype)  # lstm only
+    kept = steps if recorded else 1
+    pre_h, pre_n, gates_h, gates_n, rh, hs, cs = (buffer(shape) for shape in (
+        (steps, n_dirs, batch, n_h), (steps, n_dirs, batch, width - n_h),
+        (kept, n_dirs, batch, n_h * (cell != "rnn")),  # gates_h: gru and lstm
+        (kept, n_dirs, batch, width - n_h),  # gates_n: gru only
+        (kept, n_dirs, batch, hid * (cell == "gru")),  # rh: gru only, r*h, what U_n reads
+        (steps + 1, n_dirs, batch, hid), (kept + 1, n_dirs, batch, hid * (cell == "lstm"))))  # hs; cs: lstm only
+    pre_h[...], pre_n[...] = proj[..., :n_h], proj[..., n_h:]
+    if recorded:
+        _free_scan_buffers([flat])  # W x is spent
+    del proj, flat
+    hs[0], cs[0] = 0, 0  # every other element is written before it is read
     u_h, u_n = np.ascontiguousarray(u[..., :n_h]), np.ascontiguousarray(u[..., n_h:])
     b_h, b_n = np.ascontiguousarray(b[:, None, :n_h]), np.ascontiguousarray(b[:, None, n_h:])
     for s in range(steps):
@@ -486,26 +526,29 @@ def recurrent(x, w, u, b, cell: str) -> Tensor:
         raise NumericError(f"{cell} produced non-finite values")
 
     def _backward(grad):
-        d_out = np.empty((steps, n_dirs, batch, hid), dtype)
+        d_out = buffer((steps, n_dirs, batch, hid))
         for d, view in enumerate(_scan_views(grad.reshape(batch, steps, n_dirs, hid))):
             d_out[:, d] = view
-        d_pre = np.empty((n_dirs, steps, batch, width), dtype)  # direction-major: the matmuls' rows
+        # direction-major, the rows of the matmuls; the shape of W x's buffer, which it takes again
+        d_pre = buffer((n_dirs, steps * batch, width)).reshape(n_dirs, steps, batch, width)
         d_h, d_n = d_pre[..., :n_h], d_pre[..., n_h:]
         h_in = hs[:-1]
         # the local derivatives that do not depend on the incoming gradient, all steps at once
         if cell == "rnn":
-            fac = 1.0 - hs[1:] * hs[1:]
+            fac = np.subtract(1.0, hs[1:] * hs[1:], out=buffer(h_in.shape))
         elif cell == "gru":
             r, z, n = gates_h[..., :hid], gates_h[..., hid:], gates_n
             # times dL/d(r*h), dL/dh', dL/dh'
-            fac_r, fac_z, fac_n = h_in * r * (1.0 - r), (h_in - n) * z * (1.0 - z), (1.0 - z) * (1.0 - n * n)
+            fac_r = np.multiply(h_in * r, 1.0 - r, out=buffer(h_in.shape))
+            fac_z = np.multiply((h_in - n) * z, 1.0 - z, out=buffer(h_in.shape))
+            fac_n = np.multiply(1.0 - z, 1.0 - n * n, out=buffer(h_in.shape))
         else:
             i, f, g, o = (gates_h[..., k * hid:(k + 1) * hid] for k in range(4))
-            tanh_c = np.tanh(cs[1:])
+            tanh_c = np.tanh(cs[1:], out=buffer(h_in.shape))
             # times dL/dc for i, f and g, times dL/dh' for o
             fac = np.stack([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - g * g),
-                            tanh_c * o * (1.0 - o)], axis=3)
-            o_dtanh = o * (1.0 - tanh_c * tanh_c)
+                            tanh_c * o * (1.0 - o)], axis=3, out=buffer((steps, n_dirs, batch, 4, hid)))
+            o_dtanh = np.multiply(o, 1.0 - tanh_c * tanh_c, out=buffer(h_in.shape))
         carry = np.zeros((n_dirs, batch, hid), dtype)  # dL/dh from later steps
         dc = np.zeros((n_dirs, batch, hid), dtype)  # dL/dc from later steps (lstm)
         for s in range(steps - 1, -1, -1):
@@ -533,10 +576,13 @@ def recurrent(x, w, u, b, cell: str) -> Tensor:
             d_u = np.concatenate([d_u, d_u_n], axis=2)
         d_x = None
         if x.requires_grad:
-            d_seq = (d_flat @ w.transpose(0, 2, 1)).reshape(n_dirs, steps, batch, -1)
-            d_x = d_seq[0] if n_dirs == 1 else d_seq[0] + d_seq[1, ::-1]
-            d_x = np.ascontiguousarray(d_x.transpose(1, 0, 2))
-        return (d_x, seq.transpose(0, 2, 1) @ d_flat, d_u, d_flat.sum(axis=1))
+            d_seq = buffer((n_dirs, steps, batch, features))
+            np.matmul(d_flat, w.transpose(0, 2, 1), out=d_seq.reshape(n_dirs, -1, features))
+            d_x = d_seq[0] if n_dirs == 1 else np.add(d_seq[0], d_seq[1, ::-1], out=d_seq[0])
+            d_x = d_x.transpose(1, 0, 2).copy()
+        grads = (d_x, seq.transpose(0, 2, 1) @ d_flat, d_u, d_flat.sum(axis=1))
+        _free_scan_buffers(held)
+        return grads
 
     out = np.empty((batch, steps, n_dirs, hid), dtype)
     for d, view in enumerate(_scan_views(out)):

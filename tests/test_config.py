@@ -202,8 +202,9 @@ class TestDomains:
         match = re.escape(f"[{section}] {key} must be one of {DOMAINS[attr]}, got 'bogus'")
         with pytest.raises(ConfigError, match=match):
             self.base(**{attr: "bogus"})
-        with pytest.raises(ConfigError, match=match):
-            load_config(write_cfg(tmp_path, f"[{section}]\n{key} = bogus\n"))
+        path = write_cfg(tmp_path, f"[{section}]\n{key} = bogus\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {match}"):
+            load_config(path)
 
     def test_unknown_override_key(self):
         with pytest.raises(ConfigError, match="unknown config key 'epoch'"):

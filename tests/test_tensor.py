@@ -1,5 +1,6 @@
 """Tensor arithmetic, tape mechanics, and the finite-difference oracle."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -230,7 +231,8 @@ def gather_conv_forward(x, kernels, bias, stride, padding):
     out_sp = tuple((n - k) // s + 1 for n, k, s in zip(padded.shape[2:], kernel_sp, stride))
     win = window_indices(padded.shape[2:], out_sp, kernel_sp, stride)
     patches = padded.reshape(batch, c_in, -1)[:, :, win]  # [B, C_in, O, K]
-    pmat = patches.transpose(0, 2, 1, 3).reshape(batch * win.shape[0], c_in * win.shape[1])
+    # C order, like the op's: a Fortran-ordered pmat (one output position) takes another matmul path
+    pmat = np.ascontiguousarray(patches.transpose(0, 2, 1, 3).reshape(batch * win.shape[0], c_in * win.shape[1]))
     out = (pmat @ kernels.reshape(c_out, -1).T).reshape(batch, win.shape[0], c_out).transpose(0, 2, 1)
     return (out + bias[None, :, None]).reshape(batch, c_out, *out_sp), pmat
 
@@ -281,16 +283,20 @@ class TestConvForward:
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
-        @hypothesis.settings(max_examples=60, deadline=None, database=None)
-        @hypothesis.given(st.data(), st.integers(1, 3), st.integers(1, 4), st.integers(1, 3),
-                          st.integers(1, 3), st.sampled_from([np.float32, np.float64]))
-        def check(data, rank, c_in, batch, c_out, dtype):
+        @st.composite
+        def geometries(draw):
+            rank, c_in, batch, c_out = (draw(st.integers(1, n)) for n in (3, 4, 3, 3))
             axes = st.lists(st.integers(1, 3), min_size=rank, max_size=rank)
-            kernel, stride = data.draw(axes), data.draw(axes)
-            padding = data.draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank))
-            spatial = [data.draw(st.integers(max(1, k - 2 * p), k - 2 * p + 6)) for k, p in zip(kernel, padding)]
-            check_conv_equals_gather((batch, c_in, *spatial), (c_out, c_in, *kernel), tuple(stride),
-                                     tuple(padding), dtype, seed=data.draw(st.integers(0, 2**32 - 1)))
+            kernel, stride = draw(axes), draw(axes)
+            padding = draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank))
+            spatial = [draw(st.integers(max(1, k - 2 * p), k - 2 * p + 6)) for k, p in zip(kernel, padding)]
+            return (batch, c_in, *spatial), (c_out, c_in, *kernel), tuple(stride), tuple(padding)
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None)
+        @hypothesis.given(geometries(), st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+        @hypothesis.example(((2, 1, 2), (1, 1, 2), (1,), (0,)), np.float32, 1)  # one output position
+        def check(geometry, dtype, seed):
+            check_conv_equals_gather(*geometry, dtype, seed=seed)
 
         check()
 
@@ -621,3 +627,100 @@ class TestRecurrent:
         forward(model, np.ones((2, 5, 3), dtype=np.float32))
         assert [rec.op for rec in tape] == ["gru", "gru", "final_states", "linear"]
         tape.clear()
+
+
+def recorded_scan(cell, directions, dtype, batch=5):
+    """Output and the four gradients of one recorded scan and its backward, from fixed inputs."""
+    rng = np.random.default_rng(9)
+    width = 4 * len(T.RECURRENT_GATES[cell])
+    inputs = [Tensor((0.5 * rng.standard_normal(shape)).astype(dtype), requires_grad=True)
+              for shape in ((batch, 7, 3), (directions, 3, width), (directions, 4, width), (directions, width))]
+    y = T.recurrent(*inputs, cell)
+    T.backward(dot(y, Tensor(rng.standard_normal(y.shape).astype(dtype))))
+    return [y.data] + [t.grad for t in inputs]
+
+
+def bigru_step(model, batch, labels):
+    logits, _ = forward(model, batch)
+    T.backward(T.softmax_cross_entropy(logits, labels)[0])
+
+
+class TestScanPool:
+    @pytest.fixture(autouse=True)
+    def empty_pool(self):
+        T._state.scan_pool = []
+        yield
+        T._state.scan_pool = []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("directions", [1, 2])
+    @pytest.mark.parametrize("cell", ["rnn", "gru", "lstm"])
+    def test_poisoned_pool_changes_no_bit(self, cell, directions, dtype):
+        expected = recorded_scan(cell, directions, dtype)
+        pooled = list(T._state.scan_pool)
+        assert pooled
+        for buffer in pooled:
+            buffer.fill(np.nan)
+        got = recorded_scan(cell, directions, dtype)
+        assert sorted(map(id, T._state.scan_pool)) == sorted(map(id, pooled))  # the poisoned buffers served
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype
+            np.testing.assert_array_equal(g, e)
+
+    @pytest.mark.parametrize("batch", [1, 4])  # with B = 1 the [T, B, F] -> [B, T, F] transpose is contiguous
+    @pytest.mark.parametrize("cell", ["rnn", "gru", "lstm"])
+    def test_results_alias_no_pooled_buffer(self, cell, batch):
+        results = recorded_scan(cell, 1, np.float64, batch=batch)
+        kept = [r.copy() for r in results]
+        for buffer in T._state.scan_pool:
+            buffer.fill(np.nan)
+        for r, k in zip(results, kept):
+            np.testing.assert_array_equal(r, k)
+
+    def test_second_step_allocates_no_scan_buffer(self):
+        # the rnn-train model: a 2-layer bi-GRU at B=16, T=64, H=32
+        model = init_model(ModelSpec((64, 8), (Recurrent("gru", 32, 2, "bi"),), 2, seed=0))
+        rng = np.random.default_rng(1)
+        batch, labels = rng.standard_normal((16, 64, 8)).astype(np.float32), np.arange(16) % 2
+        bigru_step(model, batch, labels)
+        pooled = list(T._state.scan_pool)
+        assert sum(a.shape[:3] == (64, 2, 16) for a in pooled) >= 2 * 5  # pre_h, pre_n, gates_h, gates_n, rh
+        tracemalloc.start()
+        try:
+            bigru_step(model, batch, labels)
+            traced = [a for a in T._state.scan_pool if tracemalloc.get_object_traceback(a) is not None]
+        finally:
+            tracemalloc.stop()
+        assert not traced
+        assert sorted(map(id, T._state.scan_pool)) == sorted(map(id, pooled))
+
+    def test_bound_holds_across_shapes(self, monkeypatch):
+        monkeypatch.setattr(T, "SCAN_POOL_BYTES", 1 << 18)  # below the buffers of one batch-39 scan
+        for batch in range(1, 40):
+            recorded_scan("lstm", 2, np.float64, batch=batch)
+            assert 0 < sum(a.nbytes for a in T._state.scan_pool) <= T.SCAN_POOL_BYTES
+        assert all(39 in a.shape or 7 * 39 in a.shape for a in T._state.scan_pool)  # the oldest went first
+
+    def test_unrecorded_scan_leaves_pool_alone(self):
+        recorded_scan("gru", 2, np.float32)
+        pooled = list(T._state.scan_pool)
+        x = Tensor(np.zeros((5, 7, 3), dtype=np.float32))
+        with T.no_grad():
+            T.recurrent(x, *fused_params("gru", 3, 4, directions=2), "gru")
+        assert [id(a) for a in T._state.scan_pool] == [id(a) for a in pooled]
+
+    def test_each_thread_has_its_own_pool(self):
+        recorded_scan("gru", 2, np.float32)
+        main = list(T._state.scan_pool)
+        seen = {}
+
+        def worker():
+            recorded_scan("gru", 2, np.float32)
+            seen["pool"] = list(T._state.scan_pool)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(seen["pool"]) == len(main) and not set(map(id, seen["pool"])) & set(map(id, main))
+        assert [id(a) for a in T._state.scan_pool] == [id(a) for a in main]
