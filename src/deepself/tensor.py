@@ -16,7 +16,10 @@ layer is one tape record, its activation applied inside it, and there is no
 general elementwise algebra.  Convolution is cross-correlation (no kernel
 flip).  A recorded ``recurrent`` scan takes its whole-sequence buffers from
 a per-thread pool beside the tape and its backward gives them back, so a
-fixed-shape training step reuses the last step's buffers.
+fixed-shape training step reuses the last step's buffers.  Under
+``no_grad(block_rows=n)`` the ops take each BLAS product of a batch of k*n
+samples as k products of n samples' rows, so one forward over k batches
+gives every sample the bytes of a forward over its own batch.
 """
 
 from __future__ import annotations
@@ -107,16 +110,54 @@ def _recording() -> bool:
 
 
 class no_grad:
-    """Context manager that suspends tape recording."""
+    """Context manager that suspends tape recording.
+
+    With ``block_rows``, the ops inside also take each BLAS product of a
+    batch that is a whole multiple of ``block_rows`` samples as one product
+    per block of ``block_rows`` samples (see ``_matmul``), so a forward over
+    k batches gives each sample the bytes a forward over its own batch
+    gives.  Without it, the enclosing block row count stays in force.
+    """
+
+    def __init__(self, block_rows: int | None = None):
+        self.block_rows = None if block_rows is None else check_integer("block_rows", block_rows, 1)
 
     def __enter__(self):
-        self._prev = _recording()
+        self._prev = _recording(), getattr(_state, "block_rows", None)
         _state.grad_enabled = False
+        if self.block_rows is not None:
+            _state.block_rows = self.block_rows
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _state.grad_enabled = self._prev
+        _state.grad_enabled, _state.block_rows = self._prev
         return False
+
+
+def _row_blocks(batch: int) -> int:
+    """How many blocks an unrecorded op splits a ``batch`` of samples into: 1 unless a
+    ``no_grad(block_rows)`` is in force and ``batch`` is a whole multiple of it."""
+    rows = getattr(_state, "block_rows", None)
+    return batch // rows if rows and not batch % rows else 1
+
+
+def _matmul(a, b, blocks: int = 1, out=None):
+    """a @ b for a [..., M, K] stack, as ``blocks`` products of M / blocks consecutive rows.
+
+    A stacked np.matmul calls one GEMM per matrix of the stack, so each
+    block's bytes are those of its rows' product alone, whatever BLAS kernel
+    runs: one GEMM over all M rows may round a row differently for another
+    row count, and on some kernels for another row position.  ``b`` is one
+    [K, N] matrix, or a stack that broadcasts against ``a``'s leading axes;
+    ``out`` is a C-contiguous [..., M, N] array.
+    """
+    if blocks == 1:
+        return np.matmul(a, b, out=out)
+    *lead, rows, inner = a.shape
+    shape = (*lead, blocks, rows // blocks)
+    prod = np.matmul(a.reshape(*shape, inner), b[..., None, :, :],
+                     out=None if out is None else out.reshape(*shape, b.shape[-1]))
+    return prod.reshape(*lead, rows, b.shape[-1])
 
 
 def _as_tensor(x) -> Tensor:
@@ -259,7 +300,8 @@ def linear(x, weight, bias, activation=None) -> Tensor:
         raise ShapeError(f"linear: got x {tuple(x.shape)}, weight {tuple(weight.shape)} "
                          f"and bias {tuple(bias.shape)}")
     xd, wd = x.data.reshape(x.shape[0], weight.shape[0]), weight.data
-    return _make_result("linear", xd @ wd + bias.data[None, :], (x, weight, bias),
+    affine = _matmul(xd, wd, _row_blocks(x.shape[0])) + bias.data[None, :]
+    return _make_result("linear", affine, (x, weight, bias),
                         lambda g: ((g @ wd.T).reshape(x.shape), xd.T @ g, g.sum(axis=0)), activation)
 
 
@@ -353,7 +395,8 @@ def conv_nd_batched(x, kernels, stride, padding, bias, activation=None) -> Tenso
     idx = _patch_indices(c_in, padded_sp, out_sp, kernel_sp, stride)
     pmat = np.take(padded.reshape(batch, -1), idx, axis=1).reshape(batch * n_win, c_in * win_size)
     kmat = kernels.data.reshape(c_out, c_in * win_size)
-    prod = (pmat @ kmat.T).reshape(batch, n_win, c_out).transpose(0, 2, 1)  # [B, C_out, O] view
+    prod = _matmul(pmat, kmat.T, _row_blocks(batch))  # [B*O, C_out], a product per block of samples
+    prod = prod.reshape(batch, n_win, c_out).transpose(0, 2, 1)  # [B, C_out, O] view
     out = np.empty((batch, c_out, *out_sp), dtype=np.result_type(prod, bias.data))
     np.add(prod, bias.data[:, None], out=out.reshape(batch, c_out, n_win))
 
@@ -444,6 +487,12 @@ def recurrent(x, w, u, b, cell: str) -> Tensor:
     Backward writes its pre-activation gradient direction-major, [D, T, B, .],
     the rows the whole-sequence matmuls for dW, dU, db and dx read.
 
+    Under ``no_grad(block_rows=n)`` a batch of B = K*n samples scans as K
+    blocks of n side by side, with the bytes each block's own scan gives:
+    W x is one product per direction and block, over the block's (t, b)
+    rows, and a step's U h and U_n (r*h) one per direction and block,
+    through a [D, K, n, H] view of the [D, B, H] state.
+
     Only backward reads the gates, the GRU's r*h and the LSTM's cell states
     of past steps.  When the op is not recorded (under ``no_grad``, or no
     input requires grad) the scan keeps one step of gates and r*h and two of
@@ -473,16 +522,21 @@ def recurrent(x, w, u, b, cell: str) -> Tensor:
     dtype = np.result_type(x.data, w, u, b)
     n_h = 2 * hid if cell == "gru" else width  # gate columns fed by U h; the rest, gru's candidate, by U_n (r*h)
     recorded = _tracked(inputs)
+    blocks = _row_blocks(batch)  # 1 when recorded: block rows are set only under no_grad
+    rows = batch // blocks
     held = []  # the scan's whole-sequence arrays: recorded, they come from the pool and backward gives them back
 
     def buffer(shape):
         held.append(_scan_buffer(shape, dtype, recorded))
         return held[-1]
 
-    xt = x.data.transpose(1, 0, 2)
-    seq = np.stack([xt, xt[::-1]][:n_dirs], out=buffer((n_dirs, steps, batch, features))).reshape(n_dirs, -1, features)
-    flat = np.matmul(seq, w, out=_scan_buffer((n_dirs, steps * batch, width), dtype, recorded))
-    proj = flat.reshape(n_dirs, steps, batch, width).transpose(1, 0, 2, 3)  # W x; U h and b are added per step
+    xt = x.data.reshape(blocks, rows, steps, features).transpose(0, 2, 1, 3)  # each block time-major
+    seq = buffer((n_dirs, blocks * steps, rows, features))
+    np.stack([xt, xt[:, ::-1]][:n_dirs], out=seq.reshape(n_dirs, blocks, steps, rows, features))
+    seq = seq.reshape(n_dirs, -1, features)
+    # W x over each block's (t, b) rows; U h and b are added per step
+    flat = _matmul(seq, w, blocks, out=_scan_buffer((n_dirs, steps * batch, width), dtype, recorded))
+    proj = flat.reshape(n_dirs, blocks, steps, rows, width).transpose(2, 0, 1, 3, 4)  # [T, D, K, n, G*H] view
     # unrecorded, the gates, rh and cs keep only the steps in flight, indexed modulo their extent
     kept = steps if recorded else 1
     pre_h, pre_n, gates_h, gates_n, rh, hs, cs = (buffer(shape) for shape in (
@@ -491,17 +545,20 @@ def recurrent(x, w, u, b, cell: str) -> Tensor:
         (kept, n_dirs, batch, width - n_h),  # gates_n: gru only
         (kept, n_dirs, batch, hid * (cell == "gru")),  # rh: gru only, r*h, what U_n reads
         (steps + 1, n_dirs, batch, hid), (kept + 1, n_dirs, batch, hid * (cell == "lstm"))))  # hs; cs: lstm only
-    pre_h[...], pre_n[...] = proj[..., :n_h], proj[..., n_h:]
+    pre_h.reshape(proj.shape[:-1] + (n_h,))[...] = proj[..., :n_h]  # through [T, D, K, n, .] views
+    pre_n.reshape(proj.shape[:-1] + (width - n_h,))[...] = proj[..., n_h:]
     if recorded:
         _free_scan_buffers([flat])  # W x is spent
     del proj, flat
     hs[0], cs[0] = 0, 0  # every other element is written before it is read
     u_h, u_n = np.ascontiguousarray(u[..., :n_h]), np.ascontiguousarray(u[..., n_h:])
     b_h, b_n = np.ascontiguousarray(b[:, None, :n_h]), np.ascontiguousarray(b[:, None, n_h:])
+    # a step's U h and U_n (r*h), per direction and block through a [D, K, n, H] view of the state
+    step_matmul = np.matmul if blocks == 1 else functools.partial(_matmul, blocks=blocks)
     for s in range(steps):
         slot, c_in, c_out = s % kept, s % (kept + 1), (s + 1) % (kept + 1)
         h, a_h, gates = hs[s], pre_h[s], gates_h[slot]
-        a_h += h @ u_h
+        a_h += step_matmul(h, u_h)
         a_h += b_h
         if cell == "rnn":
             np.tanh(a_h, out=hs[s + 1])
@@ -509,7 +566,7 @@ def recurrent(x, w, u, b, cell: str) -> Tensor:
             _sigmoid(a_h, out=gates)
             r, z, n, a_n = gates[..., :hid], gates[..., hid:], gates_n[slot], pre_n[s]
             np.multiply(r, h, out=rh[slot])
-            a_n += rh[slot] @ u_n
+            a_n += step_matmul(rh[slot], u_n)
             a_n += b_n
             np.tanh(a_n, out=n)
             h_next = np.subtract(h, n, out=hs[s + 1])
@@ -533,22 +590,38 @@ def recurrent(x, w, u, b, cell: str) -> Tensor:
         d_pre = buffer((n_dirs, steps * batch, width)).reshape(n_dirs, steps, batch, width)
         d_h, d_n = d_pre[..., :n_h], d_pre[..., n_h:]
         h_in = hs[:-1]
-        # the local derivatives that do not depend on the incoming gradient, all steps at once
+        # the local derivatives that do not depend on the incoming gradient, all steps at once,
+        # each operand computed into a pooled buffer
         if cell == "rnn":
-            fac = np.subtract(1.0, hs[1:] * hs[1:], out=buffer(h_in.shape))
+            fac = np.multiply(hs[1:], hs[1:], out=buffer(h_in.shape))
+            np.subtract(1.0, fac, out=fac)  # 1 - h'^2
         elif cell == "gru":
             r, z, n = gates_h[..., :hid], gates_h[..., hid:], gates_n
-            # times dL/d(r*h), dL/dh', dL/dh'
-            fac_r = np.multiply(h_in * r, 1.0 - r, out=buffer(h_in.shape))
-            fac_z = np.multiply((h_in - n) * z, 1.0 - z, out=buffer(h_in.shape))
-            fac_n = np.multiply(1.0 - z, 1.0 - n * n, out=buffer(h_in.shape))
+            # times dL/d(r*h), dL/dh', dL/dh': h*r*(1-r), (h-n)*z*(1-z) and (1-z)*(1-n^2)
+            fac_r, fac_z, fac_n, tmp = (buffer(h_in.shape) for _ in range(4))
+            np.multiply(h_in, r, out=fac_r)
+            fac_r *= np.subtract(1.0, r, out=tmp)
+            np.subtract(h_in, n, out=fac_z)
+            fac_z *= z
+            fac_z *= np.subtract(1.0, z, out=fac_n)
+            fac_n *= np.subtract(1.0, np.multiply(n, n, out=tmp), out=tmp)
         else:
             i, f, g, o = (gates_h[..., k * hid:(k + 1) * hid] for k in range(4))
             tanh_c = np.tanh(cs[1:], out=buffer(h_in.shape))
-            # times dL/dc for i, f and g, times dL/dh' for o
-            fac = np.stack([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - g * g),
-                            tanh_c * o * (1.0 - o)], axis=3, out=buffer((steps, n_dirs, batch, 4, hid)))
-            o_dtanh = np.multiply(o, 1.0 - tanh_c * tanh_c, out=buffer(h_in.shape))
+            tmp = buffer(h_in.shape)
+            # times dL/dc for i, f and g, times dL/dh' for o:
+            # g*i*(1-i), c*f*(1-f), i*(1-g^2) and tanh(c')*o*(1-o)
+            fac = buffer((steps, n_dirs, batch, 4, hid))
+            fac_i, fac_f, fac_g, fac_o = (fac[..., k, :] for k in range(4))
+            np.multiply(g, i, out=fac_i)
+            fac_i *= np.subtract(1.0, i, out=tmp)
+            np.multiply(cs[:-1], f, out=fac_f)
+            fac_f *= np.subtract(1.0, f, out=tmp)
+            np.multiply(i, np.subtract(1.0, np.multiply(g, g, out=tmp), out=tmp), out=fac_g)
+            np.multiply(tanh_c, o, out=fac_o)
+            fac_o *= np.subtract(1.0, o, out=tmp)
+            o_dtanh = np.subtract(1.0, np.multiply(tanh_c, tanh_c, out=tmp), out=buffer(h_in.shape))
+            o_dtanh *= o  # o*(1 - tanh(c')^2)
         carry = np.zeros((n_dirs, batch, hid), dtype)  # dL/dh from later steps
         dc = np.zeros((n_dirs, batch, hid), dtype)  # dL/dc from later steps (lstm)
         for s in range(steps - 1, -1, -1):

@@ -170,33 +170,54 @@ def _check_dataset(name, data, n_classes, input_shape):
     return features, labels
 
 
+# bytes of the widest stage output of one no-grad forward in predict_batches; see inference_blocks
+INFERENCE_CHUNK_BYTES = 384 << 10
+
+
+def inference_blocks(model: Model, batch_size: int) -> int:
+    """Batches of ``batch_size`` samples that ``predict_batches`` runs through one forward.
+
+    As many as keep the widest stage output of the forward, by the model's
+    plan, within ``INFERENCE_CHUNK_BYTES``, and at least one.  A larger
+    forward pays NumPy's per-call cost once for more samples, but past the
+    constant its whole-chunk arrays fault in fresh pages instead.
+    """
+    itemsize = max(p.data.itemsize for p in model.params.values())
+    widest = max(math.prod(stage.out_shape) for stage in model.plan) * itemsize * batch_size
+    return max(1, INFERENCE_CHUNK_BYTES // widest)
+
+
 def predict_batches(model: Model, features, batch_size: int = 64):
     """Labels and probabilities for ``features`` in inference mode.
 
-    Every forward sees ``batch_size`` rows: the last, partial batch is
-    padded with zero rows, cut off again afterwards.  BLAS may round a row
-    differently for another row count, so this keeps each sample's
-    probability bytes the same for any subset, order or split of a set
-    into calls at one ``batch_size``.  No samples give ``(0,)`` labels and
-    ``(0, C)`` probabilities.
+    The set is padded with zero rows to whole batches of ``batch_size``,
+    cut off again afterwards, and runs in chunks of ``inference_blocks``
+    batches, one no-grad forward per chunk.  Inside it each BLAS product is
+    taken per batch (``no_grad(block_rows=batch_size)``), so every product
+    has ``batch_size`` rows: BLAS may round a row differently for another
+    row count, and this keeps each sample's probability bytes the same for
+    any subset, order or split of a set into calls at one ``batch_size``,
+    and the same as one forward per batch gives.  No samples give ``(0,)``
+    labels and ``(0, C)`` probabilities.
     """
     check_integer("batch_size", batch_size)
     if batch_size < 1:
         raise ConfigError(f"batch_size must be at least 1, got {batch_size}")
     features = np.asarray(features)
-    out_labels = []
+    chunk = inference_blocks(model, batch_size) * batch_size
     out_probs = []
-    with no_grad():
+    with no_grad(block_rows=batch_size):
         # no samples still run one all-padding batch, which checks their shape and fixes the dtypes
-        for start in range(0, max(features.shape[0], 1), batch_size):
-            batch = features[start:start + batch_size]
-            rows = batch.shape[0]
-            if rows < batch_size:
-                batch = np.pad(batch, ((0, batch_size - rows),) + ((0, 0),) * (batch.ndim - 1))
-            _, probs = forward(model, batch)
+        for start in range(0, max(features.shape[0], 1), chunk):
+            part = features[start:start + chunk]
+            rows = part.shape[0]
+            whole = max(-(-rows // batch_size), 1) * batch_size
+            if rows < whole:
+                part = np.pad(part, ((0, whole - rows),) + ((0, 0),) * (part.ndim - 1))
+            _, probs = forward(model, part)
             out_probs.append(probs.data[:rows])
-            out_labels.append(np.argmax(out_probs[-1], axis=1))
-    return np.concatenate(out_labels), np.concatenate(out_probs)
+    probs = np.concatenate(out_probs)
+    return np.argmax(probs, axis=1), probs
 
 
 def evaluate_uar(model: Model, dataset, batch_size: int = 64) -> float:

@@ -629,6 +629,63 @@ class TestRecurrent:
         tape.clear()
 
 
+def blocked_equals_per_block(op, x, rows, blocks=3):
+    """``op`` on ``blocks`` blocks of ``rows`` samples under no_grad(block_rows=rows), against
+    the concatenation of ``op`` on each block alone, byte for byte."""
+    assert len(x) == blocks * rows
+    with T.no_grad(block_rows=rows):
+        whole = op(x).data
+    with T.no_grad():
+        parts = [op(x[j:j + rows]).data for j in range(0, len(x), rows)]
+    assert whole.dtype == parts[0].dtype
+    assert whole.tobytes() == np.concatenate(parts).tobytes()
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("rows", [1, 3, 16])
+    def test_linear(self, rows):
+        rng = np.random.default_rng(21)
+        w, b = (Tensor(rng.standard_normal(shape).astype(np.float32)) for shape in ((64, 48), (48,)))
+        x = rng.standard_normal((3 * rows, 4, 16)).astype(np.float32)
+        blocked_equals_per_block(lambda part: T.linear(part, w, b, "tanh"), x, rows)
+
+    @pytest.mark.parametrize("rows", [1, 3, 16])
+    @pytest.mark.parametrize("x_shape, k_shape, stride, padding", [
+        ((2, 40), (8, 2, 5), (2,), (1,)),
+        ((2, 9, 8), (8, 2, 3, 3), (2, 1), (1, 1)),
+        ((1, 5, 6, 7), (4, 1, 2, 3, 2), (1, 2, 1), (1, 0, 1)),
+    ], ids=["1d", "2d", "3d"])
+    def test_conv(self, x_shape, k_shape, stride, padding, rows):
+        rng = np.random.default_rng(22)
+        k, b = (Tensor(rng.standard_normal(shape).astype(np.float32)) for shape in (k_shape, k_shape[:1]))
+        x = rng.standard_normal((3 * rows, *x_shape)).astype(np.float32)
+        blocked_equals_per_block(lambda part: T.conv_nd_batched(part, k, stride, padding, b, "relu"), x, rows)
+
+    @pytest.mark.parametrize("rows", [1, 3, 16])
+    @pytest.mark.parametrize("directions", [1, 2])
+    @pytest.mark.parametrize("cell", ["rnn", "gru", "lstm"])
+    def test_unrecorded_scan(self, cell, directions, rows):
+        rng = np.random.default_rng(23)
+        width = 16 * len(T.RECURRENT_GATES[cell])
+        arrays = [Tensor((0.3 * rng.standard_normal(shape)).astype(np.float32), requires_grad=True)
+                  for shape in ((directions, 8, width), (directions, 16, width), (directions, width))]
+        x = rng.standard_normal((3 * rows, 6, 8)).astype(np.float32)
+        blocked_equals_per_block(lambda part: T.recurrent(part, *arrays, cell), x, rows)
+
+    def test_only_whole_multiples_split_and_nesting_keeps_the_rows(self):
+        with T.no_grad(block_rows=4):
+            assert [T._row_blocks(n) for n in (4, 8, 12, 6, 3)] == [1, 2, 3, 1, 1]
+            with T.no_grad():
+                assert T._row_blocks(8) == 2 and not T._recording()
+        assert T._row_blocks(8) == 1 and T._recording()
+
+    @pytest.mark.parametrize("rows", [0, -1, 2.0, "4"])
+    def test_block_rows_must_be_a_positive_integer(self, rows):
+        with pytest.raises(ConfigError, match="block_rows"):
+            T.no_grad(block_rows=rows)
+        assert T._recording()
+
+
 def recorded_scan(cell, directions, dtype, batch=5):
     """Output and the four gradients of one recorded scan and its backward, from fixed inputs."""
     rng = np.random.default_rng(9)

@@ -1,6 +1,7 @@
 """Optimizer, training-loop, checkpoint, and fine-tuning tests."""
 
 import logging
+import math
 import os
 import struct
 from dataclasses import replace
@@ -32,6 +33,7 @@ from deepself.training import (
     best_epoch_index,
     evaluate_uar,
     fine_tune,
+    inference_blocks,
     load_checkpoint,
     predict_batches,
     read_checkpoint,
@@ -40,6 +42,7 @@ from deepself.training import (
     train,
     write_history,
 )
+from predict_oracle import oracle_predict_batches
 
 
 def blob_dataset(rng, n, spread=0.3):
@@ -677,3 +680,59 @@ class TestPredictBatches:
         np.testing.assert_array_equal(labels_a, labels_b)
         np.testing.assert_array_equal(probs_a, probs_b)
         np.testing.assert_allclose(probs_a.sum(axis=1), 1.0, atol=1e-6)
+
+
+def widest_batch_bytes(model, batch_size):
+    """Bytes of one batch's widest stage output, the quantity the chunk rule bounds."""
+    return max(math.prod(stage.out_shape) for stage in model.plan) * 4 * batch_size
+
+
+class TestBlockedPrediction:
+    @pytest.mark.parametrize("blocks", [2, 3])
+    @pytest.mark.parametrize("batch_size", [1, 3, 16])
+    @pytest.mark.parametrize("name", sorted(INVARIANCE_SPECS))
+    def test_equals_one_forward_per_batch(self, name, batch_size, blocks, monkeypatch):
+        # chunks of 2 or 3 batches per forward, so every model runs blocked products and a blocked scan
+        spec = INVARIANCE_SPECS[name]
+        model = init_model(spec)
+        monkeypatch.setattr(training, "INFERENCE_CHUNK_BYTES", blocks * widest_batch_bytes(model, batch_size))
+        assert inference_blocks(model, batch_size) == blocks
+        forwards = []  # the rows of each forward predict_batches runs
+
+        def counted(model, batch):
+            forwards.append(len(batch))
+            return forward(model, batch)
+
+        monkeypatch.setattr(training, "forward", counted)
+        rng = np.random.default_rng(11)
+        features = rng.standard_normal((5 * batch_size, *spec.input_shape)).astype(np.float32)
+        for size in sorted({0, 1, batch_size, 2 * batch_size + 1, 5 * batch_size - 1}):
+            forwards.clear()
+            labels, probs = predict_batches(model, features[:size], batch_size)
+            want_labels, want_probs = oracle_predict_batches(model, features[:size], batch_size)
+            assert labels.dtype == want_labels.dtype and labels.tobytes() == want_labels.tobytes()
+            assert probs.dtype == want_probs.dtype and probs.tobytes() == want_probs.tobytes()
+            batches = max(-(-size // batch_size), 1)
+            assert forwards == [min(blocks, batches - k) * batch_size for k in range(0, batches, blocks)]
+
+    @pytest.mark.parametrize("name", sorted(INVARIANCE_SPECS))
+    def test_chunk_is_one_batch_past_half_the_constant(self, name, monkeypatch):
+        model = init_model(INVARIANCE_SPECS[name])
+        for constant in (1 << 10, 48 << 10, training.INFERENCE_CHUNK_BYTES):
+            monkeypatch.setattr(training, "INFERENCE_CHUNK_BYTES", constant)
+            for batch_size in range(1, 65):
+                blocks, widest = inference_blocks(model, batch_size), widest_batch_bytes(model, batch_size)
+                assert (blocks == 1) == (2 * widest > constant)
+                assert blocks == 1 or blocks * widest <= constant < (blocks + 1) * widest
+
+    def test_benchmark_models_chunk_by_their_widest_stage(self):
+        # per sample: the bi-GRU 2x32 on [64 x 8] 16 KiB, the 1-D CNN on [1 x 4097] 32 KiB,
+        # the 2-D CNN on [1 x 26 x 31] log-mel maps 5.6 KiB; at batch 16 only the last fits 4 batches
+        specs = {
+            ModelSpec((64, 8), (Recurrent("gru", 32, 2, "bi"),), 2): 1,
+            ModelSpec((1, 4097), (Conv(1, 8, (8,), (4,), (0,)), Conv(1, 16, (4,), (4,), (0,)), Dense(32)), 2): 1,
+            ModelSpec((1, 26, 31), (Conv(2, 8, (3, 3), (2, 2), (0, 0)), Conv(2, 16, (3, 3), (2, 2), (0, 0)),
+                                    Dense(32)), 2): 4,
+        }
+        for spec, blocks in specs.items():
+            assert inference_blocks(init_model(spec), 16) == blocks
