@@ -65,6 +65,7 @@ from .training import (
     predict_batches,
     save_checkpoint,
     train,
+    train_step,
 )
 
 __all__ = [
@@ -78,7 +79,7 @@ __all__ = [
     "kfold_cross_validate", "read_predictions", "uar", "uar_from_labels", "write_predictions",
     "Conv", "Dense", "Model", "ModelSpec", "Recurrent", "forward", "init_model", "plan_shapes",
     "Tensor", "backward", "finite_diff_grad", "no_grad", "TrainConfig", "fine_tune",
-    "load_checkpoint", "predict_batches", "save_checkpoint", "train"
+    "load_checkpoint", "predict_batches", "save_checkpoint", "train", "train_step"
 ]
 
 __version__ = "0.1.0"

@@ -27,6 +27,7 @@ from .errors import (
     TruncatedFileError,
     UnsupportedFormatError,
 )
+from .files import atomic_write
 
 log = logging.getLogger("deepself")
 
@@ -163,7 +164,7 @@ def load_manifest(path) -> DatasetManifest:
 
 def write_manifest(manifest: DatasetManifest, path):
     """Write rows back out using their as-written paths (relative to the manifest)."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, text=True) as fh:
         writer = csv.writer(fh)
         writer.writerow(["path", "label", "split", "fold"])
         for row in manifest.rows:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .data import csv_records, read_text
 from .errors import ConfigError, DataError, FormatError, MetricError, ShapeError, check_integer
+from .files import atomic_write
 from .models import init_model
 
 
@@ -154,7 +155,7 @@ def fuse_predictions(sets: list[PredictionSet], mode: str = "mean") -> Predictio
 
 
 def write_predictions(pset: PredictionSet, path):
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, text=True) as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "label"] + [f"prob_{c}" for c in range(pset.n_classes)])
         for i, instance_id in enumerate(pset.ids):
@@ -249,7 +250,7 @@ def kfold_cross_validate(features, labels, folds, spec, config) -> FoldReport:
 
 
 def write_fold_report(report: FoldReport, path):
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, text=True) as fh:
         writer = csv.writer(fh)
         writer.writerow(["fold", "test_uar"])
         for fold_id, value in zip(report.fold_ids, report.uars):

@@ -5,9 +5,11 @@ import os
 
 
 @contextlib.contextmanager
-def atomic_write(path):
-    """Binary handle whose bytes replace ``path`` only if the block finishes.
+def atomic_write(path, text: bool = False):
+    """Handle whose bytes replace ``path`` only if the block finishes.
 
+    The handle is binary, or with ``text`` takes ``str`` and writes it as
+    UTF-8 with its line ends as given.
     The bytes go to a temporary file beside ``path``, which is moved into
     place once the block ends without an exception, so ``path`` holds
     either its old bytes or all of the new ones.  On an exception the
@@ -16,7 +18,7 @@ def atomic_write(path):
     """
     temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(temporary, "wb") as fh:
+        with open(temporary, "w", encoding="utf-8", newline="") if text else open(temporary, "wb") as fh:
             yield fh
         os.replace(temporary, path)
     except BaseException:

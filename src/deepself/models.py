@@ -34,6 +34,7 @@ from .tensor import (
     ACTIVATIONS,
     RECURRENT_GATES,
     Tensor,
+    active_tape,
     cnn_to_rnn_reshape,
     conv_nd_batched,
     final_states,
@@ -472,13 +473,15 @@ def forward(model: Model, batch):
             f"batch shape {tuple(x.shape)} does not match model input "
             f"[B x {' x '.join(str(d) for d in expected)}]"
         )
-    params, last = model.params, model.plan[-1]
+    params, last, tape = model.params, model.plan[-1], active_tape()
     value = x
     try:
         for idx, stage in enumerate(model.plan):
-            layer = stage.layer
+            layer, mark = stage.layer, len(tape)
             value = layer.apply(value, [params[name] for name, _ in stage.params],
                                 None if stage is last else model.spec.activation)  # raw logits from the head
+            for rec in tape[mark:]:  # backward names the stage of a record whose gradient diverges
+                rec.stage = (idx, type(layer).__name__)
             if tuple(value.shape[1:]) != tuple(stage.out_shape):
                 raise ShapeError(
                     f"stage {idx} ({type(layer).__name__}) produced shape {tuple(value.shape[1:])}, "

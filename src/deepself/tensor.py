@@ -85,13 +85,14 @@ class Tensor:
 
 
 class _TapeRecord:
-    __slots__ = ("op", "inputs", "output", "backward_fn")
+    __slots__ = ("op", "inputs", "output", "backward_fn", "stage")
 
     def __init__(self, op, inputs, output, backward_fn):
         self.op = op
         self.inputs = inputs
         self.output = output
         self.backward_fn = backward_fn
+        self.stage = None  # (index, layer kind) of the model stage that ran the op, if any
 
 
 _state = threading.local()
@@ -224,7 +225,8 @@ def backward(loss: Tensor):
                 if g is None or not t.requires_grad:
                     continue
                 if not np.isfinite(g).all():
-                    raise NumericError(f"non-finite gradient in backward of {rec.op}")
+                    where = "" if rec.stage is None else " in stage %d (%s)" % rec.stage
+                    raise NumericError(f"non-finite gradient in backward of {rec.op}{where}")
                 # out of place: a grad may be a view of another tensor's grad (cnn_to_rnn_reshape)
                 if t.grad is None:
                     t.grad = g.astype(t.data.dtype, copy=False)

@@ -74,15 +74,40 @@ TrainHistory = list  # of EpochRecord
 # ---------------------------------------------------------------------------
 
 
+def _descend(params: dict, grads: dict, names: tuple, step):
+    """theta <- theta - step(g), with g the gradients of ``names`` in order as one flat vector.
+
+    Every gradient must name a parameter and match its shape and dtype, and
+    all parameters must share one dtype.  With no names, ``step`` is not called.
+    """
+    unknown = sorted(set(names) - params.keys())
+    if unknown:
+        raise ConfigError(f"gradients for {unknown} name no parameter")
+    if not names:
+        return
+    dtype = params[names[0]].data.dtype
+    flat = []
+    for name in names:
+        grad, p = grads[name], params[name].data
+        if grad.shape != p.shape:
+            raise ShapeError(f"gradient for {name} has shape {grad.shape}, parameter {p.shape}")
+        if p.dtype != dtype:
+            raise ShapeError(f"parameter {name} is {p.dtype}, {names[0]} is {dtype}; "
+                             f"the optimizer needs one dtype for all parameters")
+        if grad.dtype != dtype:
+            raise ShapeError(f"gradient for {name} has dtype {grad.dtype}, parameter {dtype}")
+        flat.append(grad.reshape(-1))
+    delta = step(np.concatenate(flat)).astype(dtype, copy=False)
+    start = 0
+    for name in names:
+        p = params[name].data
+        p -= delta[start:start + p.size].reshape(p.shape)
+        start += p.size
+
+
 def sgd_step(params: dict, grads: dict, lr: float):
-    """theta <- theta - lr * g, elementwise over every named parameter."""
-    for name, grad in grads.items():
-        p = params[name]
-        if grad.shape != p.data.shape:
-            raise ShapeError(
-                f"gradient for {name} has shape {grad.shape}, parameter {p.data.shape}"
-            )
-        p.data -= (lr * grad).astype(p.data.dtype, copy=False)
+    """theta <- theta - lr * g, one elementwise pass over all gradients."""
+    _descend(params, grads, tuple(grads), lambda g: lr * g)
 
 
 @dataclass
@@ -106,40 +131,21 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
     if grads.keys() != set(names):
         raise ConfigError(f"adam_step got gradients for {sorted(grads)}, "
                           f"its state covers {sorted(names)}")
-    if not names:
+
+    def moments(g):
+        if state.m is None:
+            state.m, state.v, state.names = np.zeros_like(g), np.zeros_like(g), names
         state.t += 1
-        return state
-    dtype = params[names[0]].data.dtype
-    flat = []
-    for name in names:
-        grad, p = grads[name], params[name].data
-        if grad.shape != p.shape:
-            raise ShapeError(f"gradient for {name} has shape {grad.shape}, parameter {p.shape}")
-        if p.dtype != dtype:
-            raise ShapeError(f"parameter {name} is {p.dtype}, {names[0]} is {dtype}; "
-                             f"adam_step needs one dtype for all parameters")
-        if grad.dtype != dtype:
-            raise ShapeError(f"gradient for {name} has dtype {grad.dtype}, parameter {dtype}")
-        flat.append(grad.reshape(-1))
-    g = np.concatenate(flat)
-    if state.m is None:
-        state.m, state.v, state.names = np.zeros_like(g), np.zeros_like(g), names
-    state.t += 1
-    bc1 = 1.0 - ADAM_BETA1 ** state.t
-    bc2 = 1.0 - ADAM_BETA2 ** state.t
-    m, v = state.m, state.v
-    m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
-    v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * np.square(g)
-    m_hat = m / bc1
-    v_hat = v / bc2
-    step = (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)).astype(dtype, copy=False)
-    start = 0
-    for name in names:
-        p = params[name].data
-        p -= step[start:start + p.size].reshape(p.shape)
-        start += p.size
+        bc1 = 1.0 - ADAM_BETA1 ** state.t
+        bc2 = 1.0 - ADAM_BETA2 ** state.t
+        m, v = state.m, state.v
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
+        return lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
+
+    _descend(params, grads, names, moments)
     return state
 
 
@@ -238,6 +244,25 @@ def best_epoch_index(dev_uars) -> int:
     return best
 
 
+def train_step(model: Model, state: AdamState, xb, yb, config: TrainConfig):
+    """One optimizer step on the batch ``(xb, yb)``; returns (mean loss, probabilities).
+
+    Runs the forward, the loss, the backward and ``config.optimizer``'s
+    update of every parameter that requires a gradient.  ``state`` is the
+    run's Adam state; SGD leaves it untouched.
+    """
+    logits, _ = forward(model, xb)
+    loss, probs = softmax_cross_entropy(logits, yb)
+    backward(loss)
+    grads = {name: p.grad for name, p in model.params.items()
+             if p.requires_grad and p.grad is not None}
+    if config.optimizer == "sgd":
+        sgd_step(model.params, grads, config.learning_rate)
+    else:
+        adam_step(model.params, grads, state, config.learning_rate)
+    return loss.item(), probs.data
+
+
 def train(model: Model, train_set, dev_set, config: TrainConfig):
     """Optimize ``model``; returns (model restored to its best epoch, history)."""
     x_train, y_train = _check_dataset("train", train_set, model.n_classes, model.spec.input_shape)
@@ -255,23 +280,14 @@ def train(model: Model, train_set, dev_set, config: TrainConfig):
         epoch_pred = np.empty(n, dtype=np.int64)
         for batch_no, start in enumerate(range(0, n, config.batch_size), start=1):
             rows = order[start:start + config.batch_size]
-            xb, yb = x_train[rows], y_train[rows]
             try:
-                logits, _ = forward(model, xb)
-                loss, probs = softmax_cross_entropy(logits, yb)
-                backward(loss)
+                loss, probs = train_step(model, adam_state, x_train[rows], y_train[rows], config)
             except NumericError as exc:
                 raise NumericError(
                     f"non-finite value at epoch {epoch}, batch {batch_no}: {exc}"
                 ) from exc
-            grads = {name: p.grad for name, p in model.params.items()
-                     if p.requires_grad and p.grad is not None}
-            if config.optimizer == "sgd":
-                sgd_step(model.params, grads, config.learning_rate)
-            else:
-                adam_step(model.params, grads, adam_state, config.learning_rate)
-            loss_sum += loss.item() * len(rows)
-            epoch_pred[start:start + len(rows)] = np.argmax(probs.data, axis=1)
+            loss_sum += loss * len(rows)
+            epoch_pred[start:start + len(rows)] = np.argmax(probs, axis=1)
 
         train_uar = uar_from_labels(y_train[order], epoch_pred, model.n_classes)
         dev_uar = evaluate_uar(model, (x_dev, y_dev), config.batch_size)
@@ -288,7 +304,7 @@ def train(model: Model, train_set, dev_set, config: TrainConfig):
 
 
 def write_history(history: TrainHistory, path):
-    with open(path, "w") as fh:
+    with atomic_write(path, text=True) as fh:
         fh.write("epoch,train_loss,train_uar,dev_uar\n")
         for rec in history:
             fh.write(f"{rec.epoch},{rec.train_loss:.6f},{rec.train_uar:.4f},{rec.dev_uar:.4f}\n")

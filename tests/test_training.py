@@ -40,6 +40,7 @@ from deepself.training import (
     save_checkpoint,
     sgd_step,
     train,
+    train_step,
     write_history,
 )
 from predict_oracle import oracle_predict_batches
@@ -195,6 +196,29 @@ class TestAdamStep:
             adam_step(params, {"a": np.ones(2, dtype=np.float32), "b": np.ones(2)}, AdamState(), lr=0.1)
 
 
+def optimizer_step(optimizer, params, grads):
+    if optimizer == "sgd":
+        sgd_step(params, grads, 0.1)
+    else:
+        adam_step(params, grads, AdamState(), 0.1)
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+class TestOptimizerChecks:
+    def test_gradient_for_unknown_parameter_is_config_error(self, optimizer):
+        params = {"w": Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)}
+        grads = {"w": np.ones(2, dtype=np.float32), "ghost": np.ones(2, dtype=np.float32)}
+        with pytest.raises(ConfigError, match="ghost"):
+            optimizer_step(optimizer, params, grads)
+        np.testing.assert_array_equal(params["w"].data, [0.0, 0.0])
+
+    def test_float64_gradient_on_float32_parameter_rejected(self, optimizer):
+        params = {"w": Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)}
+        with pytest.raises(ShapeError, match="gradient for w has dtype float64, parameter float32"):
+            optimizer_step(optimizer, params, {"w": np.ones(2)})
+        np.testing.assert_array_equal(params["w"].data, [0.0, 0.0])
+
+
 class TestBestEpochIndex:
     def test_first_occurrence_wins_ties(self):
         assert best_epoch_index([50.0, 70.0, 70.0, 60.0]) == 1
@@ -335,6 +359,20 @@ class TestTrainLoop:
         config = TrainConfig(batch_size=4, epochs=1, seed=1)
         with pytest.raises(NumericError, match=r"epoch 1, batch 1: conv produced non-finite values "
                                                r"in stage 0 \(Conv\)$"):
+            train(model, (features, labels), (features, labels), config)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_backward_divergence_names_epoch_batch_and_stage(self):
+        # a finite forward whose head backward, g @ W.T, overflows float32
+        model = init_model(ModelSpec((4,), (Dense(8),), 2))
+        model.params["head.weight"].data[:, 0] = 3e38
+        model.params["head.weight"].data[:, 1] = -3e38
+        model.params["layer0.bias"].data[:] = 1e-30
+        features = np.zeros((4, 4), dtype=np.float32)
+        labels = np.ones(4, dtype=np.int64)
+        config = TrainConfig(batch_size=1, epochs=1)
+        with pytest.raises(NumericError, match=r"^non-finite value at epoch 1, batch 1: non-finite gradient "
+                                               r"in backward of linear in stage 1 \(Dense\)$"):
             train(model, (features, labels), (features, labels), config)
 
     def test_logs_one_info_line_per_epoch(self, caplog):
@@ -736,3 +774,40 @@ class TestBlockedPrediction:
         }
         for spec, blocks in specs.items():
             assert inference_blocks(init_model(spec), 16) == blocks
+
+
+class TestTrainStep:
+    @pytest.mark.parametrize("name", ["fnn", "cnn1d", "bigru"])
+    def test_equals_the_spelled_out_adam_step(self, name):
+        # forward, loss, backward, the grads dict and adam_step: the step perfbench's loop spells out
+        spec = INVARIANCE_SPECS[name]
+        features, labels = spec_dataset(np.random.default_rng(3), spec, 5 * 16, spec.n_classes)
+        config = TrainConfig(learning_rate=0.01)
+        stepped, spelled = init_model(spec), init_model(spec)
+        stepped_state, spelled_state = AdamState(), AdamState()
+        for rows in np.split(np.arange(5 * 16), 5):
+            xb, yb = features[rows], labels[rows]
+            step_loss, step_probs = train_step(stepped, stepped_state, xb, yb, config)
+            logits, _ = forward(spelled, xb)
+            loss, probs = softmax_cross_entropy(logits, yb)
+            backward(loss)
+            grads = {n: p.grad for n, p in spelled.params.items() if p.requires_grad and p.grad is not None}
+            adam_step(spelled.params, grads, spelled_state, config.learning_rate)
+            assert step_loss == loss.item() and step_probs.tobytes() == probs.data.tobytes()
+        assert stepped_state.t == spelled_state.t == 5
+        for n, p in spelled.params.items():
+            assert stepped.params[n].data.tobytes() == p.data.tobytes()
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_one_epoch_of_one_batch_is_one_step(self, optimizer):
+        spec = INVARIANCE_SPECS["fnn"]
+        n = 24
+        features, labels = spec_dataset(np.random.default_rng(4), spec, n, spec.n_classes)
+        config = TrainConfig(learning_rate=0.01, batch_size=n, epochs=1, optimizer=optimizer, seed=7)
+        trained, history = train(init_model(spec), (features, labels), (features, labels), config)
+        stepped = init_model(spec)
+        order = np.random.default_rng(config.seed).permutation(n)  # train's shuffle of its one epoch
+        loss, _ = train_step(stepped, AdamState(), features[order], labels[order], config)
+        assert history[0].train_loss == pytest.approx(loss, rel=1e-15)
+        for name, p in stepped.params.items():
+            assert trained.params[name].data.tobytes() == p.data.tobytes()
