@@ -405,10 +405,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except DeepSelfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DeepSelfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,7 +27,7 @@ from .errors import (
     TruncatedFileError,
     UnsupportedFormatError,
 )
-from .files import atomic_write
+from .files import Reader, atomic_write
 
 log = logging.getLogger("deepself")
 
@@ -81,16 +81,14 @@ class DatasetManifest:
     def subset(self, split: str) -> list[ManifestRow]:
         return [r for r in self.rows if r.split == split]
 
-    def labels(self, rows=None) -> np.ndarray:
-        rows = self.rows if rows is None else rows
-        return np.array([self.label_map[r.label] for r in rows], dtype=np.int64)
+    def labels(self) -> np.ndarray:
+        return np.array([self.label_map[r.label] for r in self.rows], dtype=np.int64)
 
-    def folds(self, rows=None) -> np.ndarray:
-        rows = self.rows if rows is None else rows
-        missing = [r.raw_path for r in rows if r.fold is None]
+    def folds(self) -> np.ndarray:
+        missing = [r.raw_path for r in self.rows if r.fold is None]
         if missing:
             raise DataError(f"manifest rows lack a fold id, e.g. {missing[0]!r}")
-        return np.array([r.fold for r in rows], dtype=np.int64)
+        return np.array([r.fold for r in self.rows], dtype=np.int64)
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -182,29 +180,23 @@ def write_manifest(manifest: DatasetManifest, path):
 
 def load_wav_pcm16(path) -> Signal:
     """16-bit PCM RIFF/WAVE; samples scaled by 1/32768, channels de-interleaved."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
+    reader = Reader(path)
+    if reader.blob[:4] != b"RIFF" or reader.blob[8:12] != b"WAVE":
         raise FormatError(f"{path}: not a RIFF/WAVE file")
-    pos = 12
+    reader.take(12)
     fmt = None
     payload = None
-    while pos + 8 <= len(blob):
-        chunk_id = blob[pos:pos + 4]
-        (size,) = struct.unpack_from("<I", blob, pos + 4)
-        body_start = pos + 8
-        if body_start + size > len(blob):
-            raise TruncatedFileError(
-                f"{path}: chunk {chunk_id!r} declares {size} bytes but the file ends early"
-            )
-        body = blob[body_start:body_start + size]
+    while reader.remaining >= 8:
+        chunk_id, size = reader.unpack("<4sI")
+        body = reader.take(size)
         if chunk_id == b"fmt ":
             if size < 16:
                 raise TruncatedFileError(f"{path}: fmt chunk is only {size} bytes")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            fmt = struct.unpack_from("<HHIIHH", body)
         elif chunk_id == b"data":
             payload = body
-        pos = body_start + size + (size & 1)  # chunks are word-aligned
+        if size & 1 and reader.remaining:  # chunks are word-aligned
+            reader.take(1)
     if fmt is None:
         raise FormatError(f"{path}: missing fmt chunk")
     if payload is None:
@@ -220,6 +212,8 @@ def load_wav_pcm16(path) -> Signal:
         raise UnsupportedFormatError(f"{path}: {bits}-bit PCM is not supported, only 16-bit")
     if channels < 1:
         raise FormatError(f"{path}: channel count {channels} is invalid")
+    if sample_rate == 0:
+        raise FormatError(f"{path}: sample rate 0 is invalid")
     frame_bytes = 2 * channels
     if block_align not in (0, frame_bytes):
         raise FormatError(f"{path}: block alignment {block_align} does not match {frame_bytes}")
@@ -302,7 +296,7 @@ def _walk_csv_rows(text: str, path) -> np.ndarray:
 
 
 def _pgm_header_tokens(blob, path):
-    """magic + 3 integers, honoring '#' comments; returns tokens and data offset."""
+    """magic + 3 integers, honoring '#' comments; returns tokens and the offset just past them."""
     tokens = []
     pos = 0
     n = len(blob)
@@ -320,18 +314,20 @@ def _pgm_header_tokens(blob, path):
             tokens.append(blob[start:pos])
     if len(tokens) < 4:
         raise TruncatedFileError(f"{path}: PGM header is incomplete")
-    return tokens, pos + 1  # single whitespace byte separates header from raster
+    return tokens, pos
 
 
 def load_pgm_image(path) -> np.ndarray:
-    """P5 (binary) or P2 (ASCII) grayscale; returns [1 x H x W] scaled to [0, 1]."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:2] == b"P6":
+    """P5 (binary) or P2 (ASCII) grayscale; returns [1 x H x W] scaled to [0, 1].
+
+    Bytes after a P5 raster are ignored, as a PGM file may hold further images.
+    """
+    reader = Reader(path)
+    if reader.blob[:2] == b"P6":
         raise UnsupportedFormatError(f"{path}: color PPM (P6) is not supported, only gray PGM")
-    if blob[:2] not in (b"P5", b"P2"):
-        raise FormatError(f"{path}: not a PGM file (magic {blob[:2]!r})")
-    tokens, data_offset = _pgm_header_tokens(blob, path)
+    if reader.blob[:2] not in (b"P5", b"P2"):
+        raise FormatError(f"{path}: not a PGM file (magic {reader.blob[:2]!r})")
+    tokens, header_end = _pgm_header_tokens(reader.blob, path)
     magic = tokens[0]
     try:
         width, height, maxval = (int(t) for t in tokens[1:4])
@@ -344,17 +340,13 @@ def load_pgm_image(path) -> np.ndarray:
     if maxval > 65535:
         raise FormatError(f"{path}: PGM maxval {maxval} exceeds 65535")
     count = width * height
+    reader.take(header_end)
     if magic == b"P5":
-        dtype = ">u2" if maxval > 255 else np.uint8
-        itemsize = 2 if maxval > 255 else 1
-        raster = blob[data_offset:data_offset + count * itemsize]
-        if len(raster) < count * itemsize:
-            raise TruncatedFileError(
-                f"{path}: raster holds {len(raster) // itemsize} of {count} pixels"
-            )
-        pixels = np.frombuffer(raster, dtype=dtype, count=count).astype(np.float64)
+        # one whitespace byte separates the header from the raster
+        reader.take(1)
+        pixels = reader.array(">u2" if maxval > 255 else np.uint8, count, np.float64)
     else:
-        fields = blob[data_offset - 1:].split()
+        fields = reader.take(reader.remaining).split()
         if len(fields) < count:
             raise TruncatedFileError(f"{path}: raster holds {len(fields)} of {count} pixels")
         if len(fields) > count:
@@ -363,8 +355,8 @@ def load_pgm_image(path) -> np.ndarray:
             pixels = np.array([int(f) for f in fields], dtype=np.float64)
         except ValueError:
             raise FormatError(f"{path}: PGM raster holds non-integer text") from None
-    if pixels.max(initial=0) > maxval:
-        raise FormatError(f"{path}: pixel value exceeds declared maxval {maxval}")
+    if pixels.min() < 0 or pixels.max() > maxval:
+        raise FormatError(f"{path}: pixel value outside [0, maxval {maxval}]")
     image = (pixels / maxval).reshape(1, height, width)
     return image
 

@@ -32,11 +32,10 @@ from .errors import (
     IntegrityError,
     NumericError,
     ShapeError,
-    TruncatedFileError,
     VersionError,
     check_integer,
 )
-from .files import atomic_write
+from .files import Reader, atomic_write
 
 LOG_EPS = 1e-10
 MORLET_OMEGA0 = 6.0
@@ -496,28 +495,18 @@ def write_feature_map(fm: FeatureMap, path):
 
 
 def read_feature_map(path) -> FeatureMap:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4 or blob[:4] != DSFM_MAGIC:
+    reader = Reader(path)
+    if reader.blob[:4] != DSFM_MAGIC:
         raise FormatError(f"{path}: not a feature-map file (bad magic)")
-    if len(blob) < 24:
-        raise TruncatedFileError(f"{path}: header is incomplete")
-    version, rows, cols = struct.unpack_from("<III", blob, 4)
+    version, rows, cols, seconds_per_frame = reader.unpack("<4xIIId")
     if version != DSFM_VERSION:
         raise VersionError(f"{path}: unsupported feature-map version {version}")
     if rows == 0 or cols == 0:
         raise FormatError(f"{path}: declares an empty {rows}x{cols} map")
-    (seconds_per_frame,) = struct.unpack_from("<d", blob, 16)
-    offset = 24
-    axis_bytes = rows * 8
-    end = offset + axis_bytes + rows * cols * 4
-    if len(blob) < end:
-        raise TruncatedFileError(f"{path}: payload shorter than declared {rows}x{cols} map")
-    if len(blob) > end:
-        raise FormatError(f"{path}: {len(blob) - end} bytes after the declared {rows}x{cols} map")
-    axis = np.frombuffer(blob, dtype="<f8", count=rows, offset=offset)
-    values = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=offset + axis_bytes)
+    axis = reader.array("<f8", rows)
+    values = reader.array("<f4", rows * cols, np.float64)
+    reader.finish(f"the declared {rows}x{cols} map")
     for what, stored in (("seconds_per_frame", seconds_per_frame), ("row axis", axis), ("values", values)):
         if not np.isfinite(stored).all():
             raise IntegrityError(f"{path}: {what} holds non-finite numbers")
-    return FeatureMap(values.reshape(rows, cols).astype(np.float64), axis.copy(), seconds_per_frame)
+    return FeatureMap(values.reshape(rows, cols), axis, seconds_per_frame)

@@ -1,6 +1,8 @@
-"""Exception types shared across the toolkit, and the integer and sequence checks that raise one."""
+"""Exception types shared across the toolkit, and the integer, label and sequence checks that raise one."""
 
 import numbers
+
+import numpy as np
 
 
 class DeepSelfError(Exception):
@@ -55,6 +57,27 @@ def check_integer(name: str, value, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be at least {minimum}, got {value}")
     return int(value)
+
+
+def check_labels(name: str, labels, n_classes: int, ids=None) -> np.ndarray:
+    """``labels`` as int64 class indices; DataError naming ``name``, the first bad value and
+    its row (its id, given ``ids``) unless every label is a whole number in [0, n_classes).
+
+    Float labels that are whole numbers load; a fraction or a NaN does not.
+    """
+    values = np.asarray(labels)
+    if values.dtype.kind not in "biuf":
+        raise DataError(f"{name} labels must be numbers, got dtype {values.dtype}")
+    bad = (values < 0) | (values >= n_classes)
+    if values.dtype.kind == "f":
+        bad |= values != np.floor(values)  # NaN too, as NaN != NaN
+    if bad.any():
+        row = int(np.argmax(bad.reshape(-1)))
+        value = values.reshape(-1)[row]
+        where = f"for id {ids[row]!r}" if ids is not None else f"at row {row}"
+        problem = f"is outside [0, {n_classes})" if value == np.floor(value) else "is not a whole number"
+        raise DataError(f"{name} label {value} {where} {problem}")
+    return values.astype(np.int64, copy=False)
 
 
 def check_sequence(name: str, value) -> tuple:

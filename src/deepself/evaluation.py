@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import csv_records, read_text
-from .errors import ConfigError, DataError, FormatError, MetricError, ShapeError, check_integer
+from .errors import ConfigError, DataError, FormatError, MetricError, ShapeError, check_integer, check_labels
 from .files import atomic_write
 from .models import init_model
 
@@ -35,20 +35,16 @@ class ConfusionMatrix:
 
 
 def confusion_matrix(truth, pred, n_classes: int) -> ConfusionMatrix:
-    truth = np.asarray(truth, dtype=np.int64)
-    pred = np.asarray(pred, dtype=np.int64)
+    truth = np.asarray(truth)
+    pred = np.asarray(pred)
     if truth.shape != pred.shape or truth.ndim != 1 or truth.size < 1:
         raise ShapeError(
             f"truth and predictions must be equal-length non-empty vectors, "
             f"got {truth.shape} vs {pred.shape}"
         )
     n_classes = check_integer("n_classes", n_classes, 1)
-    for name, labels in (("truth", truth), ("prediction", pred)):
-        bad = (labels < 0) | (labels >= n_classes)
-        if bad.any():
-            raise DataError(
-                f"{name} label {labels[bad][0]} outside [0, {n_classes})"
-            )
+    truth = check_labels("truth", truth, n_classes)
+    pred = check_labels("prediction", pred, n_classes)
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (truth, pred), 1)
     return ConfusionMatrix(n_classes, counts)
@@ -95,13 +91,9 @@ class PredictionSet:
                 f"need one probability row per id: {len(self.ids)} ids, "
                 f"array {self.probabilities.shape}"
             )
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.labels.shape != (len(self.ids),):
+        if np.shape(self.labels) != (len(self.ids),):
             raise ShapeError("need exactly one label per id")
-        bad = np.flatnonzero((self.labels < 0) | (self.labels >= self.n_classes))
-        if bad.size:
-            raise DataError(f"label {self.labels[bad[0]]} for id {self.ids[bad[0]]!r} "
-                            f"is outside [0, {self.n_classes})")
+        self.labels = check_labels("predicted", self.labels, self.n_classes, self.ids)
         # negated so that NaN, which fails every comparison, is caught too
         bad = np.argwhere(~((self.probabilities >= 0.0) & (self.probabilities <= 1.0)))
         if bad.size:

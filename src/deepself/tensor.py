@@ -30,7 +30,7 @@ import threading
 
 import numpy as np
 
-from .errors import ConfigError, DeepSelfError, NumericError, ShapeError, check_integer, check_sequence
+from .errors import ConfigError, DeepSelfError, NumericError, ShapeError, check_integer, check_labels, check_sequence
 
 DEFAULT_DTYPE = np.float32
 
@@ -718,13 +718,10 @@ def softmax_cross_entropy(logits, targets) -> tuple[Tensor, Tensor]:
     batch, n_classes = logits.shape
     if batch < 1:
         raise ShapeError("softmax_cross_entropy needs at least one row")
-    targets = np.asarray(targets, dtype=np.int64)
+    targets = np.asarray(targets)
     if targets.shape != (batch,):
         raise ShapeError(f"targets must have shape ({batch},), got {tuple(targets.shape)}")
-    bad = (targets < 0) | (targets >= n_classes)
-    if bad.any():
-        where = int(np.argmax(bad))
-        raise IndexError(f"target {targets[where]} at row {where} is outside 0..{n_classes - 1}")
+    targets = check_labels("target", targets, n_classes)
 
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     exps = np.exp(shifted)

@@ -23,12 +23,12 @@ from .errors import (
     IntegrityError,
     NumericError,
     ShapeError,
-    TruncatedFileError,
     VersionError,
     check_integer,
+    check_labels,
 )
 from .evaluation import uar_from_labels
-from .files import atomic_write
+from .files import Reader, atomic_write
 from .models import Model, ModelSpec, checkpoint_arrays, forward, init_model
 from .tensor import backward, no_grad, softmax_cross_entropy
 
@@ -157,7 +157,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
 def _check_dataset(name, data, n_classes, input_shape):
     features, labels = data
     features = np.asarray(features)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if features.shape[0] == 0:
         raise DataError(f"{name} dataset is empty")
     if features.shape[0] != labels.shape[0]:
@@ -169,11 +169,7 @@ def _check_dataset(name, data, n_classes, input_shape):
             f"{name} samples have shape {tuple(features.shape[1:])}, "
             f"model expects {tuple(input_shape)}"
         )
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise DataError(
-            f"{name} labels must lie in [0, {n_classes}), found {labels.min()}..{labels.max()}"
-        )
-    return features, labels
+    return features, check_labels(name, labels, n_classes)
 
 
 # bytes of the widest stage output of one no-grad forward in predict_batches; see inference_blocks
@@ -206,9 +202,7 @@ def predict_batches(model: Model, features, batch_size: int = 64):
     and the same as one forward per batch gives.  No samples give ``(0,)``
     labels and ``(0, C)`` probabilities.
     """
-    check_integer("batch_size", batch_size)
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be at least 1, got {batch_size}")
+    check_integer("batch_size", batch_size, 1)
     features = np.asarray(features)
     chunk = inference_blocks(model, batch_size) * batch_size
     out_probs = []
@@ -359,70 +353,31 @@ def save_checkpoint(model: Model, metadata: dict, path):
         fh.write(meta_bytes)
 
 
-class _Reader:
-    def __init__(self, blob, path):
-        self.blob = blob
-        self.path = path
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.blob):
-            raise TruncatedFileError(
-                f"{self.path}: file ends {self.pos + count - len(self.blob)} bytes early"
-            )
-        out = self.blob[self.pos:self.pos + count]
-        self.pos += count
-        return out
-
-    def text(self, count: int, field: str) -> str:
-        raw = self.take(count)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(
-                f"{self.path}: {field} is not valid UTF-8 ({exc.reason} at byte {exc.start} of the field)"
-            ) from None
-
-    def u8(self):
-        return self.take(1)[0]
-
-    def u16(self):
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self):
-        return struct.unpack("<I", self.take(4))[0]
-
-
 def read_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4 or blob[:4] != CHECKPOINT_MAGIC:
+    reader = Reader(path)
+    if reader.blob[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint file (bad magic)")
-    reader = _Reader(blob, path)
-    reader.take(4)
-    version = reader.u32()
+    (version,) = reader.unpack("<4xI")
     if version != CHECKPOINT_VERSION:
         raise VersionError(f"{path}: unsupported checkpoint version {version}")
-    spec_text = reader.text(reader.u32(), "model spec")
+    spec_text = reader.text(*reader.unpack("<I"), "model spec")
     params = {}
-    for _ in range(reader.u32()):
-        name = reader.text(reader.u16(), "parameter name")
+    for _ in range(*reader.unpack("<I")):
+        name = reader.text(*reader.unpack("<H"), "parameter name")
         if name in params:
             raise FormatError(f"{path}: parameter {name!r} is stored twice")
-        rank = reader.u8()
-        shape = struct.unpack(f"<{rank}I", reader.take(4 * rank))
+        (rank,) = reader.unpack("<B")
+        shape = reader.unpack(f"<{rank}I")
         if 0 in shape:
             raise FormatError(f"{path}: parameter {name!r} has a zero dimension in shape {shape}")
         # math.prod, not np.prod: an int64 product can wrap to a count the file holds
-        data = np.frombuffer(reader.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
-        params[name] = data.copy()
+        params[name] = reader.array("<f4", math.prod(shape)).reshape(shape)
     metadata = {}
-    for line in reader.text(reader.u32(), "metadata").splitlines():
+    for line in reader.text(*reader.unpack("<I"), "metadata").splitlines():
         if line:
             key, _, value = line.partition("=")
             metadata[key] = value
-    if reader.pos != len(blob):
-        raise FormatError(f"{path}: {len(blob) - reader.pos} bytes after the metadata block")
+    reader.finish("the metadata block")
     return Checkpoint(version, spec_text, params, metadata)
 
 

@@ -1,6 +1,7 @@
 """Dataset ingestion tests: WAV/CSV/PGM loaders, manifests, assembly."""
 
 import csv
+import re
 import struct
 import wave
 
@@ -148,6 +149,15 @@ class TestWav:
         np.testing.assert_array_equal(
             load_wav_pcm16(p).samples * 32768.0, [[5.0, -5.0]])
 
+    def test_zero_sample_rate_is_format_error_naming_the_file(self, tmp_path):
+        p = tmp_path / "rate0.wav"
+        make_wav(p, [1, 2])
+        blob = bytearray(p.read_bytes())
+        blob[24:28] = bytes(4)  # the fmt chunk's sample rate
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"{re.escape(str(p))}: sample rate 0"):
+            load_wav_pcm16(p)
+
 
 class TestCsvSeries:
     def test_columns_become_channels(self, tmp_path):
@@ -267,6 +277,12 @@ class TestPgm:
         p = tmp_path / "t.pgm"
         p.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
         with pytest.raises(TruncatedFileError):
+            load_pgm_image(p)
+
+    def test_negative_p2_pixel_is_format_error_naming_the_file(self, tmp_path):
+        p = tmp_path / "neg.pgm"
+        p.write_text("P2\n2 1\n255\n-5 10\n")
+        with pytest.raises(FormatError, match=f"{re.escape(str(p))}: pixel value outside"):
             load_pgm_image(p)
 
     def test_not_pgm(self, tmp_path):

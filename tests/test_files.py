@@ -1,15 +1,21 @@
-"""Files written through ``files.atomic_write``: a failed write keeps the old bytes."""
+"""Files written through ``files.atomic_write`` keep their old bytes on a failed write;
+files read through ``files.Reader`` load or fail with a ``DeepSelfError``."""
 
 import builtins
 import os
+import re
 
 import numpy as np
 import pytest
 
 from deepself import files
-from deepself.data import DatasetManifest, ManifestRow, write_manifest
+from deepself.data import DatasetManifest, ManifestRow, load_pgm_image, load_wav_pcm16, write_manifest
+from deepself.dsp import FeatureMap, Signal, read_feature_map, write_feature_map
+from deepself.errors import DeepSelfError, FormatError, TruncatedFileError
 from deepself.evaluation import FoldReport, PredictionSet, write_fold_report, write_predictions
-from deepself.training import EpochRecord, write_history
+from deepself.models import Dense, ModelSpec, init_model
+from deepself.training import EpochRecord, load_checkpoint, save_checkpoint, write_history
+from wav_writer import write_wav_pcm16
 
 
 def history(n):
@@ -78,3 +84,56 @@ def test_failed_write_keeps_previous_bytes_and_leaves_no_stray_file(tmp_path, mo
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["out.csv"]
+
+
+# (writer of a small sample file, the loader under test) per binary format
+BINARY_FORMATS = {
+    "ckpt": (lambda path: save_checkpoint(init_model(ModelSpec((3,), (Dense(2),), 2, seed=0)), {"epoch": 1}, path),
+             load_checkpoint),
+    "dsfm": (lambda path: write_feature_map(FeatureMap(np.arange(6.0).reshape(2, 3), [100.0, 200.0], 0.01), path),
+             read_feature_map),
+    "wav": (lambda path: write_wav_pcm16(Signal([[0.0, 0.5, -0.25], [0.125, -1.0, 0.75]], 8000.0), path),
+            load_wav_pcm16),
+    "pgm-p5": (lambda path: path.write_bytes(b"P5\n3 2\n255\n" + bytes([0, 7, 255, 128, 1, 64])),
+               load_pgm_image),
+    "pgm-p2": (lambda path: path.write_bytes(b"P2\n# gray\n3 2\n255\n0 7 255\n128 1 64\n"),
+               load_pgm_image),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(BINARY_FORMATS))
+def test_every_bit_flip_and_truncation_loads_or_raises_deepself_error(tmp_path, fmt):
+    write, load = BINARY_FORMATS[fmt]
+    path = tmp_path / "sample"
+    write(path)
+    blob = path.read_bytes()
+    load(path)
+    variants = [blob[:length] for length in range(len(blob))]
+    for bit in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        variants.append(bytes(flipped))
+    leaks = []
+    for variant in variants:
+        path.write_bytes(variant)
+        try:
+            load(path)
+        except DeepSelfError:
+            pass
+        except Exception as exc:
+            leaks.append((variant, repr(exc)))
+    assert not leaks, f"{len(leaks)} of {len(variants)} variants leak, e.g. {leaks[0]}"
+
+
+def test_reader_names_the_shortfall_and_the_bytes_left(tmp_path):
+    path = tmp_path / "blob"
+    path.write_bytes(bytes(range(10)))
+    reader = files.Reader(path)
+    assert reader.unpack("<HI") == (0x0100, 0x05040302)
+    with pytest.raises(TruncatedFileError, match=f"^{re.escape(str(path))}: file ends 3 bytes early$"):
+        reader.take(7)
+    assert reader.array("<u2", 1, np.float64).tolist() == [0x0706]
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: 2 bytes after the header$"):
+        reader.finish("the header")
+    reader.take(2)
+    reader.finish("the header")

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from deepself.errors import ConfigError, DeepSelfError, NumericError, ShapeError
+from deepself.errors import ConfigError, DataError, DeepSelfError, NumericError, ShapeError
 from deepself import tensor as T
 from deepself.models import ModelSpec, Recurrent, forward, init_model
 from deepself.tensor import Tensor
@@ -423,7 +423,7 @@ class TestSoftmaxCrossEntropy:
         assert loss.item() == pytest.approx(0.0, abs=1e-6)
 
     def test_target_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(DataError, match="target label 2 at row 0"):
             T.softmax_cross_entropy(Tensor([[0.0, 1.0]]), [2])
 
     def test_rows_sum_to_one_random(self):
