@@ -317,6 +317,22 @@ def _pgm_header_tokens(blob, path):
     return tokens, pos
 
 
+def _pgm_integers(fields, path, what) -> list[int]:
+    """``fields`` as ints; FormatError naming ``path`` and ``what`` for one that is not ASCII digits.
+
+    A Netpbm number is digits alone, so ``+5`` and ``1_0``, which ``int``
+    reads, are refused.  A leading minus is read, so that the range checks
+    report a negative value as out of range.
+    """
+    for field in fields:
+        if not field.removeprefix(b"-").isdigit():
+            raise FormatError(f"{path}: PGM {what} holds {field[:20]!r}, not a decimal number")
+    try:
+        return [int(field) for field in fields]
+    except ValueError:  # more digits than int converts
+        raise FormatError(f"{path}: PGM {what} holds a number with too many digits") from None
+
+
 def load_pgm_image(path) -> np.ndarray:
     """P5 (binary) or P2 (ASCII) grayscale; returns [1 x H x W] scaled to [0, 1].
 
@@ -329,10 +345,7 @@ def load_pgm_image(path) -> np.ndarray:
         raise FormatError(f"{path}: not a PGM file (magic {reader.blob[:2]!r})")
     tokens, header_end = _pgm_header_tokens(reader.blob, path)
     magic = tokens[0]
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:4])
-    except ValueError:
-        raise FormatError(f"{path}: PGM dimensions are not integers") from None
+    width, height, maxval = _pgm_integers(tokens[1:4], path, "header")
     if width < 1 or height < 1:
         raise FormatError(f"{path}: invalid PGM size {width}x{height}")
     if maxval <= 0:
@@ -351,10 +364,7 @@ def load_pgm_image(path) -> np.ndarray:
             raise TruncatedFileError(f"{path}: raster holds {len(fields)} of {count} pixels")
         if len(fields) > count:
             raise FormatError(f"{path}: raster holds {len(fields)} values, expected {count}")
-        try:
-            pixels = np.array([int(f) for f in fields], dtype=np.float64)
-        except ValueError:
-            raise FormatError(f"{path}: PGM raster holds non-integer text") from None
+        pixels = np.array(_pgm_integers(fields, path, "raster"), dtype=np.float64)
     if pixels.min() < 0 or pixels.max() > maxval:
         raise FormatError(f"{path}: pixel value outside [0, maxval {maxval}]")
     image = (pixels / maxval).reshape(1, height, width)

@@ -16,7 +16,9 @@ layer is one tape record, its activation applied inside it, and there is no
 general elementwise algebra.  Convolution is cross-correlation (no kernel
 flip).  A recorded ``recurrent`` scan takes its whole-sequence buffers from
 a per-thread pool beside the tape and its backward gives them back, so a
-fixed-shape training step reuses the last step's buffers.  Under
+fixed-shape training step reuses the last step's buffers.  The conv and
+recurrent bias gradients sum their rows through ``_sum_rows``, in row order,
+with the bytes of ``sum(axis=-2)``.  Under
 ``no_grad(block_rows=n)`` the ops take each BLAS product of a batch of k*n
 samples as k products of n samples' rows, so one forward over k batches
 gives every sample the bytes of a forward over its own batch.
@@ -159,6 +161,21 @@ def _matmul(a, b, blocks: int = 1, out=None):
     prod = np.matmul(a.reshape(*shape, inner), b[..., None, :, :],
                      out=None if out is None else out.reshape(*shape, b.shape[-1]))
     return prod.reshape(*lead, rows, b.shape[-1])
+
+
+def _sum_rows(a):
+    """``a.sum(axis=-2)``, bit for bit and as a new array: a bias gradient from gradient rows.
+
+    On a C-contiguous array of at least 2 columns, ``sum`` and ``einsum``
+    both add each column's rows one at a time in row order, but ``sum``
+    calls its inner loop once per row and ``einsum`` runs once over all of
+    them.  With one column, or a layout that is not row-major, ``sum``
+    adds pairwise and ``einsum`` in its own unrolled order, so those take
+    ``sum``.
+    """
+    if a.flags.c_contiguous and a.shape[-1] >= 2:
+        return np.einsum("...ij->...j", a)
+    return a.sum(axis=-2)
 
 
 def _as_tensor(x) -> Tensor:
@@ -364,7 +381,9 @@ def conv_nd_batched(x, kernels, stride, padding, bias, activation=None) -> Tenso
     """Batched cross-correlation: [B, C_in, *sp] with [C_out, C_in, *k].
 
     Zero padding, per-output-channel bias, spatial rank 1 to 3, then
-    ``activation`` (one of ``ACTIVATIONS``, or None for none).
+    ``activation`` (one of ``ACTIVATIONS``, or None for none).  Backward
+    sums the bias gradient over the [B*O, C_out] gradient rows in row order
+    (``_sum_rows``).
     """
     x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
     rank = x.data.ndim - 2
@@ -405,7 +424,7 @@ def conv_nd_batched(x, kernels, stride, padding, bias, activation=None) -> Tenso
     def _backward(g):
         g2 = g.reshape(batch, c_out, n_win).transpose(0, 2, 1).reshape(batch * n_win, c_out)
         d_kernels = (g2.T @ pmat).reshape(kernels.shape)
-        d_bias = g2.sum(axis=0)
+        d_bias = _sum_rows(g2)  # at batch 1, g2 is a column-major view
         if not x.requires_grad:
             return (None, d_kernels, d_bias)
         d_pmat = g2 @ kmat  # [B*O, C_in*K]
@@ -476,7 +495,10 @@ def recurrent(x, w, u, b, cell: str) -> Tensor:
       c' = f*c + i*g, h' = o*tanh(c')
 
     The input projection of all steps is one matmul and each step does one
-    on the state (gru two: its candidate reads r*h).  The hand-written
+    on the state (gru two: its candidate reads r*h).  The biases are
+    repeated once per scan into contiguous [D, B, .] arrays, so each step's
+    bias add is one pass, and backward sums db over the [T*B] rows of each
+    direction in row order (``_sum_rows``).  The hand-written
     backward pass returns one gradient per input.  All pre-activations are
     checked for finiteness once, after the scan.
 
@@ -554,7 +576,8 @@ def recurrent(x, w, u, b, cell: str) -> Tensor:
     del proj, flat
     hs[0], cs[0] = 0, 0  # every other element is written before it is read
     u_h, u_n = np.ascontiguousarray(u[..., :n_h]), np.ascontiguousarray(u[..., n_h:])
-    b_h, b_n = np.ascontiguousarray(b[:, None, :n_h]), np.ascontiguousarray(b[:, None, n_h:])
+    # each step adds the biases as one contiguous [D, B, .] pass, not one per sample
+    b_h, b_n = np.repeat(b[:, None, :n_h], batch, axis=1), np.repeat(b[:, None, n_h:], batch, axis=1)
     # a step's U h and U_n (r*h), per direction and block through a [D, K, n, H] view of the state
     step_matmul = np.matmul if blocks == 1 else functools.partial(_matmul, blocks=blocks)
     for s in range(steps):
@@ -655,7 +678,7 @@ def recurrent(x, w, u, b, cell: str) -> Tensor:
             np.matmul(d_flat, w.transpose(0, 2, 1), out=d_seq.reshape(n_dirs, -1, features))
             d_x = d_seq[0] if n_dirs == 1 else np.add(d_seq[0], d_seq[1, ::-1], out=d_seq[0])
             d_x = d_x.transpose(1, 0, 2).copy()
-        grads = (d_x, seq.transpose(0, 2, 1) @ d_flat, d_u, d_flat.sum(axis=1))
+        grads = (d_x, seq.transpose(0, 2, 1) @ d_flat, d_u, _sum_rows(d_flat))
         _free_scan_buffers(held)
         return grads
 

@@ -77,6 +77,7 @@ TrainHistory = list  # of EpochRecord
 def _descend(params: dict, grads: dict, names: tuple, step):
     """theta <- theta - step(g), with g the gradients of ``names`` in order as one flat vector.
 
+    g is a new array that ``step`` may overwrite; the callers' gradients are never written.
     Every gradient must name a parameter and match its shape and dtype, and
     all parameters must share one dtype.  With no names, ``step`` is not called.
     """
@@ -133,17 +134,22 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
                           f"its state covers {sorted(names)}")
 
     def moments(g):
+        # g is _descend's own flat copy, so it and one scratch array hold every temporary of
+        # lr * (m / bc1) / (sqrt(v / bc2) + eps), computed in that order
         if state.m is None:
             state.m, state.v, state.names = np.zeros_like(g), np.zeros_like(g), names
         state.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** state.t
         bc2 = 1.0 - ADAM_BETA2 ** state.t
-        m, v = state.m, state.v
+        m, v, scratch = state.m, state.v, np.empty_like(g)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=scratch)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * np.square(g)
-        return lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
+        v += np.multiply(1.0 - ADAM_BETA2, np.square(g, out=g), out=g)
+        step = np.multiply(lr, np.divide(m, bc1, out=scratch), out=scratch)
+        denom = np.sqrt(np.divide(v, bc2, out=g), out=g)
+        denom += ADAM_EPSILON
+        return np.divide(step, denom, out=step)
 
     _descend(params, grads, names, moments)
     return state

@@ -285,6 +285,18 @@ class TestPgm:
         with pytest.raises(FormatError, match=f"{re.escape(str(p))}: pixel value outside"):
             load_pgm_image(p)
 
+    @pytest.mark.parametrize("number", [b"1_0", b"+5", b"9" * 5000], ids=["1_0", "+5", "5000-digits"])
+    @pytest.mark.parametrize("template", [
+        b"P2 %s 1 255 1 2 3 4 5 6 7 8 9 10",  # P2 header
+        b"P5 %s 1 255\n" + bytes(10),  # P5 header
+        b"P2 2 1 255 7 %s",  # P2 raster
+    ], ids=["p2-header", "p5-header", "p2-raster"])
+    def test_number_int_reads_but_netpbm_does_not_is_format_error(self, tmp_path, template, number):
+        p = tmp_path / "d.pgm"
+        p.write_bytes(template.replace(b"%s", number))
+        with pytest.raises(FormatError, match=f"{re.escape(str(p))}: PGM (header|raster) holds "):
+            load_pgm_image(p)
+
     def test_not_pgm(self, tmp_path):
         p = tmp_path / "n.pgm"
         p.write_bytes(b"GIF89a")

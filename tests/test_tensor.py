@@ -331,6 +331,39 @@ class TestConvBackward:
         assert k.grad.shape == k.shape
 
 
+class TestSumRows:
+    def test_same_bytes_as_sum_over_rows(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def arrays(draw):
+            lead = draw(st.sampled_from([(), (1,), (2,), (3,)]))
+            rows, cols = draw(st.integers(1, 300)), draw(st.integers(1, 20))
+            dtype = draw(st.sampled_from([np.float32, np.float64]))
+            layout = draw(st.sampled_from(["c", "transposed", "row-sliced"]))
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            extent = 2 * rows if layout == "row-sliced" else rows
+            shape = (*lead, cols, extent) if layout == "transposed" else (*lead, extent, cols)
+            values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+            values[rng.random(shape) < 0.1] = 0.0
+            values[rng.random(shape) < 0.1] = -0.0
+            a = values.astype(dtype)
+            if layout == "transposed":
+                return np.swapaxes(a, -1, -2)  # F-ordered for [N, C]
+            return a[..., ::2, :] if layout == "row-sliced" else a
+
+        @hypothesis.settings(max_examples=150, deadline=None, database=None)
+        @hypothesis.given(arrays())
+        def check(a):
+            got, expected = T._sum_rows(a), a.sum(axis=-2)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+            assert not np.shares_memory(got, a)
+
+        check()
+
+
 class TestConvWindowCache:
     def test_cached_window_indices_are_read_only(self):
         idx = T._patch_indices(2, (10,), (4,), (3,), (2,))

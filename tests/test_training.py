@@ -207,6 +207,21 @@ class TestAdamStep:
             np.testing.assert_array_equal(params[name].data, ref[name])
         np.testing.assert_array_equal(params["frozen"].data, init["frozen"])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shapes", [{"w": (5,)}, {"a.weight": (4, 3), "a.bias": (3,), "b.weight": (3, 2, 2)}],
+                             ids=["one", "several"])
+    def test_gradients_passed_are_left_unchanged(self, shapes, dtype):
+        rng = np.random.default_rng(6)
+        params = {name: Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+                  for name, shape in shapes.items()}
+        state = AdamState()
+        for _ in range(3):
+            grads = {name: rng.standard_normal(shape).astype(dtype) for name, shape in shapes.items()}
+            before = {name: grad.copy() for name, grad in grads.items()}
+            adam_step(params, grads, state, lr=0.01)
+            for name, grad in grads.items():
+                assert grad.tobytes() == before[name].tobytes()
+
     def test_changed_gradient_names_rejected(self):
         params = {n: Tensor(np.zeros(2), requires_grad=True) for n in ("a", "b")}
         state = AdamState()
