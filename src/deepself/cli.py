@@ -37,6 +37,7 @@ from .dsp import (
 )
 from .errors import ConfigError, DataError, DeepSelfError, ShapeError
 from .evaluation import (
+    LOG_FORMAT,
     PredictionSet,
     confusion_matrix,
     format_confusion,
@@ -332,7 +333,7 @@ def cmd_evaluate(args) -> int:
         x, y, _ = _dataset(cfg, manifest.rows, manifest.label_map, _is_sequence_config(cfg))
         folds = manifest.folds()
         spec = cfg.model_spec(x.shape[1:], manifest.n_classes)
-        report = kfold_cross_validate(x, y, folds, spec, cfg.train_config())
+        report = kfold_cross_validate(x, y, folds, spec, cfg.train_config(), cfg.jobs)
         os.makedirs(cfg.output_dir, exist_ok=True)
         report_path = os.path.join(cfg.output_dir, "fold_report.csv")
         write_fold_report(report, report_path)
@@ -398,7 +399,7 @@ def main(argv=None) -> int:
         print(f"error: DEEPSELF_LOG must be one of {sorted(LOG_LEVELS)}, "
               f"got {level_name!r}", file=sys.stderr)
         return 2
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(stream=sys.stderr, format=LOG_FORMAT)
     log.setLevel(LOG_LEVELS[level_name])
 
     parser = build_parser()

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import io
 import math
 from dataclasses import dataclass, field, fields, replace
 
+from .data import read_text
 from .errors import ConfigError, check_integer
 from .models import ACTIVATIONS, DIRECTIONS, RECURRENT_CELLS, Conv, Dense, ModelSpec, Recurrent
 from .training import OPTIMIZERS, TrainConfig
@@ -237,9 +239,8 @@ DOMAINS = {f.name: f.metadata["domain"] for f in fields(RunConfig) if f.metadata
 def load_config(path) -> RunConfig:
     """Parse a flat INI file and validate every key against its domain; errors name the file."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
-    try:
-        with open(path) as fh:
-            parser.read_file(fh)
+    try:  # read_text rejects invalid UTF-8; newline=None reads any line end, as open() does
+        parser.read_file(io.StringIO(read_text(path), newline=None), str(path))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:

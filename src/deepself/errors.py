@@ -61,22 +61,28 @@ def check_integer(name: str, value, minimum: int | None = None) -> int:
 
 def check_labels(name: str, labels, n_classes: int, ids=None) -> np.ndarray:
     """``labels`` as int64 class indices; DataError naming ``name``, the first bad value and
-    its row (its id, given ``ids``) unless every label is a whole number in [0, n_classes).
+    its row (its id, given ``ids``) unless every label is a whole number in [0, n_classes)."""
+    return check_whole(f"{name} label", labels, n_classes, ids)
 
-    Float labels that are whole numbers load; a fraction or a NaN does not.
+
+def check_whole(what: str, values, stop: int | None = None, ids=None) -> np.ndarray:
+    """``values`` as int64; DataError naming ``what``, the first bad value and its row (its
+    id, given ``ids``) unless every value is a whole number, in [0, stop) given ``stop``.
+
+    Floats that are whole numbers load; a fraction, an infinity or a NaN does not.
     """
-    values = np.asarray(labels)
+    values = np.asarray(values)
     if values.dtype.kind not in "biuf":
-        raise DataError(f"{name} labels must be numbers, got dtype {values.dtype}")
-    bad = (values < 0) | (values >= n_classes)
+        raise DataError(f"{what}s must be numbers, got dtype {values.dtype}")
+    bad = np.zeros(values.shape, bool) if stop is None else (values < 0) | (values >= stop)
     if values.dtype.kind == "f":
-        bad |= values != np.floor(values)  # NaN too, as NaN != NaN
+        bad |= ~np.isfinite(values) | (values != np.floor(values))
     if bad.any():
         row = int(np.argmax(bad.reshape(-1)))
         value = values.reshape(-1)[row]
         where = f"for id {ids[row]!r}" if ids is not None else f"at row {row}"
-        problem = f"is outside [0, {n_classes})" if value == np.floor(value) else "is not a whole number"
-        raise DataError(f"{name} label {value} {where} {problem}")
+        problem = f"is outside [0, {stop})" if stop and value == np.floor(value) else "is not a whole number"
+        raise DataError(f"{what} {value} {where} {problem}")
     return values.astype(np.int64, copy=False)
 
 

@@ -9,14 +9,20 @@ from __future__ import annotations
 
 import csv
 import io
+import logging
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import csv_records, read_text
-from .errors import ConfigError, DataError, FormatError, MetricError, ShapeError, check_integer, check_labels
+from .errors import (ConfigError, DataError, DeepSelfError, FormatError, MetricError, ShapeError, check_integer,
+                     check_labels, check_whole)
 from .files import atomic_write
 from .models import init_model
+
+log = logging.getLogger(__name__)
+LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"  # the CLI's, and its cross-validation workers'
 
 
 # ---------------------------------------------------------------------------
@@ -203,42 +209,101 @@ class FoldReport:
         return float(np.mean(self.uars))
 
 
-def kfold_cross_validate(features, labels, folds, spec, config) -> FoldReport:
+def kfold_cross_validate(features, labels, folds, spec, config, jobs: int = 1) -> FoldReport:
     """Distributor folds: test = fold f, dev = next fold cyclically, train = rest.
 
-    Per-fold seeds are derived as seed + fold_index for both initialization
-    and shuffling, so each fold's result does not depend on the others.
+    Fold i is seeded by seed + i, for initialization and shuffling, so its
+    result depends neither on the other folds nor on ``jobs``.  The caller runs
+    folds ``0::jobs``; worker process w, forked from a fork server with its own
+    copy of the features, runs folds ``w::jobs``.  Each worker imports
+    ``__main__``, so a script calling this with ``jobs > 1`` needs an
+    ``if __name__ == "__main__":`` guard.
     """
-    from .training import predict_batches, train  # local import: trainer depends on this module
-
     features = np.asarray(features)
     labels = np.asarray(labels, dtype=np.int64)
-    folds = np.asarray(folds)
+    folds = check_whole("fold id", folds)
     if folds.shape != labels.shape or features.shape[0] != labels.shape[0]:
         raise ShapeError("features, labels and folds must align on the instance axis")
-    fold_ids = sorted(int(f) for f in np.unique(folds))
+    fold_ids = [int(f) for f in np.unique(folds)]
     if len(fold_ids) < 2:
         raise ConfigError(f"cross-validation needs at least 2 folds, got {len(fold_ids)}")
+    n, jobs = len(fold_ids), check_integer("jobs", jobs, 1)
+    fold_args = (features, labels, folds, fold_ids, spec, config)
+    workers, uars, test_indices = [], [None] * n, [None] * n
+    try:
+        for w in range(1, min(jobs, n)):
+            workers.append(_start_worker(range(w, n, jobs), fold_args))
+        for w in range(len(workers) + 1):  # the caller is worker 0
+            for i in range(w, n, jobs):
+                uars[i], test_indices[i], seconds = (_receive(*workers[w - 1], fold_ids[w::jobs]) if w
+                                                     else _fold(i, *fold_args))
+                log.info("fold %d: test UAR %.2f, %.2f s, worker %d", fold_ids[i], uars[i], seconds, w)
+    except BaseException:
+        for proc, _ in workers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, receive in workers:
+            receive.close()
+            proc.join()
+    return FoldReport(fold_ids, uars, test_indices)
 
-    uars, test_indices = [], []
-    for i, test_fold in enumerate(fold_ids):
-        dev_fold = fold_ids[(i + 1) % len(fold_ids)]
-        test_mask = folds == test_fold
-        dev_mask = folds == dev_fold
-        train_mask = ~(test_mask | dev_mask)
-        if not train_mask.any():
-            raise DataError(
-                f"fold {test_fold}: no training instances remain after holding out "
-                f"test fold {test_fold} and dev fold {dev_fold}"
-            )
-        fold_config = replace(config, seed=config.seed + i)
+
+def _fold(i, features, labels, folds, fold_ids, spec, config):
+    """Fold ``i``'s (test UAR, test rows, seconds); its DeepSelfError names the fold."""
+    from .training import predict_batches, train  # local import: trainer depends on this module
+
+    started = time.perf_counter()
+    test_mask, dev_mask = folds == fold_ids[i], folds == fold_ids[(i + 1) % len(fold_ids)]
+    train_mask = ~(test_mask | dev_mask)
+    try:
         model = init_model(replace(spec, seed=spec.seed + i))
         best, _ = train(model, (features[train_mask], labels[train_mask]),
-                        (features[dev_mask], labels[dev_mask]), fold_config)
+                        (features[dev_mask], labels[dev_mask]), replace(config, seed=config.seed + i))
         pred, _ = predict_batches(best, features[test_mask], config.batch_size)
-        uars.append(float(uar_from_labels(labels[test_mask], pred, spec.n_classes)))
-        test_indices.append(np.flatnonzero(test_mask))
-    return FoldReport(fold_ids, uars, test_indices)
+        fold_uar = float(uar_from_labels(labels[test_mask], pred, spec.n_classes))
+    except DeepSelfError as exc:
+        raise type(exc)(f"fold {fold_ids[i]}: {exc}") from exc
+    return fold_uar, np.flatnonzero(test_mask), time.perf_counter() - started
+
+
+def _start_worker(mine, fold_args):
+    """A worker process running folds ``mine``, and the end of the pipe it reports on."""
+    import multiprocessing  # here, not at the top: it adds about 5 ms to every import of deepself
+
+    ctx = multiprocessing.get_context("forkserver")
+    ctx.set_forkserver_preload(["numpy", "deepself"])  # numpy: the server ignores run-time sys.path
+    receive, send = ctx.Pipe(duplex=False)
+    level = logging.getLogger("deepself").getEffectiveLevel()
+    proc = ctx.Process(target=_fold_worker, args=(send, level, mine, *fold_args), daemon=True)
+    proc.start()
+    send.close()
+    return proc, receive
+
+
+def _fold_worker(send, level, mine, *fold_args):
+    """A worker process: sends each of folds ``mine``'s results, or the first DeepSelfError."""
+    logging.basicConfig(format=LOG_FORMAT)
+    logging.getLogger("deepself").setLevel(level)
+    with send:
+        try:
+            for i in mine:
+                send.send(_fold(i, *fold_args))
+        except DeepSelfError as exc:
+            send.send(exc)
+
+
+def _receive(proc, receive, names):
+    """A worker's next fold result; raises the error it sent, or one naming its folds if it died."""
+    try:
+        result = receive.recv()
+    except EOFError:
+        proc.join()
+        raise DeepSelfError(f"the worker running folds {', '.join(map(str, names))} exited "
+                            f"with code {proc.exitcode} before reporting them all") from None
+    if isinstance(result, DeepSelfError):
+        raise result
+    return result
 
 
 def write_fold_report(report: FoldReport, path):

@@ -2,6 +2,9 @@
 
 import csv
 import os
+import re
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import deepself
 from deepself.cli import (
     _is_sequence_config,
     _is_sequence_model,
@@ -364,6 +368,19 @@ class TestEvaluate:
                         "--output-dir", str(out)]) == 0
             reports.append((out / "fold_report.csv").read_bytes())
         assert reports[0] == reports[1]
+
+    def test_cv_workers_log_at_the_cli_level(self, tmp_path):
+        cfg = base_config(tmp_path, toy_dataset(tmp_path, folds=True), epochs=2)
+        env = {**os.environ, "DEEPSELF_LOG": "info",
+               "PYTHONPATH": str(Path(deepself.__file__).resolve().parent.parent)}
+        proc = subprocess.run([sys.executable, "-m", "deepself.cli", "evaluate", "--config", str(cfg),
+                               "--cv", "--jobs", "2"], env=env, cwd=tmp_path, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        epochs = re.findall(r"^INFO deepself\.training: epoch (\d):", proc.stderr, re.MULTILINE)
+        assert sorted(epochs) == ["1", "1", "1", "2", "2", "2"]  # 3 folds, the middle one in worker 1
+        assert re.search(r"^INFO deepself\.evaluation: fold 1: test UAR .+, worker 1$", proc.stderr,
+                         re.MULTILINE)
 
     def test_cv_without_fold_column(self, tmp_path, capsys):
         manifest = toy_dataset(tmp_path)  # split column only

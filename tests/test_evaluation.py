@@ -4,10 +4,18 @@ The UAR oracle below recomputes per-class recall with explicit loops and no
 shared code with the package, per the acceptance contract.
 """
 
+import functools
+import logging
+import multiprocessing
+import os
+import re
+import signal
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from deepself.errors import ConfigError, DataError, FormatError, MetricError, ShapeError
+from deepself.errors import ConfigError, DataError, DeepSelfError, FormatError, MetricError, NumericError, ShapeError
 from deepself.evaluation import (
     ConfusionMatrix,
     FoldReport,
@@ -22,7 +30,7 @@ from deepself.evaluation import (
     write_fold_report,
     write_predictions,
 )
-from deepself.models import Dense, ModelSpec
+from deepself.models import Conv, Dense, ModelSpec, Recurrent
 from deepself.training import TrainConfig
 
 
@@ -256,6 +264,46 @@ def _blob_dataset(rng, n):
     return features.astype(np.float32), labels
 
 
+# tiny models of each topology: (input shape, layers)
+KFOLD_MODELS = {
+    "fnn": ((2,), (Dense(8),)),
+    "cnn1d": ((1, 12), (Conv(1, 3, (3,), (2,), (1,)), Dense(4))),
+    "bigru": ((5, 2), (Recurrent("gru", 4, 1, "bi"),)),
+}
+
+
+def _kfold_inputs(model, n=24, k=4, epochs=2):
+    """A noisy two-class set shaped for ``model`` (so each fold's UAR depends on its
+    seeds), its folds, spec and config."""
+    shape, layers = KFOLD_MODELS[model]
+    rng = np.random.default_rng(3)
+    labels = rng.integers(0, 2, size=n)
+    features = 0.3 * (labels[:, None] * 2.0 - 1.0) + rng.standard_normal((n, int(np.prod(shape))))
+    spec = ModelSpec(shape, layers, 2, seed=1)
+    config = TrainConfig(learning_rate=0.05, batch_size=8, epochs=epochs, optimizer="adam", seed=1)
+    return features.reshape((n,) + shape).astype(np.float32), labels, np.arange(n) % k, spec, config
+
+
+@functools.lru_cache(maxsize=None)
+def _serial_report(model):
+    return kfold_cross_validate(*_kfold_inputs(model))
+
+
+@dataclass(frozen=True)
+class FoldTrap(TrainConfig):
+    """A TrainConfig that, once derived for fold index ``fold`` from the base seed 1 of
+    ``_kfold_inputs``, raises ``NumericError`` or, with ``kill``, SIGKILLs its own process."""
+    fold: int = -1
+    kill: bool = False
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.seed == 1 + self.fold:
+            if self.kill:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise NumericError("injected")
+
+
 class TestKFold:
     def _run(self, n=36, k=4, epochs=3):
         rng = np.random.default_rng(0)
@@ -281,6 +329,57 @@ class TestKFold:
     def test_learnable_task_reaches_high_uar(self):
         _, report = self._run(n=60, k=5, epochs=10)
         assert report.mean >= 95.0
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 5])  # 5 jobs for 4 folds
+    @pytest.mark.parametrize("model", sorted(KFOLD_MODELS))
+    def test_same_report_at_any_job_count(self, model, jobs):
+        serial = _serial_report(model)
+        report = kfold_cross_validate(*_kfold_inputs(model), jobs=jobs)
+        assert report.fold_ids == serial.fold_ids
+        assert np.array(report.uars).tobytes() == np.array(serial.uars).tobytes()
+        for got, expected in zip(report.test_indices, serial.test_indices, strict=True):
+            np.testing.assert_array_equal(got, expected)
+        assert multiprocessing.active_children() == []
+
+    def test_logs_one_line_per_fold(self, caplog):
+        caplog.set_level(logging.INFO, logger="deepself.evaluation")
+        kfold_cross_validate(*_kfold_inputs("fnn"), jobs=2)
+        lines = [r.getMessage() for r in caplog.records if r.name == "deepself.evaluation"]
+        assert [line.split(":")[0] for line in lines] == ["fold 0", "fold 2", "fold 1", "fold 3"]
+        assert re.fullmatch(r"fold 1: test UAR \d+\.\d\d, \d+\.\d\d s, worker 1", lines[2])
+
+    @pytest.mark.parametrize("fold, jobs", [(3, 2), (2, 2), (1, 1)])  # a worker's, the caller's, serial
+    def test_fold_error_names_its_fold_and_keeps_its_class(self, fold, jobs):
+        features, labels, folds, spec, config = _kfold_inputs("fnn")
+        trap = FoldTrap(**vars(config), fold=fold)
+        with pytest.raises(NumericError, match=rf"^fold {fold}: injected$"):
+            kfold_cross_validate(features, labels, folds, spec, trap, jobs=jobs)
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_names_its_folds(self):
+        features, labels, folds, spec, config = _kfold_inputs("fnn")
+        trap = FoldTrap(**vars(config), fold=1, kill=True)
+        with pytest.raises(DeepSelfError, match=r"folds 1, 3 exited with code -9"):
+            kfold_cross_validate(features, labels, folds, spec, trap, jobs=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("folds, message", [
+        ([0.5, 0.5, 1.5, 1.5, 2.5, 2.5], r"fold id 0\.5 at row 0 is not a whole number"),
+        ([0, 0, 1, 1, 2, np.nan], r"fold id nan at row 5 is not a whole number"),
+        ([0, 0, 1, 1, 2, np.inf], r"fold id inf at row 5 is not a whole number"),
+        (["a", "a", "b", "b", "c", "c"], r"fold ids must be numbers"),
+    ])
+    def test_fold_ids_must_be_whole_numbers(self, folds, message):
+        features, labels = _blob_dataset(np.random.default_rng(1), 6)
+        spec = ModelSpec((2,), (Dense(4),), 2)
+        with pytest.raises(DataError, match=message):
+            kfold_cross_validate(features, labels, np.array(folds), spec, TrainConfig())
+
+    def test_whole_float_fold_ids_match_integer_ones(self):
+        features, labels, folds, spec, config = _kfold_inputs("fnn")
+        report = kfold_cross_validate(features, labels, folds.astype(np.float64), spec, config)
+        assert report.fold_ids == [0, 1, 2, 3]
+        assert report.uars == _serial_report("fnn").uars
 
     def test_single_fold_rejected(self):
         rng = np.random.default_rng(1)
