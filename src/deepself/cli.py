@@ -37,7 +37,6 @@ from .dsp import (
 )
 from .errors import ConfigError, DataError, DeepSelfError, ShapeError
 from .evaluation import (
-    LOG_FORMAT,
     PredictionSet,
     confusion_matrix,
     format_confusion,
@@ -62,6 +61,7 @@ from .training import (
 log = logging.getLogger("deepself")
 
 LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
 
 
 # ---------------------------------------------------------------------------

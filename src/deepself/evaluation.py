@@ -22,7 +22,6 @@ from .files import atomic_write
 from .models import init_model
 
 log = logging.getLogger(__name__)
-LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"  # the CLI's, and its cross-validation workers'
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +213,11 @@ def kfold_cross_validate(features, labels, folds, spec, config, jobs: int = 1) -
 
     Fold i is seeded by seed + i, for initialization and shuffling, so its
     result depends neither on the other folds nor on ``jobs``.  The caller runs
-    folds ``0::jobs``; worker process w, forked from a fork server with its own
-    copy of the features, runs folds ``w::jobs``.  Each worker imports
-    ``__main__``, so a script calling this with ``jobs > 1`` needs an
-    ``if __name__ == "__main__":`` guard.
+    folds ``0::jobs``; worker process w, forked from the caller, runs folds
+    ``w::jobs`` on the caller's features (shared copy-on-write, nothing pickled)
+    and logs through the caller's handlers.  Tested on Linux only (macOS is
+    unverified).  After the fork the caller's pages are write-protected, so the
+    caller pays one minor page fault per page it writes again after the CV.
     """
     features = np.asarray(features)
     labels = np.asarray(labels, dtype=np.int64)
@@ -240,7 +240,7 @@ def kfold_cross_validate(features, labels, folds, spec, config, jobs: int = 1) -
                 log.info("fold %d: test UAR %.2f, %.2f s, worker %d", fold_ids[i], uars[i], seconds, w)
     except BaseException:
         for proc, _ in workers:
-            proc.terminate()
+            proc.kill()  # not terminate(): a forked worker keeps the caller's SIGTERM handler
         raise
     finally:
         for proc, receive in workers:
@@ -271,20 +271,16 @@ def _start_worker(mine, fold_args):
     """A worker process running folds ``mine``, and the end of the pipe it reports on."""
     import multiprocessing  # here, not at the top: it adds about 5 ms to every import of deepself
 
-    ctx = multiprocessing.get_context("forkserver")
-    ctx.set_forkserver_preload(["numpy", "deepself"])  # numpy: the server ignores run-time sys.path
+    ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
-    level = logging.getLogger("deepself").getEffectiveLevel()
-    proc = ctx.Process(target=_fold_worker, args=(send, level, mine, *fold_args), daemon=True)
+    proc = ctx.Process(target=_fold_worker, args=(send, mine, *fold_args), daemon=True)
     proc.start()
     send.close()
     return proc, receive
 
 
-def _fold_worker(send, level, mine, *fold_args):
+def _fold_worker(send, mine, *fold_args):
     """A worker process: sends each of folds ``mine``'s results, or the first DeepSelfError."""
-    logging.basicConfig(format=LOG_FORMAT)
-    logging.getLogger("deepself").setLevel(level)
     with send:
         try:
             for i in mine:

@@ -62,6 +62,21 @@ def toy_dataset(root, n_per_class=6, length=20, folds=False, labels=("neg", "pos
     return manifest
 
 
+def noisy_dataset(root, n=24, length=32, k=4):
+    """Two overlapping classes of noisy series in ``k`` folds, so the fold UARs depend on the seeds."""
+    rng = np.random.default_rng(0)
+    rows = []
+    for i in range(n):
+        write_series(root / f"s{i}.csv", (0.2 * (i % 2 - 0.5) + rng.standard_normal(length)).tolist())
+        rows.append((f"s{i}.csv", "ab"[i % 2], "", i % k))
+    manifest = root / "manifest.csv"
+    with open(manifest, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["path", "label", "split", "fold"])
+        w.writerows(rows)
+    return manifest
+
+
 def base_config(root, manifest, epochs=30, extra=""):
     cfg = root / "run.cfg"
     cfg.write_text(f"""
@@ -359,15 +374,19 @@ class TestEvaluate:
         assert len(lines) == 5  # header + 3 folds + mean
 
     def test_cv_report_does_not_depend_on_jobs(self, tmp_path):
-        manifest = toy_dataset(tmp_path, folds=True)
-        cfg = base_config(tmp_path, manifest, epochs=3)
-        reports = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"out{jobs}"
-            assert run(["evaluate", "--config", str(cfg), "--cv", "--jobs", jobs,
-                        "--output-dir", str(out)]) == 0
-            reports.append((out / "fold_report.csv").read_bytes())
-        assert reports[0] == reports[1]
+        for name, dataset in (("separable", lambda root: toy_dataset(root, folds=True)), ("noisy", noisy_dataset)):
+            root = tmp_path / name
+            root.mkdir()
+            cfg = base_config(root, dataset(root), epochs=3)
+            reports = []
+            for jobs in ("1", "2", "3"):
+                out = root / f"out{jobs}"
+                assert run(["evaluate", "--config", str(cfg), "--cv", "--jobs", jobs,
+                            "--output-dir", str(out)]) == 0
+                reports.append((out / "fold_report.csv").read_bytes())
+            assert reports[1] == reports[0] and reports[2] == reports[0]
+        fold_uars = [line.split(",")[1] for line in reports[0].decode().splitlines()[1:-1]]
+        assert len(set(fold_uars)) > 1  # the noisy folds' UARs differ, so a jobs-dependent report shows
 
     def test_cv_workers_log_at_the_cli_level(self, tmp_path):
         cfg = base_config(tmp_path, toy_dataset(tmp_path, folds=True), epochs=2)

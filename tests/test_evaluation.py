@@ -10,11 +10,17 @@ import multiprocessing
 import os
 import re
 import signal
+import subprocess
+import sys
+import textwrap
+import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import deepself
 from deepself.errors import ConfigError, DataError, DeepSelfError, FormatError, MetricError, NumericError, ShapeError
 from deepself.evaluation import (
     ConfusionMatrix,
@@ -289,15 +295,32 @@ def _serial_report(model):
     return kfold_cross_validate(*_kfold_inputs(model))
 
 
+def _run_script(tmp_path, code, **env):
+    """The stdout words of ``code`` run as a script, with no ``__main__`` guard, in a new
+    interpreter that imports deepself and this test module."""
+    script = tmp_path / "script.py"
+    script.write_text(textwrap.dedent(code))
+    paths = [Path(deepself.__file__).resolve().parent.parent, Path(__file__).resolve().parent]
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(map(str, paths))}
+    proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True,
+                          timeout=120)  # a deadlocked worker fails the test instead of hanging it
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 @dataclass(frozen=True)
 class FoldTrap(TrainConfig):
     """A TrainConfig that, once derived for fold index ``fold`` from the base seed 1 of
-    ``_kfold_inputs``, raises ``NumericError`` or, with ``kill``, SIGKILLs its own process."""
+    ``_kfold_inputs``, raises ``NumericError`` or, with ``kill``, SIGKILLs its own process;
+    derived for fold index ``slow``, it sleeps for 30 s."""
     fold: int = -1
     kill: bool = False
+    slow: int = -1
 
     def __post_init__(self):
         super().__post_init__()
+        if self.seed == 1 + self.slow:
+            time.sleep(30)
         if self.seed == 1 + self.fold:
             if self.kill:
                 os.kill(os.getpid(), signal.SIGKILL)
@@ -362,6 +385,44 @@ class TestKFold:
         with pytest.raises(DeepSelfError, match=r"folds 1, 3 exited with code -9"):
             kfold_cross_validate(features, labels, folds, spec, trap, jobs=2)
         assert multiprocessing.active_children() == []
+
+    def test_failed_fold_stops_a_worker_that_handles_sigterm(self):
+        features, labels, folds, spec, config = _kfold_inputs("fnn")
+        trap = FoldTrap(**vars(config), fold=2, slow=1)  # the caller's fold 2 fails, worker 1 sleeps
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)  # a forked worker keeps it
+        try:
+            started = time.perf_counter()
+            with pytest.raises(NumericError, match=r"^fold 2: injected$"):
+                kfold_cross_validate(features, labels, folds, spec, trap, jobs=2)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert time.perf_counter() - started < 10
+        assert multiprocessing.active_children() == []
+
+    def test_script_needs_no_main_guard(self, tmp_path):
+        words = _run_script(tmp_path, """
+            import numpy as np
+            from deepself.evaluation import kfold_cross_validate
+            from test_evaluation import _kfold_inputs
+            print(np.array(kfold_cross_validate(*_kfold_inputs("fnn"), jobs=2).uars).tobytes().hex())
+        """)
+        assert words == [np.array(_serial_report("fnn").uars).tobytes().hex()]
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS starts one thread per CPU at most")
+    def test_fork_with_a_live_blas_pool(self, tmp_path):
+        threads, serial, forked = _run_script(tmp_path, """
+            import os
+            import numpy as np
+            from deepself.evaluation import kfold_cross_validate
+            from test_evaluation import _kfold_inputs
+            a = np.ones((1024, 1024))
+            a @ a  # the BLAS pool's threads are now started and idle
+            print(len(os.listdir("/proc/self/task")))
+            for jobs in (1, 3):
+                print(np.array(kfold_cross_validate(*_kfold_inputs("fnn"), jobs=jobs).uars).tobytes().hex())
+        """, OPENBLAS_NUM_THREADS="2")
+        assert threads == "2"
+        assert forked == serial
 
     @pytest.mark.parametrize("folds, message", [
         ([0.5, 0.5, 1.5, 1.5, 2.5, 2.5], r"fold id 0\.5 at row 0 is not a whole number"),
