@@ -112,7 +112,7 @@ class RunConfig:
     fixed_length: int | None = _key("data", None, _int, least=1)
     seed: int = _key("run", 0, _int)
     output_dir: str = _key("run", "out", str.strip)
-    # validated but unused (threads lost to serial); kept because perfbench sets it
+    # processes `evaluate --cv` runs folds in: the caller and jobs-1 forked workers; not in digest
     jobs: int = _key("run", 1, _int, least=1)
     activation: str = _key("run", "relu", str.strip, domain=ACTIVATIONS)
 

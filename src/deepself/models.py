@@ -38,10 +38,10 @@ from .tensor import (
     cnn_to_rnn_reshape,
     conv_nd_batched,
     final_states,
-    infer_conv_output_size,
     linear,
     recurrent,
     softmax,
+    _conv_geometry,
     _per_axis,
 )
 
@@ -171,11 +171,10 @@ class Conv(_Layer):
                 f"[channels x {self.rank} spatial] input, got shape {in_shape}"
             )
         try:
-            out_spatial = [infer_conv_output_size(*geometry, axis=axis) for axis, geometry in
-                           enumerate(zip(in_shape[1:], self.kernel, self.stride, self.padding))]
+            out_sp = _conv_geometry(in_shape[0], in_shape[1:], self.kernel, self.stride, self.padding)[0]
         except ConfigError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-        return (self.out_channels, *out_spatial)
+        return (self.out_channels, *out_sp)
 
     def params(self, in_shape, prefix):
         return ((f"{prefix}.weight", (self.out_channels, in_shape[0], *self.kernel)),

@@ -360,21 +360,30 @@ def infer_conv_output_size(in_extent: int, kernel: int, stride: int, padding: in
 
 
 @functools.lru_cache(maxsize=64)
-def _patch_indices(c_in, padded_sp, out_sp, kernel_sp, stride):
-    """Flat indices into one sample's [C_in * prod(padded_sp)] values, in patch-matrix order [O, C_in, K].
+def _conv_geometry(c_in, spatial, kernel_sp, stride, padding):
+    """``(out_sp, padded_sp, unpad, idx, windows)`` of one conv geometry, for any batch size.
 
-    Taken from a [B, C_in * prod(padded_sp)] batch, they give the im2col
-    matrix as [B, O * C_in * K], whose reshape to [B*O, C_in*K] is a view.
-    Cached per geometry (``c_in`` and tuples), so the array is read-only.  It
-    holds C_in * O * K int64 values: 2/B times the bytes of a float32 patch
-    matrix of batch B.
+    Keyed only on validated ints (``_per_axis``): ``(True,)`` equals ``(1,)``.
+    ``unpad`` selects the input in the padded [B, C_in, *padded_sp] array.
+    ``idx`` (read-only) takes im2col's [B, O * C_in * K] values, patch order
+    [O, C_in, K], from the padded batch read as [B, C_in * prod(padded_sp)].
+    ``windows`` pairs kernel offset k's index into the [B, C_in, *O, *K]
+    gradient with its padded slab, k + s*o per axis; last offset first, col2im
+    sums each position's windows in ascending order, like ``np.add.at``.
     """
+    out_sp = tuple(infer_conv_output_size(*axis_geometry, axis=axis)
+                   for axis, axis_geometry in enumerate(zip(spatial, kernel_sp, stride, padding)))
+    padded_sp = tuple(n + 2 * p for n, p in zip(spatial, padding))
+    unpad = (slice(None), slice(None)) + tuple(slice(p, p + n) for p, n in zip(padding, spatial))
     starts = np.indices(out_sp).reshape(len(out_sp), -1, 1) * np.reshape(stride, (-1, 1, 1))
     offsets = np.indices(kernel_sp).reshape(len(kernel_sp), 1, -1)
     win = np.ravel_multi_index(tuple(starts + offsets), padded_sp)  # [O, K]
     idx = (win[:, None, :] + np.arange(c_in, dtype=np.int64)[None, :, None] * math.prod(padded_sp)).ravel()
     idx.flags.writeable = False
-    return idx
+    windows = tuple(((Ellipsis, *k), (slice(None), slice(None)) + tuple(
+        slice(k_i, k_i + s * (n - 1) + 1, s) for k_i, s, n in zip(k, stride, out_sp)))
+        for k in reversed(list(np.ndindex(*kernel_sp))))
+    return out_sp, padded_sp, unpad, idx, windows
 
 
 def conv_nd_batched(x, kernels, stride, padding, bias, activation=None) -> Tensor:
@@ -395,25 +404,19 @@ def conv_nd_batched(x, kernels, stride, padding, bias, activation=None) -> Tenso
     c_out, kc_in = kernels.shape[0], kernels.shape[1]
     if kc_in != c_in:
         raise ShapeError(f"kernel expects {kc_in} input channels, input has {c_in}")
-    spatial = x.shape[2:]
     kernel_sp = kernels.shape[2:]
-    stride = _per_axis(stride, rank, "stride")
-    padding = _per_axis(padding, rank, "padding")
-    out_sp = tuple(infer_conv_output_size(*geometry, axis=axis)
-                   for axis, geometry in enumerate(zip(spatial, kernel_sp, stride, padding)))
+    stride, padding = _per_axis(stride, rank, "stride"), _per_axis(padding, rank, "padding")
+    out_sp, padded_sp, unpad, idx, windows = _conv_geometry(c_in, x.shape[2:], kernel_sp, stride, padding)
 
     if bias.shape != (c_out,):
         raise ShapeError(f"bias must have shape ({c_out},), got {tuple(bias.shape)}")
 
-    unpad = (slice(None), slice(None)) + tuple(slice(p, p + n) for p, n in zip(padding, spatial))
     if any(padding):
-        padded = np.zeros((batch, c_in) + tuple(n + 2 * p for n, p in zip(spatial, padding)), dtype=x.dtype)
+        padded = np.zeros((batch, c_in, *padded_sp), dtype=x.dtype)
         padded[unpad] = x.data
     else:
         padded = x.data
-    padded_sp = padded.shape[2:]
     n_win, win_size = math.prod(out_sp), math.prod(kernel_sp)
-    idx = _patch_indices(c_in, padded_sp, out_sp, kernel_sp, stride)
     pmat = np.take(padded.reshape(batch, -1), idx, axis=1).reshape(batch * n_win, c_in * win_size)
     kmat = kernels.data.reshape(c_out, c_in * win_size)
     prod = _matmul(pmat, kmat.T, _row_blocks(batch))  # [B*O, C_out], a product per block of samples
@@ -428,13 +431,10 @@ def conv_nd_batched(x, kernels, stride, padding, bias, activation=None) -> Tenso
         if not x.requires_grad:
             return (None, d_kernels, d_bias)
         d_pmat = g2 @ kmat  # [B*O, C_in*K]
-        # col2im: [B, C_in, *O] slab of kernel offset k lands on k + s*o of each axis
         d_cols = np.moveaxis(d_pmat.reshape(batch, *out_sp, c_in, *kernel_sp), rank + 1, 1)
         d_padded = np.zeros((batch, c_in, *padded_sp), dtype=g.dtype)
-        # last offset first: each position sums its windows in ascending order, like np.add.at
-        for k in reversed(list(np.ndindex(*kernel_sp))):
-            window = tuple(slice(k_i, k_i + s * (n - 1) + 1, s) for k_i, s, n in zip(k, stride, out_sp))
-            d_padded[(slice(None), slice(None)) + window] += d_cols[(Ellipsis,) + k]
+        for offset, window in windows:  # col2im
+            d_padded[window] += d_cols[offset]
         d_x = np.ascontiguousarray(d_padded[unpad])
         return (d_x, d_kernels, d_bias)
 

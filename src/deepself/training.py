@@ -271,7 +271,7 @@ def train(model: Model, train_set, dev_set, config: TrainConfig):
     rng = np.random.default_rng(config.seed)
     adam_state = AdamState()
     history: TrainHistory = []
-    n = x_train.shape[0]
+    n, best_uar = x_train.shape[0], -math.inf
 
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
@@ -295,8 +295,8 @@ def train(model: Model, train_set, dev_set, config: TrainConfig):
         seconds = time.perf_counter() - started  # includes the dev evaluation
         log.info("epoch %d: train loss %.6f, train UAR %.2f, dev UAR %.2f, %.2f s, %.1f samples/s",
                  epoch, loss_sum / n, train_uar, dev_uar, seconds, n / seconds)
-        if best_epoch_index(rec.dev_uar for rec in history) == epoch - 1:
-            best_params = {name: p.data.copy() for name, p in model.params.items()}
+        if dev_uar > best_uar:  # best_epoch_index's earliest maximum, kept as it goes
+            best_uar, best_params = dev_uar, {name: p.data.copy() for name, p in model.params.items()}
 
     for name, arr in best_params.items():
         model.params[name].data = arr

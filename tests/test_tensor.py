@@ -8,7 +8,7 @@ import pytest
 
 from deepself.errors import ConfigError, DataError, DeepSelfError, NumericError, ShapeError
 from deepself import tensor as T
-from deepself.models import ModelSpec, Recurrent, forward, init_model
+from deepself.models import Conv, ModelSpec, Recurrent, forward, init_model, plan_shapes
 from deepself.tensor import Tensor
 from tape_ops import dot, reshape
 
@@ -364,17 +364,125 @@ class TestSumRows:
         check()
 
 
+def conv_geometries(st, invalid=False):
+    """Hypothesis strategy for ``(c_in, spatial, kernel, stride, padding)`` of spatial rank 1 to 3.
+
+    With ``invalid``, one axis's kernel is wider than its padded input, so
+    that axis has no output position.
+    """
+    @st.composite
+    def geometries(draw):
+        rank, c_in = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        bad = draw(st.integers(0, rank - 1)) if invalid else None
+        axes = []
+        for axis in range(rank):
+            stride, padding = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+            if axis == bad:
+                kernel = draw(st.integers(2 * padding + 2, 2 * padding + 5))
+                extent = draw(st.integers(1, kernel - 2 * padding - 1))
+            else:
+                kernel = draw(st.integers(1, 4))
+                extent = draw(st.integers(max(1, kernel - 2 * padding), kernel - 2 * padding + 8))
+            axes.append((extent, kernel, stride, padding))
+        return (c_in, *map(tuple, zip(*axes)))
+
+    return geometries()
+
+
+def conv_zeros(batch, c_in, spatial, kernel, stride, padding):
+    """``conv_nd_batched`` of a zero batch with two zero kernels of the given geometry."""
+    k = Tensor(np.zeros((2, c_in, *kernel), dtype=np.float32))
+    return T.conv_nd_batched(np.zeros((batch, c_in, *spatial), dtype=np.float32), k, stride, padding, zero_bias(k))
+
+
+def conv_spec(c_in, spatial, kernel, stride, padding):
+    return ModelSpec((c_in, *spatial), (Conv(len(spatial), 2, kernel, stride, padding),), 2)
+
+
 class TestConvWindowCache:
     def test_cached_window_indices_are_read_only(self):
-        idx = T._patch_indices(2, (10,), (4,), (3,), (2,))
-        assert idx is T._patch_indices(2, (10,), (4,), (3,), (2,))
+        geometry = T._conv_geometry(2, (8,), (3,), (2,), (1,))
+        assert geometry is T._conv_geometry(2, (8,), (3,), (2,), (1,))
+        out_sp, padded_sp, unpad, idx, windows = geometry
+        assert (out_sp, padded_sp, unpad) == ((4,), (10,), (slice(None), slice(None), slice(1, 9)))
         with pytest.raises(ValueError):
             idx[0] = 1
         # [O, C_in, K] order: window o's offset k of channel c sits at 2*o + k + 10*c
         expected = [2 * o + k + 10 * c for o in range(4) for c in range(2) for k in range(3)]
         assert idx.dtype == np.int64 and idx.tolist() == expected
-        other = T._patch_indices(3, (10,), (4,), (3,), (2,))
+        # col2im: offset k's gradient slab lands on k, k + 2, ..., k + 6, last offset first
+        assert windows == tuple(((Ellipsis, k), (slice(None), slice(None), slice(k, k + 7, 2))) for k in (2, 1, 0))
+        other = T._conv_geometry(3, (8,), (3,), (2,), (1,))[3]
         assert other.tolist() == [2 * o + k + 10 * c for o in range(4) for c in range(3) for k in range(3)]
+
+    def test_plan_op_and_per_axis_extents_agree(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None)
+        @hypothesis.given(conv_geometries(st), st.integers(1, 3))
+        def check(geometry, batch):
+            c_in, spatial, kernel, stride, padding = geometry
+            per_axis = tuple(T.infer_conv_output_size(*axis) for axis in zip(spatial, kernel, stride, padding))
+            assert plan_shapes(conv_spec(*geometry))[0].out_shape == (2, *per_axis)
+            assert conv_zeros(batch, *geometry).shape == (batch, 2, *per_axis)
+
+        check()
+
+    def test_invalid_geometry_raises_one_error_from_plan_and_op(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None)
+        @hypothesis.given(conv_geometries(st, invalid=True))
+        def check(geometry):
+            c_in, spatial, kernel, stride, padding = geometry
+            with pytest.raises(ConfigError) as per_axis:
+                for axis, extents in enumerate(zip(spatial, kernel, stride, padding)):
+                    T.infer_conv_output_size(*extents, axis=axis)
+            with pytest.raises(ConfigError) as op:
+                conv_zeros(1, *geometry)
+            with pytest.raises(ConfigError) as plan:
+                plan_shapes(conv_spec(*geometry))
+            assert str(op.value) == str(per_axis.value)
+            assert str(plan.value) == f"layer 0: {per_axis.value}"
+
+        check()
+
+    def test_same_geometry_other_batch_size_builds_nothing(self, monkeypatch):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        calls = []
+        infer = T.infer_conv_output_size
+        monkeypatch.setattr(T, "infer_conv_output_size", lambda *args, **kw: calls.append(args) or infer(*args, **kw))
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None)
+        @hypothesis.given(conv_geometries(st), st.integers(1, 3), st.integers(1, 3))
+        def check(geometry, batch, other_batch):
+            conv_zeros(batch, *geometry)
+            before, calls[:] = T._conv_geometry.cache_info(), []
+            conv_zeros(other_batch, *geometry)
+            after = T._conv_geometry.cache_info()
+            assert (after.hits - before.hits, after.misses - before.misses, calls) == (1, 0, [])
+
+        check()
+
+    def test_plan_warms_the_op_cache(self):
+        geometry = (2, (9, 7), (3, 2), (2, 1), (1, 0))
+        T._conv_geometry.cache_clear()
+        plan_shapes(conv_spec(*geometry))
+        conv_zeros(4, *geometry)
+        assert T._conv_geometry.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+    def test_bool_extents_rejected_after_equal_ints_cached(self):
+        # (True, True) == (1, 1) and both hash alike: only validated ints may key the cache
+        conv_zeros(1, 1, (4, 4), (2, 2), (1, 1), (0, 0))
+        with pytest.raises(ConfigError, match="stride must be an integer"):
+            conv_zeros(1, 1, (4, 4), (2, 2), (True, True), (0, 0))
+        with pytest.raises(ConfigError, match="padding must be an integer"):
+            conv_zeros(1, 1, (4, 4), (2, 2), (1, 1), (False, False))
+        with pytest.raises(ConfigError, match="Conv stride must be an integer"):
+            Conv(2, 2, (2, 2), (True, True), (0, 0))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("name", sorted(CONV_GEOMETRIES))
@@ -401,13 +509,13 @@ class TestConvWindowCache:
         rng = np.random.default_rng(14)
         x = rng.standard_normal((5, 2, 9, 8)).astype(np.float32)
         k = Tensor(rng.standard_normal((3, 2, 3, 3)).astype(np.float32))
-        T._patch_indices.cache_clear()
+        T._conv_geometry.cache_clear()
         bias = zero_bias(k)
         cold = T.conv_nd_batched(x[3:], k, (2, 1), (1, 1), bias).data
-        T._patch_indices.cache_clear()
+        T._conv_geometry.cache_clear()
         full = T.conv_nd_batched(x, k, (2, 1), (1, 1), bias).data
         warm = T.conv_nd_batched(x[3:], k, (2, 1), (1, 1), bias).data
-        info = T._patch_indices.cache_info()
+        info = T._conv_geometry.cache_info()
         assert (info.misses, info.hits) == (1, 1)  # batch is not part of the index
         np.testing.assert_array_equal(warm, cold)
         for i in range(5):

@@ -297,6 +297,32 @@ class TestTrainLoop:
         assert evaluate_uar(best, dev_set) == dev_uars[best_epoch_index(dev_uars)]
         assert max(dev_uars) == dev_uars[best_epoch_index(dev_uars)]
 
+    def test_restores_the_earliest_best_dev_epoch(self, monkeypatch):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        rng = np.random.default_rng(5)
+        train_set, dev_set = blob_dataset(rng, 8), blob_dataset(rng, 4)
+        config = TrainConfig(learning_rate=0.1, batch_size=4, epochs=1, optimizer="sgd")
+
+        @hypothesis.settings(max_examples=40, deadline=None, database=None)
+        @hypothesis.given(st.lists(st.integers(0, 4).map(lambda v: 25.0 * v), min_size=1, max_size=8))
+        def check(dev_uars):
+            seen = []  # each epoch's parameters, as the dev evaluation saw them
+
+            def fake_evaluate_uar(model, dataset, batch_size):
+                seen.append({name: p.data.copy() for name, p in model.params.items()})
+                return dev_uars[len(seen) - 1]
+
+            monkeypatch.setattr(training, "evaluate_uar", fake_evaluate_uar)
+            model = init_model(ModelSpec((2,), (Dense(3),), 2))
+            best, history = train(model, train_set, dev_set, replace(config, epochs=len(dev_uars)))
+            assert [rec.dev_uar for rec in history] == dev_uars
+            expected = seen[best_epoch_index(dev_uars)]
+            assert {name: p.data.tobytes() for name, p in best.params.items()} == {
+                name: arr.tobytes() for name, arr in expected.items()}
+
+        check()
+
     def test_history_has_one_record_per_epoch(self):
         _, history, _ = self._train_blobs(epochs=7)
         assert [rec.epoch for rec in history] == list(range(1, 8))
