@@ -48,7 +48,7 @@ from .evaluation import (
     write_predictions,
 )
 from .models import Recurrent, init_model
-from .tensor import Tensor, cnn_to_rnn_reshape
+from .tensor import cnn_to_rnn_reshape
 from .training import (
     best_epoch_index,
     load_checkpoint,
@@ -152,7 +152,7 @@ def _manifest(cfg: RunConfig) -> DatasetManifest:
 def _dataset(cfg: RunConfig, rows, label_map, sequence: bool):
     x, y, ids = assemble_dataset(rows, label_map, cfg.sample_rate, cfg.fixed_length)
     if sequence:
-        x = cnn_to_rnn_reshape(Tensor(x)).data  # features need no grad: nothing is taped
+        x = cnn_to_rnn_reshape(x).data  # features need no grad: nothing is taped
     return x, y, ids
 
 

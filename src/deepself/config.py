@@ -16,8 +16,8 @@ import io
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .data import read_text
 from .errors import ConfigError, check_integer
+from .files import read_text
 from .models import ACTIVATIONS, DIRECTIONS, RECURRENT_CELLS, Conv, Dense, ModelSpec, Recurrent
 from .training import OPTIMIZERS, TrainConfig
 

@@ -10,7 +10,6 @@ the manifest file's directory.
 
 from __future__ import annotations
 
-import csv
 import io
 import logging
 import os
@@ -27,32 +26,11 @@ from .errors import (
     TruncatedFileError,
     UnsupportedFormatError,
 )
-from .files import Reader, atomic_write
+from .files import Reader, read_csv, read_int, read_text, write_csv
 
 log = logging.getLogger("deepself")
 
 SPLITS = ("train", "dev", "test")
-
-
-def read_text(path) -> str:
-    """A text file's contents; invalid UTF-8 raises FormatError naming the byte offset."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    try:
-        return blob.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(
-            f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
-        ) from None
-
-
-def csv_records(fh, path):
-    """The ``csv`` records of ``fh``; one the module rejects raises FormatError naming the line."""
-    reader = csv.reader(fh)
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise FormatError(f"{path} line {reader.line_num}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -94,65 +72,52 @@ class DatasetManifest:
 def load_manifest(path) -> DatasetManifest:
     """CSV with header ``path,label[,split][,fold]``; labels map lexicographically."""
     base_dir = os.path.dirname(os.path.abspath(path))
+    records = read_csv(path)
     try:
-        fh = io.StringIO(read_text(path), newline="")
+        header = [h.strip() for h in next(records)[2]]
     except OSError as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
-    with fh:
-        reader = csv_records(fh, path)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise FormatError(f"{path}: manifest is empty") from None
-        allowed = {"path", "label", "split", "fold"}
-        unknown = [h for h in header if h not in allowed]
-        if unknown:
-            raise FormatError(f"{path}: unknown manifest column(s) {unknown}")
-        if "path" not in header or "label" not in header:
-            raise FormatError(f"{path}: manifest header needs 'path' and 'label', got {header}")
-        if len(set(header)) != len(header):
-            raise FormatError(f"{path}: duplicate manifest columns in {header}")
-        col = {name: header.index(name) for name in header}
+    except StopIteration:
+        raise FormatError(f"{path}: manifest is empty") from None
+    allowed = {"path", "label", "split", "fold"}
+    unknown = [h for h in header if h not in allowed]
+    if unknown:
+        raise FormatError(f"{path}: unknown manifest column(s) {unknown}")
+    if "path" not in header or "label" not in header:
+        raise FormatError(f"{path}: manifest header needs 'path' and 'label', got {header}")
+    if len(set(header)) != len(header):
+        raise FormatError(f"{path}: duplicate manifest columns in {header}")
+    col = {name: header.index(name) for name in header}
 
-        rows: list[ManifestRow] = []
-        seen_paths: set[str] = set()
-        for line_no, record in enumerate(reader, start=2):
-            if not record or all(not field.strip() for field in record):
-                continue
-            if len(record) != len(header):
-                raise FormatError(
-                    f"{path} line {line_no}: expected {len(header)} fields, got {len(record)}"
-                )
-            raw = record[col["path"]].strip()
-            label = record[col["label"]].strip()
-            if not raw or not label:
-                raise FormatError(f"{path} line {line_no}: path and label must be non-empty")
-            split = None
-            if "split" in col:
-                split = record[col["split"]].strip() or None
-                if split is not None and split not in SPLITS:
-                    raise FormatError(
-                        f"{path} line {line_no}: split must be one of {SPLITS}, got {split!r}"
-                    )
-            fold = None
-            if "fold" in col:
-                text = record[col["fold"]].strip()
-                if text:
-                    try:
-                        fold = int(text)
-                    except ValueError:
-                        raise FormatError(
-                            f"{path} line {line_no}: fold must be an integer, got {text!r}"
-                        ) from None
-                    if fold < 0:
-                        raise FormatError(f"{path} line {line_no}: fold must be non-negative")
-            resolved = raw if os.path.isabs(raw) else os.path.join(base_dir, raw)
-            if not os.path.exists(resolved):
-                raise DataError(f"{path} line {line_no}: referenced file not found: {resolved}")
-            if raw in seen_paths:
-                log.warning("manifest %s lists %s more than once", path, raw)
-            seen_paths.add(raw)
-            rows.append(ManifestRow(resolved, raw, label, split, fold))
+    rows: list[ManifestRow] = []
+    seen_paths: set[str] = set()
+    for _, line, record in records:
+        where = f"{path} line {line}"
+        if len(record) != len(header):
+            raise FormatError(f"{where}: expected {len(header)} fields, got {len(record)}")
+        raw = record[col["path"]].strip()
+        label = record[col["label"]].strip()
+        if not raw or not label:
+            raise FormatError(f"{where}: path and label must be non-empty")
+        split = None
+        if "split" in col:
+            split = record[col["split"]].strip() or None
+            if split is not None and split not in SPLITS:
+                raise FormatError(f"{where}: split must be one of {SPLITS}, got {split!r}")
+        fold = None
+        if "fold" in col:
+            text = record[col["fold"]].strip()
+            if text:
+                fold = read_int(text, f"{where}: fold")
+                if fold < 0:
+                    raise FormatError(f"{where}: fold must be non-negative")
+        resolved = raw if os.path.isabs(raw) else os.path.join(base_dir, raw)
+        if not os.path.exists(resolved):
+            raise DataError(f"{where}: referenced file not found: {resolved}")
+        if raw in seen_paths:
+            log.warning("manifest %s lists %s more than once", path, raw)
+        seen_paths.add(raw)
+        rows.append(ManifestRow(resolved, raw, label, split, fold))
 
     if not rows:
         raise DataError(f"{path}: manifest has no data rows")
@@ -162,15 +127,9 @@ def load_manifest(path) -> DatasetManifest:
 
 def write_manifest(manifest: DatasetManifest, path):
     """Write rows back out using their as-written paths (relative to the manifest)."""
-    with atomic_write(path, text=True) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "label", "split", "fold"])
-        for row in manifest.rows:
-            writer.writerow([
-                row.raw_path, row.label,
-                row.split or "",
-                "" if row.fold is None else row.fold,
-            ])
+    write_csv(path, ["path", "label", "split", "fold"],
+              ([row.raw_path, row.label, row.split or "", "" if row.fold is None else row.fold]
+               for row in manifest.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +204,7 @@ def load_csv_series(path, sample_rate: float) -> Signal:
     text = read_text(path)
     table = _numpy_table(text)
     if table is None:
-        table = _walk_csv_rows(text, path)
+        table = _walk_csv_rows(path)
     return Signal(table.T, sample_rate)
 
 
@@ -262,29 +221,22 @@ def _numpy_table(text: str) -> np.ndarray | None:
         return None
 
 
-def _walk_csv_rows(text: str, path) -> np.ndarray:
-    """[rows x columns] of ``text`` parsed cell by cell with ``float``."""
+def _walk_csv_rows(path) -> np.ndarray:
+    """[rows x columns] of the file at ``path`` parsed cell by cell with ``float``."""
     rows: list[list[float]] = []
     width = None
-    with io.StringIO(text, newline="") as fh:
-        for row_no, record in enumerate(csv_records(fh, path), start=1):
-            if not record or all(not field.strip() for field in record):
-                continue
-            values = []
-            for col_no, cell in enumerate(record, start=1):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise FormatError(
-                        f"{path} row {row_no}, column {col_no}: {cell!r} is not numeric"
-                    ) from None
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise FormatError(
-                    f"{path} row {row_no}: expected {width} column(s), got {len(values)}"
-                )
-            rows.append(values)
+    for row_no, _, record in read_csv(path):
+        values = []
+        for col_no, cell in enumerate(record, start=1):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise FormatError(f"{path} row {row_no}, column {col_no}: {cell!r} is not numeric") from None
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise FormatError(f"{path} row {row_no}: expected {width} column(s), got {len(values)}")
+        rows.append(values)
     if not rows:
         raise DataError(f"{path}: series file has no samples")
     return np.asarray(rows, dtype=np.float64)
@@ -317,22 +269,6 @@ def _pgm_header_tokens(blob, path):
     return tokens, pos
 
 
-def _pgm_integers(fields, path, what) -> list[int]:
-    """``fields`` as ints; FormatError naming ``path`` and ``what`` for one that is not ASCII digits.
-
-    A Netpbm number is digits alone, so ``+5`` and ``1_0``, which ``int``
-    reads, are refused.  A leading minus is read, so that the range checks
-    report a negative value as out of range.
-    """
-    for field in fields:
-        if not field.removeprefix(b"-").isdigit():
-            raise FormatError(f"{path}: PGM {what} holds {field[:20]!r}, not a decimal number")
-    try:
-        return [int(field) for field in fields]
-    except ValueError:  # more digits than int converts
-        raise FormatError(f"{path}: PGM {what} holds a number with too many digits") from None
-
-
 def load_pgm_image(path) -> np.ndarray:
     """P5 (binary) or P2 (ASCII) grayscale; returns [1 x H x W] scaled to [0, 1].
 
@@ -345,7 +281,7 @@ def load_pgm_image(path) -> np.ndarray:
         raise FormatError(f"{path}: not a PGM file (magic {reader.blob[:2]!r})")
     tokens, header_end = _pgm_header_tokens(reader.blob, path)
     magic = tokens[0]
-    width, height, maxval = _pgm_integers(tokens[1:4], path, "header")
+    width, height, maxval = (read_int(token.decode("latin-1"), f"{path}: PGM header") for token in tokens[1:4])
     if width < 1 or height < 1:
         raise FormatError(f"{path}: invalid PGM size {width}x{height}")
     if maxval <= 0:
@@ -364,7 +300,8 @@ def load_pgm_image(path) -> np.ndarray:
             raise TruncatedFileError(f"{path}: raster holds {len(fields)} of {count} pixels")
         if len(fields) > count:
             raise FormatError(f"{path}: raster holds {len(fields)} values, expected {count}")
-        pixels = np.array(_pgm_integers(fields, path, "raster"), dtype=np.float64)
+        pixels = np.array([read_int(field.decode("latin-1"), f"{path}: PGM raster") for field in fields],
+                          dtype=np.float64)
     if pixels.min() < 0 or pixels.max() > maxval:
         raise FormatError(f"{path}: pixel value outside [0, maxval {maxval}]")
     image = (pixels / maxval).reshape(1, height, width)

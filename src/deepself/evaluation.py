@@ -7,18 +7,15 @@ excluded.  Argmax ties break to the lowest class index everywhere.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import csv_records, read_text
 from .errors import (ConfigError, DataError, DeepSelfError, FormatError, MetricError, ShapeError, check_integer,
                      check_labels, check_whole)
-from .files import atomic_write
+from .files import read_csv, read_int, write_csv
 from .models import init_model
 
 log = logging.getLogger(__name__)
@@ -152,41 +149,32 @@ def fuse_predictions(sets: list[PredictionSet], mode: str = "mean") -> Predictio
 
 
 def write_predictions(pset: PredictionSet, path):
-    with atomic_write(path, text=True) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "label"] + [f"prob_{c}" for c in range(pset.n_classes)])
-        for i, instance_id in enumerate(pset.ids):
-            row = [instance_id, int(pset.labels[i])]
-            row += [repr(float(v)) for v in pset.probabilities[i]]
-            writer.writerow(row)
+    write_csv(path, ["id", "label"] + [f"prob_{c}" for c in range(pset.n_classes)],
+              ([instance_id, int(label)] + [repr(float(v)) for v in probs]
+               for instance_id, label, probs in zip(pset.ids, pset.labels, pset.probabilities)))
 
 
 def read_predictions(path) -> PredictionSet:
-    with io.StringIO(read_text(path), newline="") as fh:
-        reader = csv_records(fh, path)
+    records = read_csv(path)
+    try:
+        header = next(records)[2]
+    except StopIteration:
+        raise FormatError(f"{path}: empty predictions file") from None
+    if header[:2] != ["id", "label"] or not all(h == f"prob_{i}" for i, h in enumerate(header[2:])):
+        raise FormatError(f"{path}: malformed predictions header {header!r}")
+    n_classes = len(header) - 2
+    if n_classes < 1:
+        raise FormatError(f"{path}: no probability columns")
+    ids, labels, probs = [], [], []
+    for _, line, row in records:
+        if len(row) != 2 + n_classes:
+            raise FormatError(f"{path} line {line}: expected {2 + n_classes} fields")
+        ids.append(row[0])
+        labels.append(read_int(row[1].strip(), f"{path} line {line}: label"))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty predictions file") from None
-        if header[:2] != ["id", "label"] or not all(
-            h == f"prob_{i}" for i, h in enumerate(header[2:])
-        ):
-            raise FormatError(f"{path}: malformed predictions header {header!r}")
-        n_classes = len(header) - 2
-        if n_classes < 1:
-            raise FormatError(f"{path}: no probability columns")
-        ids, labels, probs = [], [], []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2 + n_classes:
-                raise FormatError(f"{path} line {row_no}: expected {2 + n_classes} fields")
-            try:
-                ids.append(row[0])
-                labels.append(int(row[1]))
-                probs.append([float(v) for v in row[2:]])
-            except ValueError as exc:
-                raise FormatError(f"{path} line {row_no}: {exc}") from None
+            probs.append([float(v) for v in row[2:]])
+        except ValueError as exc:
+            raise FormatError(f"{path} line {line}: {exc}") from None
     if not ids:
         raise FormatError(f"{path}: predictions file has no rows")
     return PredictionSet(ids, np.asarray(probs), np.asarray(labels))
@@ -303,9 +291,5 @@ def _receive(proc, receive, names):
 
 
 def write_fold_report(report: FoldReport, path):
-    with atomic_write(path, text=True) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fold", "test_uar"])
-        for fold_id, value in zip(report.fold_ids, report.uars):
-            writer.writerow([fold_id, f"{value:.6f}"])
-        writer.writerow(["mean", f"{report.mean:.6f}"])
+    rows = [[fold_id, f"{value:.6f}"] for fold_id, value in zip(report.fold_ids, report.uars)]
+    write_csv(path, ["fold", "test_uar"], rows + [["mean", f"{report.mean:.6f}"]])

@@ -1,6 +1,9 @@
-"""Reading a binary file field by field within its bounds; writing a file so a failed write keeps its old bytes."""
+"""Reading a binary file field by field within its bounds, and a text or CSV file whole;
+writing a file so a failed write keeps its old bytes."""
 
 import contextlib
+import csv
+import io
 import os
 import struct
 
@@ -52,6 +55,56 @@ class Reader:
         """FormatError unless every byte has been taken; ``what`` names the last field read."""
         if self.remaining:
             raise FormatError(f"{self.path}: {self.remaining} bytes after {what}")
+
+
+def read_text(path) -> str:
+    """A text file's contents; invalid UTF-8 raises FormatError naming the byte offset."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
+def read_csv(path):
+    """``(record number, line, fields)`` for each record of the CSV file at ``path`` that is not blank.
+
+    Records are numbered from 1, blank ones (no field, or only whitespace)
+    included.  ``line`` is the physical line the record ends on, which is
+    later than its number once a quoted field has held a line break.  The
+    file is read on the first ``next``, through ``read_text``; a record the
+    ``csv`` module rejects raises FormatError naming its line.
+    """
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        for number, fields in enumerate(reader, start=1):
+            if any(field.strip() for field in fields):
+                yield number, reader.line_num, fields
+    except csv.Error as exc:
+        raise FormatError(f"{path} line {reader.line_num}: {exc}") from None
+
+
+def read_int(text: str, what: str) -> int:
+    """``text`` as an int; FormatError naming ``what`` unless it is ASCII digits after an optional minus.
+
+    ``int`` alone also reads ``+1``, ``1_0`` and other scripts' digits, such
+    as ``٠``.  The minus is read so that a range check reports a negative value.
+    """
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise FormatError(f"{what} holds {text[:20]!r}, not a decimal number")
+    try:
+        return int(text)
+    except ValueError:  # more digits than int converts
+        raise FormatError(f"{what} holds a number with too many digits") from None
+
+
+def write_csv(path, header, rows):
+    """``header`` and then each of ``rows`` as CSV records (CRLF line ends), written through ``atomic_write``."""
+    with atomic_write(path, text=True) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @contextlib.contextmanager

@@ -43,6 +43,7 @@ from .tensor import (
     softmax,
     _conv_geometry,
     _per_axis,
+    _sequence_shape,
 )
 
 RECURRENT_CELLS = ("rnn", "lstm", "gru")
@@ -264,12 +265,10 @@ class CnnToRnnReshape(_Layer):
     KIND, READS, MAKES = "cnn_to_rnn", "grid", "seq"
 
     def plan(self, in_shape, where):
-        """[C, T] -> [T, C], [C, F, T] -> [T, C*F]: time stays the sequence axis."""
-        if len(in_shape) == 2:
-            return in_shape[1], in_shape[0]
-        if len(in_shape) == 3:
-            return in_shape[2], in_shape[0] * in_shape[1]
-        raise ConfigError(f"{where}: a sequence needs a [C x T] or [C x F x T] input, got {in_shape}")
+        seq = _sequence_shape(in_shape)
+        if seq is None:
+            raise ConfigError(f"{where}: a sequence needs a [C x T] or [C x F x T] input, got {in_shape}")
+        return seq
 
     def apply(self, x, arrays, act):
         return cnn_to_rnn_reshape(x)

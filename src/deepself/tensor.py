@@ -292,15 +292,20 @@ def _activate(kind: str, a):
 # ---------------------------------------------------------------------------
 
 
+def _sequence_shape(grid) -> tuple | None:
+    """[C, T] -> (T, C), [C, F, T] -> (T, C*F): time stays the sequence axis; None for any other rank."""
+    return (grid[-1], math.prod(grid[:-1])) if len(grid) in (2, 3) else None
+
+
 def cnn_to_rnn_reshape(x) -> Tensor:
-    """[B, C, T] -> [B, T, C] or [B, C, F, T] -> [B, T, C*F]: time stays the sequence axis."""
+    """[B, C, T] -> [B, T, C] or [B, C, F, T] -> [B, T, C*F] (``_sequence_shape``): time stays the sequence axis."""
     x = _as_tensor(x)
-    if x.data.ndim not in (3, 4):
+    seq = _sequence_shape(x.shape[1:])
+    if seq is None:
         raise ShapeError(f"cnn_to_rnn_reshape needs a [B,C,T] or [B,C,F,T] tensor, got {tuple(x.shape)}")
-    axes = (0, x.data.ndim - 1, *range(1, x.data.ndim - 1))  # time second
-    moved, inverse = np.transpose(x.data, axes), np.argsort(axes)
-    out = moved.reshape(*moved.shape[:2], math.prod(moved.shape[2:]))
-    return _make_result("cnn_to_rnn_reshape", out, (x,), lambda g: (np.transpose(g.reshape(moved.shape), inverse),))
+    moved = np.moveaxis(x.data, -1, 1)
+    out = moved.reshape(x.shape[0], *seq)
+    return _make_result("cnn_to_rnn_reshape", out, (x,), lambda g: (np.moveaxis(g.reshape(moved.shape), 1, -1),))
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,26 @@ class TestManifest:
         with pytest.raises(FormatError, match="non-negative"):
             load_manifest(p)
 
+    @pytest.mark.parametrize("fold", ["1_0", "+3", "\u0660", "3.0", "9" * 5000],
+                             ids=["1_0", "+3", "arabic-indic-zero", "3.0", "5000-digits"])
+    def test_fold_int_reads_but_is_not_ascii_digits_is_format_error(self, tmp_path, fold):
+        self.touch(tmp_path, "a.wav", "b.wav")
+        p = tmp_path / "m.csv"
+        p.write_text(f"path,label,fold\na.wav,x,0\nb.wav,y,{fold}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=f"{re.escape(str(p))} line 3: fold holds"):
+            load_manifest(p)
+
+    def test_error_after_a_path_spanning_two_lines_names_the_physical_line(self, tmp_path):
+        self.touch(tmp_path, "a\nb.wav")
+        p = self.write(tmp_path, 'path,label\n"a\nb.wav",x\nc.wav\n')
+        with pytest.raises(FormatError, match="line 4: expected 2 fields, got 1"):
+            load_manifest(p)
+
+    def test_blank_lines_before_the_header_and_between_rows_are_skipped(self, tmp_path):
+        self.touch(tmp_path, "a.wav", "b.wav")
+        p = self.write(tmp_path, "\n  \npath,label\na.wav,x\n , \nb.wav,y\n")
+        assert [r.raw_path for r in load_manifest(p).rows] == ["a.wav", "b.wav"]
+
     def test_unknown_column(self, tmp_path):
         p = self.write(tmp_path, "path,labl\na.wav,x\n")
         with pytest.raises(FormatError, match="labl"):

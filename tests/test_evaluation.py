@@ -248,6 +248,27 @@ class TestPredictionsCsv:
         with pytest.raises(FormatError):
             read_predictions(path)
 
+    def test_whitespace_only_row_is_skipped(self, tmp_path):
+        path = tmp_path / "pred.csv"
+        path.write_text("\nid,label,prob_0,prob_1\nx,0,1.0,0.0\n   \ny,1,0.0,1.0\n")
+        back = read_predictions(path)
+        assert back.ids == ["x", "y"]
+        np.testing.assert_array_equal(back.labels, [0, 1])
+
+    def test_error_after_an_id_spanning_two_lines_names_the_physical_line(self, tmp_path):
+        path = tmp_path / "pred.csv"
+        path.write_text('id,label,prob_0,prob_1\n"x\ny",0,1.0,0.0\nz,1,0.0\n')
+        with pytest.raises(FormatError, match="line 4: expected 4 fields"):
+            read_predictions(path)
+
+    @pytest.mark.parametrize("label", ["+1", "1_0", "\u0660", "1.0", "9" * 5000],
+                             ids=["+1", "1_0", "arabic-indic-zero", "1.0", "5000-digits"])
+    def test_label_int_reads_but_is_not_ascii_digits_is_format_error(self, tmp_path, label):
+        path = tmp_path / "pred.csv"
+        path.write_text(f"id,label,prob_0,prob_1\nok,0,1.0,0.0\nx,{label},0.5,0.5\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))} line 3: label holds"):
+            read_predictions(path)
+
     @pytest.mark.parametrize("row, match", [
         ("x,5,0.5,0.5", "label 5 for id 'x'"),
         ("x,2,0.5,0.5", "label 2 for id 'x'"),

@@ -399,6 +399,18 @@ class TestCnnToRnnReshape:
         with pytest.raises(ShapeError):
             cnn_to_rnn_reshape(Tensor(np.zeros((2, 3))))
 
+    def test_plan_shape_is_the_op_output_shape(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None)
+        @hypothesis.given(st.lists(st.integers(1, 6), min_size=2, max_size=3), st.integers(1, 3))
+        def check(grid, batch):
+            planned = CnnToRnnReshape().plan(tuple(grid), "layer 0")
+            assert planned == cnn_to_rnn_reshape(np.zeros((batch, *grid))).shape[1:]
+
+        check()
+
 
 class TestModelSpecText:
     def test_round_trip(self):
