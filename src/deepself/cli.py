@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import logging
 import os
-import shutil
 import sys
 from dataclasses import fields
 
@@ -47,6 +46,7 @@ from .evaluation import (
     write_fold_report,
     write_predictions,
 )
+from .files import Reader, atomic_write
 from .models import Recurrent, init_model
 from .tensor import cnn_to_rnn_reshape
 from .training import (
@@ -235,7 +235,8 @@ def cmd_preprocess(args) -> int:
         for i, row in enumerate(manifest.rows):
             base = f"{i:05d}_{os.path.basename(row.path)}"
             out_path = os.path.join(cfg.output_dir, base)
-            shutil.copyfile(row.path, out_path)
+            with atomic_write(out_path) as fh:
+                fh.write(Reader(row.path).blob)
             new_rows.append(ManifestRow(out_path, base, row.label, row.split, row.fold))
     else:
         cascades = {}

@@ -16,8 +16,8 @@ import io
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .errors import ConfigError, check_integer
-from .files import read_text
+from .errors import ConfigError, DataError, check_integer
+from .files import Reader, read_text
 from .models import ACTIVATIONS, DIRECTIONS, RECURRENT_CELLS, Conv, Dense, ModelSpec, Recurrent
 from .training import OPTIMIZERS, TrainConfig
 
@@ -213,8 +213,7 @@ class RunConfig:
                 continue
             value = getattr(self, f.name)
             if f.name == "manifest" and value is not None:  # not its path: runs move directories
-                with open(value, "rb") as fh:
-                    value = hashlib.sha256(fh.read()).hexdigest()
+                value = hashlib.sha256(Reader(value).blob).hexdigest()
             lines.append(f"{f.name}={value!r}")
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -241,8 +240,8 @@ def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:  # read_text rejects invalid UTF-8; newline=None reads any line end, as open() does
         parser.read_file(io.StringIO(read_text(path), newline=None), str(path))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except DataError as exc:
+        raise ConfigError(str(exc)) from exc
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

@@ -75,8 +75,6 @@ def load_manifest(path) -> DatasetManifest:
     records = read_csv(path)
     try:
         header = [h.strip() for h in next(records)[2]]
-    except OSError as exc:
-        raise DataError(f"cannot read manifest {path}: {exc}") from exc
     except StopIteration:
         raise FormatError(f"{path}: manifest is empty") from None
     allowed = {"path", "label", "split", "fold"}

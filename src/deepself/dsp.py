@@ -42,6 +42,7 @@ MORLET_OMEGA0 = 6.0
 MORLET_SUPPORT = 8.6  # wavelet half-width in scales: exp(-8.6**2 / 2) < 1e-16
 PROTOTYPE_ORDER = 4
 IIR_BLOCK = 64  # samples apply_iir filters per matmul
+SCALE_BLOCK = 8  # scales scalogram inverse-transforms per FFT call
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +349,14 @@ def mel_to_hz(mel) -> np.ndarray:
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=8, typed=True)
 def mel_filterbank(n_mels: int, n_fft_bins: int, sample_rate: float,
                    fmin_hz: float, fmax_hz: float) -> np.ndarray:
     """Triangular filters on the mel scale, each row peak-normalised to 1.0.
 
     Rows index mel bands, columns the one-sided FFT bins of a window of
-    2*(n_fft_bins - 1) samples.
+    2*(n_fft_bins - 1) samples.  Cached per geometry, so the bank is
+    read-only; a rejected geometry is not cached and raises on every call.
     """
     n_mels = check_integer("n_mels", n_mels, 1)
     nyquist = sample_rate / 2.0
@@ -379,6 +382,7 @@ def mel_filterbank(n_mels: int, n_fft_bins: int, sample_rate: float,
                 f"mel band {i} captures no FFT bin; lower n_mels or use a longer window"
             )
         bank[i] /= peak
+    bank.flags.writeable = False
     return bank
 
 
@@ -443,6 +447,8 @@ def scalogram(signal: Signal, n_voices: int, fmin_hz: float, fmax_hz: float) -> 
     The FFT zero-pads by the widest wavelet's support (``MORLET_SUPPORT``
     scales at ``fmin_hz``), capped at the signal length, so no column reads a
     wrapped sample while that support fits in the signal, at any length.
+    The inverse FFTs take ``SCALE_BLOCK`` scales per call, into two
+    buffers that end with the call; each row has the bits of its own ifft.
     """
     x = _require_single_channel(signal, "scalogram")
     n_voices = check_integer("n_voices", n_voices, 1)
@@ -457,11 +463,14 @@ def scalogram(signal: Signal, n_voices: int, fmin_hz: float, fmax_hz: float) -> 
     n_fft = _fft_length(n + min(math.ceil(MORLET_SUPPORT * s_max), n))
     freqs, bank = _morlet_bank(n_fft, signal.sample_rate, n_voices, fmin_hz, fmax_hz)
     spectrum = np.fft.fft(x, n=n_fft)[1:n_fft // 2]
-    product = np.zeros(n_fft, dtype=np.complex128)
+    product = np.zeros((SCALE_BLOCK, n_fft), dtype=np.complex128)
+    analytic = np.empty_like(product)
     values = np.empty((len(freqs), n), dtype=np.float64)
-    for row, psi_hat in enumerate(bank):
-        np.multiply(spectrum, psi_hat, out=product[1:n_fft // 2])
-        np.abs(np.fft.ifft(product)[:n], out=values[row])
+    for start in range(0, len(freqs), SCALE_BLOCK):
+        k = min(SCALE_BLOCK, len(freqs) - start)
+        np.multiply(spectrum, bank[start:start + k], out=product[:k, 1:n_fft // 2])
+        np.fft.ifft(product[:k], axis=1, out=analytic[:k])
+        np.abs(analytic[:k, :n], out=values[start:start + k])
     return FeatureMap(values, freqs.copy(), 1.0 / signal.sample_rate)  # the cached axis stays read-only
 
 

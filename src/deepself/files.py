@@ -9,7 +9,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, TruncatedFileError
+from .errors import DataError, FormatError, TruncatedFileError
 
 
 class Reader:
@@ -21,8 +21,7 @@ class Reader:
 
     def __init__(self, path):
         self.path, self.pos = path, 0
-        with open(path, "rb") as fh:
-            self.blob = fh.read()
+        self.blob = _read_bytes(path)
 
     @property
     def remaining(self) -> int:
@@ -57,12 +56,19 @@ class Reader:
             raise FormatError(f"{self.path}: {self.remaining} bytes after {what}")
 
 
+def _read_bytes(path) -> bytes:
+    """The whole file at ``path``; DataError naming the path and the reason when it cannot be read."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def read_text(path) -> str:
     """A text file's contents; invalid UTF-8 raises FormatError naming the byte offset."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
     try:
-        return blob.decode("utf-8")
+        return _read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
 

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: preprocess / train / evaluate / predict / fuse."""
 
+import contextlib
 import csv
 import os
 import re
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import deepself
+from deepself import cli
 from deepself.cli import (
     _is_sequence_config,
     _is_sequence_model,
@@ -134,6 +136,32 @@ class TestPreprocess:
         for row, src in zip(derived.rows, ["w0.wav", "w1.wav", "w2.wav", "w3.wav"]):
             assert Path(row.path).read_bytes() == (tmp_path / src).read_bytes()
         assert "wrote 4 files" in capsys.readouterr().out
+
+    def test_failed_passthrough_write_keeps_previous_copy(self, tmp_path, monkeypatch, capsys):
+        manifest = self.make_wavs(tmp_path)
+        out = tmp_path / "pre"
+        argv = ["preprocess", "--manifest", str(manifest), "--output-dir", str(out)]
+        assert run(argv) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        real_atomic_write = cli.atomic_write
+
+        class HalfWritten:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, blob):
+                self.fh.write(blob[:len(blob) // 2])
+                raise OSError("disk full")
+
+        @contextlib.contextmanager
+        def failing_atomic_write(target):
+            with real_atomic_write(target) as fh:
+                yield HalfWritten(fh)
+
+        monkeypatch.setattr(cli, "atomic_write", failing_atomic_write)
+        assert run(argv) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_logmel_rows_equal_n_mels(self, tmp_path):
         manifest = self.make_wavs(tmp_path)

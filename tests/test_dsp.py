@@ -18,6 +18,7 @@ from deepself import dsp
 from deepself.dsp import (
     DSFM_MAGIC,
     IIR_BLOCK,
+    SCALE_BLOCK,
     FeatureMap,
     Signal,
     apply_iir,
@@ -42,7 +43,7 @@ from deepself.errors import (
     VersionError,
 )
 from iir_oracle import oracle_apply_iir
-from scalogram_oracle import next_pow2, oracle_scalogram
+from scalogram_oracle import loop_scalogram, next_pow2, oracle_scalogram
 
 
 def cascade_gain(sections, freq_hz, sample_rate):
@@ -327,6 +328,23 @@ class TestMelFilterbank:
         with pytest.raises(ConfigError, match="band"):
             mel_filterbank(64, 9, 16000.0, 0.0, 8000.0)
 
+    def test_bank_is_cached_per_geometry_and_read_only(self):
+        bank = mel_filterbank(26, 513, 16000.0, 0.0, 8000.0)
+        assert mel_filterbank(26, 513, 16000.0, 0.0, 8000.0) is bank
+        assert not bank.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            bank[0, 0] = 2.0
+
+    def test_rejected_geometry_raises_after_a_good_one_is_cached(self):
+        mel_filterbank(1, 257, 16000.0, 0.0, 8000.0)
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="n_mels"):
+                mel_filterbank(0, 257, 16000.0, 0.0, 8000.0)
+        # equal to the cached key's 1, but not an integer count
+        for n_mels in (True, 1.0):
+            with pytest.raises(ConfigError, match="n_mels must be an integer"):
+                mel_filterbank(n_mels, 257, 16000.0, 0.0, 8000.0)
+
 
 class TestLogMel:
     def test_zero_signal_hits_epsilon_floor(self):
@@ -393,6 +411,40 @@ class TestScalogram:
             scalogram(sig, 8, 1.0, 51.0)
         with pytest.raises(ConfigError):
             scalogram(sig, 0, 1.0, 40.0)
+
+
+class TestBlockedScalogram:
+    """scalogram's ``SCALE_BLOCK`` scales per inverse FFT against one inverse FFT per scale, bit for bit."""
+
+    def test_benchmark_geometry_equals_the_per_scale_loop(self):
+        fs = 173.61
+        t = np.arange(4097) / fs
+        sig = Signal(np.random.default_rng(17).standard_normal(4097) + np.sin(2 * math.pi * 10.0 * t), fs)
+        got = scalogram(sig, 12, 2.0, 32.0).values
+        assert got.shape[0] == 49 == 6 * SCALE_BLOCK + 1
+        assert got.tobytes() == loop_scalogram(sig, 12, 2.0, 32.0).tobytes()
+
+    def test_random_lengths_and_scale_counts_equal_the_per_scale_loop(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None)
+        @hypothesis.given(st.integers(8, 5000), st.one_of(st.sampled_from([1, 8, 9, 16]), st.integers(1, 40)),
+                          st.integers(1, 12), st.floats(50.0, 1000.0), st.floats(0.02, 0.5),
+                          st.integers(0, 2**32 - 1))
+        @hypothesis.example(8, 1, 1, 100.0, 0.5, 0)
+        @hypothesis.example(300, 8, 4, 100.0, 0.4, 1)
+        @hypothesis.example(1000, 9, 12, 173.61, 0.2, 2)
+        @hypothesis.example(5000, 16, 3, 500.0, 0.3, 3)
+        def check(n, n_scales, n_voices, fs, fmax_fraction, seed):
+            fmax = fmax_fraction * fs
+            fmin = fmax / 2.0 ** ((n_scales - 0.5) / n_voices)  # half a voice past the last scale
+            sig = Signal(np.random.default_rng(seed).standard_normal(n), fs)
+            got = scalogram(sig, n_voices, fmin, fmax).values
+            assert got.shape == (n_scales, n)
+            assert got.tobytes() == loop_scalogram(sig, n_voices, fmin, fmax).tobytes()
+
+        check()
 
 
 def peak_relative_error(got, oracle):

@@ -1,20 +1,33 @@
 """Files written through ``files.atomic_write`` keep their old bytes on a failed write;
-files read through ``files.Reader`` load or fail with a ``DeepSelfError``."""
+files read through ``files`` load or fail with a ``DeepSelfError``, a missing or
+unreadable one included."""
 
 import builtins
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from deepself import files
-from deepself.data import DatasetManifest, ManifestRow, load_pgm_image, load_wav_pcm16, write_manifest
+from deepself.config import RunConfig, load_config
+from deepself.data import (
+    DatasetManifest,
+    ManifestRow,
+    load_csv_series,
+    load_manifest,
+    load_pgm_image,
+    load_sample,
+    load_signal,
+    load_wav_pcm16,
+    write_manifest,
+)
 from deepself.dsp import FeatureMap, Signal, read_feature_map, write_feature_map
 from deepself.errors import DeepSelfError, FormatError, TruncatedFileError
-from deepself.evaluation import FoldReport, PredictionSet, write_fold_report, write_predictions
+from deepself.evaluation import FoldReport, PredictionSet, read_predictions, write_fold_report, write_predictions
 from deepself.models import Dense, ModelSpec, init_model
-from deepself.training import EpochRecord, load_checkpoint, save_checkpoint, write_history
+from deepself.training import EpochRecord, load_checkpoint, read_checkpoint, save_checkpoint, write_history
 from wav_writer import write_wav_pcm16
 
 
@@ -137,3 +150,41 @@ def test_reader_names_the_shortfall_and_the_bytes_left(tmp_path):
         reader.finish("the header")
     reader.take(2)
     reader.finish("the header")
+
+
+# (reader, the extension of the path it is given) for every public reader, and
+# for load_signal and load_sample once per extension they dispatch on
+READERS = {
+    "read_text": (files.read_text, ".txt"),
+    "read_csv": (lambda path: next(files.read_csv(path)), ".csv"),
+    "Reader": (files.Reader, ".bin"),
+    "load_config": (load_config, ".cfg"),
+    "RunConfig.digest": (lambda path: replace(RunConfig(), manifest=str(path)).digest(), ".csv"),
+    "load_manifest": (load_manifest, ".csv"),
+    "read_predictions": (read_predictions, ".csv"),
+    "load_csv_series": (lambda path: load_csv_series(path, 100.0), ".csv"),
+    "load_wav_pcm16": (load_wav_pcm16, ".wav"),
+    "load_pgm_image": (load_pgm_image, ".pgm"),
+    "read_feature_map": (read_feature_map, ".dsfm"),
+    "read_checkpoint": (read_checkpoint, ".ckpt"),
+    "load_checkpoint": (load_checkpoint, ".ckpt"),
+    **{f"load_signal{ext}": (lambda path: load_signal(path, 100.0), ext) for ext in (".wav", ".csv", ".txt")},
+    **{f"load_sample{ext}": (lambda path: load_sample(path, 100.0), ext)
+       for ext in (".wav", ".csv", ".txt", ".pgm", ".dsfm")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_missing_directory_or_unreadable_path_raises_deepself_error_naming_it(tmp_path, name):
+    read, ext = READERS[name]
+    missing, directory, locked = (tmp_path / f"{stem}{ext}" for stem in ("missing", "directory", "locked"))
+    directory.mkdir()
+    locked.write_bytes(b"1.0\n")
+    locked.chmod(0)
+    cases = [missing, directory] + ([locked] if not os.access(locked, os.R_OK) else [])  # root reads mode 000
+    try:
+        for path in cases:
+            with pytest.raises(DeepSelfError, match=re.escape(f"cannot read {path}: ")):
+                read(path)
+    finally:
+        locked.chmod(0o600)
