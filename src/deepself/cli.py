@@ -46,7 +46,7 @@ from .evaluation import (
     write_fold_report,
     write_predictions,
 )
-from .files import Reader, atomic_write
+from .files import atomic_write, read_bytes
 from .models import Recurrent, init_model
 from .tensor import cnn_to_rnn_reshape
 from .training import (
@@ -236,7 +236,7 @@ def cmd_preprocess(args) -> int:
             base = f"{i:05d}_{os.path.basename(row.path)}"
             out_path = os.path.join(cfg.output_dir, base)
             with atomic_write(out_path) as fh:
-                fh.write(Reader(row.path).blob)
+                fh.write(read_bytes(row.path))
             new_rows.append(ManifestRow(out_path, base, row.label, row.split, row.fold))
     else:
         cascades = {}

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError, DataError, check_integer
-from .files import Reader, read_text
+from .files import read_bytes, read_text
 from .models import ACTIVATIONS, DIRECTIONS, RECURRENT_CELLS, Conv, Dense, ModelSpec, Recurrent
 from .training import OPTIMIZERS, TrainConfig
 
@@ -213,7 +213,7 @@ class RunConfig:
                 continue
             value = getattr(self, f.name)
             if f.name == "manifest" and value is not None:  # not its path: runs move directories
-                value = hashlib.sha256(Reader(value).blob).hexdigest()
+                value = hashlib.sha256(read_bytes(value)).hexdigest()
             lines.append(f"{f.name}={value!r}")
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 

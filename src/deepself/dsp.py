@@ -447,8 +447,8 @@ def scalogram(signal: Signal, n_voices: int, fmin_hz: float, fmax_hz: float) -> 
     The FFT zero-pads by the widest wavelet's support (``MORLET_SUPPORT``
     scales at ``fmin_hz``), capped at the signal length, so no column reads a
     wrapped sample while that support fits in the signal, at any length.
-    The inverse FFTs take ``SCALE_BLOCK`` scales per call, into two
-    buffers that end with the call; each row has the bits of its own ifft.
+    The inverse FFTs take ``SCALE_BLOCK`` scales per call, each into a
+    block that ends with the call; each row has the bits of its own ifft.
     """
     x = _require_single_channel(signal, "scalogram")
     n_voices = check_integer("n_voices", n_voices, 1)
@@ -464,13 +464,11 @@ def scalogram(signal: Signal, n_voices: int, fmin_hz: float, fmax_hz: float) -> 
     freqs, bank = _morlet_bank(n_fft, signal.sample_rate, n_voices, fmin_hz, fmax_hz)
     spectrum = np.fft.fft(x, n=n_fft)[1:n_fft // 2]
     product = np.zeros((SCALE_BLOCK, n_fft), dtype=np.complex128)
-    analytic = np.empty_like(product)
     values = np.empty((len(freqs), n), dtype=np.float64)
     for start in range(0, len(freqs), SCALE_BLOCK):
         k = min(SCALE_BLOCK, len(freqs) - start)
         np.multiply(spectrum, bank[start:start + k], out=product[:k, 1:n_fft // 2])
-        np.fft.ifft(product[:k], axis=1, out=analytic[:k])
-        np.abs(analytic[:k, :n], out=values[start:start + k])
+        np.abs(np.fft.ifft(product[:k], axis=1)[:, :n], out=values[start:start + k])
     return FeatureMap(values, freqs.copy(), 1.0 / signal.sample_rate)  # the cached axis stays read-only
 
 

@@ -21,7 +21,7 @@ class Reader:
 
     def __init__(self, path):
         self.path, self.pos = path, 0
-        self.blob = _read_bytes(path)
+        self.blob = read_bytes(path)
 
     @property
     def remaining(self) -> int:
@@ -56,7 +56,7 @@ class Reader:
             raise FormatError(f"{self.path}: {self.remaining} bytes after {what}")
 
 
-def _read_bytes(path) -> bytes:
+def read_bytes(path) -> bytes:
     """The whole file at ``path``; DataError naming the path and the reason when it cannot be read."""
     try:
         with open(path, "rb") as fh:
@@ -68,7 +68,7 @@ def _read_bytes(path) -> bytes:
 def read_text(path) -> str:
     """A text file's contents; invalid UTF-8 raises FormatError naming the byte offset."""
     try:
-        return _read_bytes(path).decode("utf-8")
+        return read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
 

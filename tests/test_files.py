@@ -158,6 +158,7 @@ READERS = {
     "read_text": (files.read_text, ".txt"),
     "read_csv": (lambda path: next(files.read_csv(path)), ".csv"),
     "Reader": (files.Reader, ".bin"),
+    "read_bytes": (files.read_bytes, ".bin"),
     "load_config": (load_config, ".cfg"),
     "RunConfig.digest": (lambda path: replace(RunConfig(), manifest=str(path)).digest(), ".csv"),
     "load_manifest": (load_manifest, ".csv"),
