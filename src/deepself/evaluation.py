@@ -206,6 +206,15 @@ def kfold_cross_validate(features, labels, folds, spec, config, jobs: int = 1) -
     and logs through the caller's handlers.  Tested on Linux only (macOS is
     unverified).  After the fork the caller's pages are write-protected, so the
     caller pays one minor page fault per page it writes again after the CV.
+
+    Every process brings its own OpenBLAS pool, so with ``jobs > 1`` give
+    each one BLAS thread (``OPENBLAS_NUM_THREADS=1``).  On 2 vCPUs, 48 log-mel
+    maps in 4 folds of 60 epochs took 697-839 ms at jobs=2 against 516-529 ms
+    at jobs=1 with the default pools, and 366-369 ms against 603-676 ms with
+    one BLAS thread (medians of 5, two rounds).  ``evaluate --cv --jobs 2``
+    in the benchmark's in-process pipeline took 1.9 s with the default pools
+    against 0.24 s with one thread; perfbench pins one BLAS thread, so its
+    ``cv_s`` does not show this.
     """
     features = np.asarray(features)
     labels = np.asarray(labels, dtype=np.int64)

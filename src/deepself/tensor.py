@@ -18,7 +18,8 @@ flip).  A recorded ``recurrent`` scan takes its whole-sequence buffers from
 a per-thread pool beside the tape and its backward gives them back, so a
 fixed-shape training step reuses the last step's buffers.  The conv and
 recurrent bias gradients sum their rows through ``_sum_rows``, in row order,
-with the bytes of ``sum(axis=-2)``.  Under
+with the bytes of ``sum(axis=-2)``.  Conv backward writes an activation's
+derivative into its GEMM rows and gathers col2im from a cached index.  Under
 ``no_grad(block_rows=n)`` the ops take each BLAS product of a batch of k*n
 samples as k products of n samples' rows, so one forward over k batches
 gives every sample the bytes of a forward over its own batch.
@@ -187,11 +188,13 @@ def _tracked(inputs) -> bool:
     return _recording() and any(t.requires_grad for t in inputs)
 
 
-def _make_result(op, arr, inputs, backward_fn, activation=None):
+def _make_result(op, arr, inputs, backward_fn, activation=None, grad_out=None):
     """Wrap an op result, recording it on the tape when gradients are live.
 
     With an ``activation`` kind, ``arr`` is the op's pre-activation: it is
-    activated in place, and ``backward_fn`` receives its gradient.
+    activated in place, and ``backward_fn`` receives its gradient, written
+    into ``grad_out()`` when given: an empty array of ``arr``'s shape, which
+    may be a view into the layout ``backward_fn`` reads, saving it a copy.
     """
     out = Tensor.__new__(Tensor)
     arr = np.ascontiguousarray(arr)
@@ -199,7 +202,7 @@ def _make_result(op, arr, inputs, backward_fn, activation=None):
         raise NumericError(f"{op} produced non-finite values")
     if activation is not None:
         d_pre, layer_backward = _activate(activation, arr), backward_fn
-        backward_fn = lambda g: layer_backward(d_pre(g))
+        backward_fn = lambda g: layer_backward(d_pre(g, None if grad_out is None else grad_out()))
     out.data = arr
     out.grad = None
     track = _tracked(inputs)
@@ -274,16 +277,17 @@ def _sigmoid(x, out=None):
 
 
 def _activate(kind: str, a):
-    """Apply ``kind`` to ``a`` in place; returns the map from the gradient at ``a`` to its pre-activation's."""
+    """Apply ``kind`` to ``a`` in place; returns ``d_pre(g, out=None)``, the map from the
+    gradient at ``a`` to its pre-activation's, g * f'(a), written into ``out`` when given."""
     if kind == "relu":
         np.maximum(a, 0, out=a)
-        return lambda g: g * (a > 0)
+        return lambda g, out=None: np.multiply(g, a > 0, out=out)
     if kind == "sigmoid":
         _sigmoid(a, out=a)
-        return lambda g: g * a * (1.0 - a)
+        return lambda g, out=None: np.multiply(np.multiply(g, a, out=out), 1.0 - a, out=out)
     if kind == "tanh":
         np.tanh(a, out=a)
-        return lambda g: g * (1.0 - a * a)
+        return lambda g, out=None: np.multiply(g, 1.0 - a * a, out=out)
     raise ConfigError(f"unknown activation {kind!r}; choose one of {ACTIVATIONS}")
 
 
@@ -366,29 +370,37 @@ def infer_conv_output_size(in_extent: int, kernel: int, stride: int, padding: in
 
 @functools.lru_cache(maxsize=64)
 def _conv_geometry(c_in, spatial, kernel_sp, stride, padding):
-    """``(out_sp, padded_sp, unpad, idx, windows)`` of one conv geometry, for any batch size.
+    """``(out_sp, padded_sp, unpad, idx, inv)`` of one conv geometry, for any batch size.
 
     Keyed only on validated ints (``_per_axis``): ``(True,)`` equals ``(1,)``.
     ``unpad`` selects the input in the padded [B, C_in, *padded_sp] array.
     ``idx`` (read-only) takes im2col's [B, O * C_in * K] values, patch order
     [O, C_in, K], from the padded batch read as [B, C_in * prod(padded_sp)].
-    ``windows`` pairs kernel offset k's index into the [B, C_in, *O, *K]
-    gradient with its padded slab, k + s*o per axis; last offset first, col2im
-    sums each position's windows in ascending order, like ``np.add.at``.
+    ``inv`` (read-only, [M, C_in * prod(spatial)]) is col2im's gather: row r
+    holds, for every unpadded input position, the patch entry of the r-th of
+    its M = prod(ceil(k / s)) possible windows in ascending window order, or
+    O * C_in * K, the zero col2im appends, where that window does not exist.
+    Its dtype is the smallest unsigned int that holds O * C_in * K.  Both
+    indices are in range, so their takes use mode "wrap", which only skips
+    the bounds check.
     """
     out_sp = tuple(infer_conv_output_size(*axis_geometry, axis=axis)
                    for axis, axis_geometry in enumerate(zip(spatial, kernel_sp, stride, padding)))
     padded_sp = tuple(n + 2 * p for n, p in zip(spatial, padding))
     unpad = (slice(None), slice(None)) + tuple(slice(p, p + n) for p, n in zip(padding, spatial))
-    starts = np.indices(out_sp).reshape(len(out_sp), -1, 1) * np.reshape(stride, (-1, 1, 1))
+    steps = np.reshape(stride, (-1, 1, 1))
+    starts = np.indices(out_sp).reshape(len(out_sp), -1, 1) * steps
     offsets = np.indices(kernel_sp).reshape(len(kernel_sp), 1, -1)
     win = np.ravel_multi_index(tuple(starts + offsets), padded_sp)  # [O, K]
     idx = (win[:, None, :] + np.arange(c_in, dtype=np.int64)[None, :, None] * math.prod(padded_sp)).ravel()
-    idx.flags.writeable = False
-    windows = tuple(((Ellipsis, *k), (slice(None), slice(None)) + tuple(
-        slice(k_i, k_i + s * (n - 1) + 1, s) for k_i, s, n in zip(k, stride, out_sp)))
-        for k in reversed(list(np.ndindex(*kernel_sp))))
-    return out_sp, padded_sp, unpad, idx, windows
+    # a position's windows have distinct k // s per axis, descending as the window ascends
+    overlap = tuple(-(-k // s) for k, s in zip(kernel_sp, stride))
+    rank = np.ravel_multi_index(tuple(np.reshape(overlap, (-1, 1, 1)) - 1 - offsets // steps), overlap)  # [1, K]
+    inv = np.full((math.prod(overlap), c_in, *padded_sp), idx.size)
+    inv.reshape(len(inv), -1)[rank, idx.reshape(-1, rank.size)] = np.arange(idx.size).reshape(-1, rank.size)
+    inv = inv[unpad].reshape(len(inv), -1).astype(np.min_scalar_type(idx.size))
+    idx.flags.writeable = inv.flags.writeable = False
+    return out_sp, padded_sp, unpad, idx, inv
 
 
 def conv_nd_batched(x, kernels, stride, padding, bias, activation=None) -> Tensor:
@@ -397,7 +409,10 @@ def conv_nd_batched(x, kernels, stride, padding, bias, activation=None) -> Tenso
     Zero padding, per-output-channel bias, spatial rank 1 to 3, then
     ``activation`` (one of ``ACTIVATIONS``, or None for none).  Backward
     sums the bias gradient over the [B*O, C_out] gradient rows in row order
-    (``_sum_rows``).
+    (``_sum_rows``); above batch 1 an activation's derivative is written
+    into those rows directly.  col2im is 0.0 + take(rank 0) + take(rank 1)
+    + ... over ``_conv_geometry``'s inverse index: the ``np.add.at``
+    scatter's sums, so its bytes.
     """
     x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
     rank = x.data.ndim - 2
@@ -411,7 +426,7 @@ def conv_nd_batched(x, kernels, stride, padding, bias, activation=None) -> Tenso
         raise ShapeError(f"kernel expects {kc_in} input channels, input has {c_in}")
     kernel_sp = kernels.shape[2:]
     stride, padding = _per_axis(stride, rank, "stride"), _per_axis(padding, rank, "padding")
-    out_sp, padded_sp, unpad, idx, windows = _conv_geometry(c_in, x.shape[2:], kernel_sp, stride, padding)
+    out_sp, padded_sp, unpad, idx, inv = _conv_geometry(c_in, x.shape[2:], kernel_sp, stride, padding)
 
     if bias.shape != (c_out,):
         raise ShapeError(f"bias must have shape ({c_out},), got {tuple(bias.shape)}")
@@ -422,7 +437,7 @@ def conv_nd_batched(x, kernels, stride, padding, bias, activation=None) -> Tenso
     else:
         padded = x.data
     n_win, win_size = math.prod(out_sp), math.prod(kernel_sp)
-    pmat = np.take(padded.reshape(batch, -1), idx, axis=1).reshape(batch * n_win, c_in * win_size)
+    pmat = np.take(padded.reshape(batch, -1), idx, axis=1, mode="wrap").reshape(batch * n_win, c_in * win_size)
     kmat = kernels.data.reshape(c_out, c_in * win_size)
     prod = _matmul(pmat, kmat.T, _row_blocks(batch))  # [B*O, C_out], a product per block of samples
     prod = prod.reshape(batch, n_win, c_out).transpose(0, 2, 1)  # [B, C_out, O] view
@@ -435,15 +450,18 @@ def conv_nd_batched(x, kernels, stride, padding, bias, activation=None) -> Tenso
         d_bias = _sum_rows(g2)  # at batch 1, g2 is a column-major view
         if not x.requires_grad:
             return (None, d_kernels, d_bias)
-        d_pmat = g2 @ kmat  # [B*O, C_in*K]
-        d_cols = np.moveaxis(d_pmat.reshape(batch, *out_sp, c_in, *kernel_sp), rank + 1, 1)
-        d_padded = np.zeros((batch, c_in, *padded_sp), dtype=g.dtype)
-        for offset, window in windows:  # col2im
-            d_padded[window] += d_cols[offset]
-        d_x = np.ascontiguousarray(d_padded[unpad])
-        return (d_x, d_kernels, d_bias)
+        d_pmat = np.empty((batch, idx.size + 1), np.result_type(g2, kmat))  # [B, O*C_in*K + 1]
+        d_pmat[:, -1] = 0.0
+        # 0.0 + entry: no -0.0 is left to start a sum, and from +0.0 on, -0.0 adds as +0.0
+        np.add((g2 @ kmat).reshape(batch, -1), 0.0, out=d_pmat[:, :-1])
+        d_x = np.take(d_pmat, inv[0], axis=1, mode="wrap")
+        for entries in inv[1:]:
+            d_x += np.take(d_pmat, entries, axis=1, mode="wrap")
+        return (d_x.reshape(x.shape), d_kernels, d_bias)
 
-    return _make_result("conv", out, (x, kernels, bias), _backward, activation)
+    # at batch 1 the rows are a view of g already, one that _sum_rows adds pairwise
+    rows = lambda: np.empty((batch, n_win, c_out), out.dtype).transpose(0, 2, 1).reshape(out.shape)
+    return _make_result("conv", out, (x, kernels, bias), _backward, activation, None if batch == 1 else rows)
 
 
 # ---------------------------------------------------------------------------

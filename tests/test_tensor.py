@@ -313,8 +313,39 @@ class TestConvBackward:
         upstream = rng.standard_normal(y.shape).astype(dtype)
         T.backward(dot(y, Tensor(upstream)))
         expected = scatter_conv_input_grad(upstream, k.data, x_shape[2:], stride, padding)
-        assert x.grad.dtype == expected.dtype
-        np.testing.assert_array_equal(x.grad, expected)
+        assert x.grad.dtype == expected.dtype and x.grad.shape == expected.shape
+        assert x.grad.tobytes() == expected.tobytes()  # bytes, so -0.0 and +0.0 differ
+
+    def test_random_geometries_match_scatter_and_hand_derivative(self):
+        """At every batch size and activation, d_x has the scatter oracle's bytes, and an
+        activated conv's gradients are those of the bare conv fed g * f'(a) by hand."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        hand = {"none": lambda g, a: g, "relu": lambda g, a: g * (a > 0),
+                "sigmoid": lambda g, a: g * a * (1.0 - a), "tanh": lambda g, a: g * (1.0 - a * a)}
+
+        @hypothesis.settings(max_examples=80, deadline=None, database=None)
+        @hypothesis.given(conv_geometries(st), st.integers(1, 3), st.sampled_from([np.float32, np.float64]),
+                          st.sampled_from(sorted(hand)), st.integers(0, 2**32 - 1))
+        def check(geometry, batch, dtype, activation, seed):
+            c_in, spatial, kernel, stride, padding = geometry
+            rng = np.random.default_rng(seed)
+            x, k, bias = (Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+                          for shape in ((batch, c_in, *spatial), (2, c_in, *kernel), (2,)))
+            tape = T.active_tape()
+            tape.clear()
+            y = T.conv_nd_batched(x, k, stride, padding, bias, None if activation == "none" else activation)
+            g = rng.standard_normal(y.shape).astype(dtype)
+            g[rng.random(y.shape) < 0.2] *= -0.0  # signed zeros of both signs
+            grads = tape.pop().backward_fn(g)
+            g_pre = hand[activation](g, y.data)
+            T.conv_nd_batched(x, k, stride, padding, bias)
+            expected = tape.pop().backward_fn(g_pre)
+            assert [a.tobytes() for a in grads] == [a.tobytes() for a in expected]
+            scatter = scatter_conv_input_grad(g_pre, k.data, spatial, stride, padding)
+            assert grads[0].shape == scatter.shape and grads[0].tobytes() == scatter.tobytes()
+
+        check()
 
     def test_input_without_grad_gets_none(self):
         rng = np.random.default_rng(12)
@@ -403,15 +434,22 @@ class TestConvWindowCache:
     def test_cached_window_indices_are_read_only(self):
         geometry = T._conv_geometry(2, (8,), (3,), (2,), (1,))
         assert geometry is T._conv_geometry(2, (8,), (3,), (2,), (1,))
-        out_sp, padded_sp, unpad, idx, windows = geometry
+        out_sp, padded_sp, unpad, idx, inv = geometry
         assert (out_sp, padded_sp, unpad) == ((4,), (10,), (slice(None), slice(None), slice(1, 9)))
         with pytest.raises(ValueError):
             idx[0] = 1
+        with pytest.raises(ValueError):
+            inv[0, 0] = 1
         # [O, C_in, K] order: window o's offset k of channel c sits at 2*o + k + 10*c
         expected = [2 * o + k + 10 * c for o in range(4) for c in range(2) for k in range(3)]
         assert idx.dtype == np.int64 and idx.tolist() == expected
-        # col2im: offset k's gradient slab lands on k, k + 2, ..., k + 6, last offset first
-        assert windows == tuple(((Ellipsis, k), (slice(None), slice(None), slice(k, k + 7, 2))) for k in (2, 1, 0))
+        # col2im: input u of channel c sits at padded u + 1, under windows o = (u + 1 - k) / 2;
+        # rank 0 is the one through offset 2, rank 1 the next one, through offset 0 or 1.
+        # Each is patch entry 6*o + 3*c + k, or 24, the appended zero, where o is not in 0..3
+        assert inv.dtype == np.uint8 and inv.tolist() == [
+            [24, 2, 24, 8, 24, 14, 24, 20] + [24, 5, 24, 11, 24, 17, 24, 23],
+            [1, 6, 7, 12, 13, 18, 19, 24] + [4, 9, 10, 15, 16, 21, 22, 24],
+        ]
         other = T._conv_geometry(3, (8,), (3,), (2,), (1,))[3]
         assert other.tolist() == [2 * o + k + 10 * c for o in range(4) for c in range(3) for k in range(3)]
 
