@@ -16,6 +16,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from . import workers
 from .config import DOMAINS, METAVARS, SCHEMA, RunConfig, apply_overrides, load_config
 from .data import (
     DatasetManifest,
@@ -50,7 +51,6 @@ from .files import atomic_write, read_bytes
 from .models import Recurrent, init_model
 from .tensor import cnn_to_rnn_reshape
 from .training import (
-    best_epoch_index,
     load_checkpoint,
     predict_batches,
     save_checkpoint,
@@ -224,24 +224,24 @@ def _transform_row(index: int, row: ManifestRow, cfg: RunConfig, cascades: dict)
     return ManifestRow(out_path, base, row.label, row.split, row.fold)
 
 
+def _copy_row(index: int, row: ManifestRow, cfg: RunConfig, cascades: dict):
+    """Nothing to compute: a pass-through copy keeps the input's bytes and format."""
+    base = f"{index:05d}_{os.path.basename(row.path)}"
+    out_path = os.path.join(cfg.output_dir, base)
+    with atomic_write(out_path) as fh:
+        fh.write(read_bytes(row.path))
+    return ManifestRow(out_path, base, row.label, row.split, row.fold)
+
+
 def cmd_preprocess(args) -> int:
     cfg = _resolve_config(args)
     manifest = _manifest(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
-
-    if not cfg.filter and cfg.feature == "none":
-        # nothing to compute: pass-through copies keep the original format
-        new_rows = []
-        for i, row in enumerate(manifest.rows):
-            base = f"{i:05d}_{os.path.basename(row.path)}"
-            out_path = os.path.join(cfg.output_dir, base)
-            with atomic_write(out_path) as fh:
-                fh.write(read_bytes(row.path))
-            new_rows.append(ManifestRow(out_path, base, row.label, row.split, row.fold))
-    else:
-        cascades = {}
-        new_rows = [_transform_row(i, row, cfg, cascades)
-                    for i, row in enumerate(manifest.rows)]
+    step = _copy_row if not cfg.filter and cfg.feature == "none" else _transform_row
+    rows, cascades = manifest.rows, {}  # a forked worker fills its own copy of the cascade cache
+    new_rows = [None] * len(rows)
+    for i, _, row in workers.fork_map(lambda i: step(i, rows[i], cfg, cascades), range(len(rows)), cfg.jobs, "rows"):
+        new_rows[i] = row
 
     out_manifest = os.path.join(cfg.output_dir, "manifest.csv")
     write_manifest(DatasetManifest(new_rows, manifest.label_map), out_manifest)
@@ -293,11 +293,11 @@ def cmd_train(args) -> int:
     model, history = train(model, (x_train, y_train), (x_dev, y_dev), cfg.train_config())
 
     os.makedirs(cfg.output_dir, exist_ok=True)
-    best = best_epoch_index([r.dev_uar for r in history])
+    best = max(history, key=lambda r: r.dev_uar)  # the first maximum, the epoch train restored
     classes = [name for name, _ in sorted(manifest.label_map.items(), key=lambda kv: kv[1])]
     metadata = {
-        "epoch": str(history[best].epoch),
-        "dev_uar": repr(history[best].dev_uar),
+        "epoch": str(best.epoch),
+        "dev_uar": repr(best.dev_uar),
         "config_digest": cfg.digest(),
         "classes": ",".join(classes),
         "model_type": cfg.model_type,
@@ -306,7 +306,7 @@ def cmd_train(args) -> int:
     save_checkpoint(model, metadata, ckpt_path)
     history_path = os.path.join(cfg.output_dir, "history.csv")
     write_history(history, history_path)
-    print(f"best dev UAR: {history[best].dev_uar:.2f} (epoch {history[best].epoch})")
+    print(f"best dev UAR: {best.dev_uar:.2f} (epoch {best.epoch})")
     print(f"wrote {ckpt_path} and {history_path}")
     return 0
 

@@ -112,7 +112,8 @@ class RunConfig:
     fixed_length: int | None = _key("data", None, _int, least=1)
     seed: int = _key("run", 0, _int)
     output_dir: str = _key("run", "out", str.strip)
-    # processes `evaluate --cv` runs folds in: the caller and jobs-1 forked workers; not in digest
+    # processes for `preprocess` rows and `evaluate --cv` folds: the caller runs items 0::jobs and forked
+    # worker w items w::jobs; outputs do not depend on it (not in digest); workers' info lines interleave
     jobs: int = _key("run", 1, _int, least=1)
     activation: str = _key("run", "relu", str.strip, domain=ACTIVATIONS)
 

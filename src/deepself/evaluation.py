@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import workers
 from .errors import (ConfigError, DataError, DeepSelfError, FormatError, MetricError, ShapeError, check_integer,
                      check_labels, check_whole)
 from .files import read_csv, read_int, write_csv
@@ -200,12 +201,8 @@ def kfold_cross_validate(features, labels, folds, spec, config, jobs: int = 1) -
     """Distributor folds: test = fold f, dev = next fold cyclically, train = rest.
 
     Fold i is seeded by seed + i, for initialization and shuffling, so its
-    result depends neither on the other folds nor on ``jobs``.  The caller runs
-    folds ``0::jobs``; worker process w, forked from the caller, runs folds
-    ``w::jobs`` on the caller's features (shared copy-on-write, nothing pickled)
-    and logs through the caller's handlers.  Tested on Linux only (macOS is
-    unverified).  After the fork the caller's pages are write-protected, so the
-    caller pays one minor page fault per page it writes again after the CV.
+    result depends neither on the other folds nor on ``jobs``, the process count
+    of ``workers.fork_map``, which runs them; each fold's line is logged here.
 
     Every process brings its own OpenBLAS pool, so with ``jobs > 1`` give
     each one BLAS thread (``OPENBLAS_NUM_THREADS=1``).  On 2 vCPUs, 48 log-mel
@@ -225,24 +222,10 @@ def kfold_cross_validate(features, labels, folds, spec, config, jobs: int = 1) -
     if len(fold_ids) < 2:
         raise ConfigError(f"cross-validation needs at least 2 folds, got {len(fold_ids)}")
     n, jobs = len(fold_ids), check_integer("jobs", jobs, 1)
-    fold_args = (features, labels, folds, fold_ids, spec, config)
-    workers, uars, test_indices = [], [None] * n, [None] * n
-    try:
-        for w in range(1, min(jobs, n)):
-            workers.append(_start_worker(range(w, n, jobs), fold_args))
-        for w in range(len(workers) + 1):  # the caller is worker 0
-            for i in range(w, n, jobs):
-                uars[i], test_indices[i], seconds = (_receive(*workers[w - 1], fold_ids[w::jobs]) if w
-                                                     else _fold(i, *fold_args))
-                log.info("fold %d: test UAR %.2f, %.2f s, worker %d", fold_ids[i], uars[i], seconds, w)
-    except BaseException:
-        for proc, _ in workers:
-            proc.kill()  # not terminate(): a forked worker keeps the caller's SIGTERM handler
-        raise
-    finally:
-        for proc, receive in workers:
-            receive.close()
-            proc.join()
+    uars, test_indices = [None] * n, [None] * n
+    for i, w, (uars[i], test_indices[i], seconds) in workers.fork_map(
+            lambda i: _fold(i, features, labels, folds, fold_ids, spec, config), fold_ids, jobs, "folds"):
+        log.info("fold %d: test UAR %.2f, %.2f s, worker %d", fold_ids[i], uars[i], seconds, w)
     return FoldReport(fold_ids, uars, test_indices)
 
 
@@ -262,41 +245,6 @@ def _fold(i, features, labels, folds, fold_ids, spec, config):
     except DeepSelfError as exc:
         raise type(exc)(f"fold {fold_ids[i]}: {exc}") from exc
     return fold_uar, np.flatnonzero(test_mask), time.perf_counter() - started
-
-
-def _start_worker(mine, fold_args):
-    """A worker process running folds ``mine``, and the end of the pipe it reports on."""
-    import multiprocessing  # here, not at the top: it adds about 5 ms to every import of deepself
-
-    ctx = multiprocessing.get_context("fork")
-    receive, send = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_fold_worker, args=(send, mine, *fold_args), daemon=True)
-    proc.start()
-    send.close()
-    return proc, receive
-
-
-def _fold_worker(send, mine, *fold_args):
-    """A worker process: sends each of folds ``mine``'s results, or the first DeepSelfError."""
-    with send:
-        try:
-            for i in mine:
-                send.send(_fold(i, *fold_args))
-        except DeepSelfError as exc:
-            send.send(exc)
-
-
-def _receive(proc, receive, names):
-    """A worker's next fold result; raises the error it sent, or one naming its folds if it died."""
-    try:
-        result = receive.recv()
-    except EOFError:
-        proc.join()
-        raise DeepSelfError(f"the worker running folds {', '.join(map(str, names))} exited "
-                            f"with code {proc.exitcode} before reporting them all") from None
-    if isinstance(result, DeepSelfError):
-        raise result
-    return result
 
 
 def write_fold_report(report: FoldReport, path):

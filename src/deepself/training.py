@@ -232,18 +232,6 @@ def evaluate_uar(model: Model, dataset, batch_size: int = 64) -> float:
     return uar_from_labels(labels, pred, model.n_classes)
 
 
-def best_epoch_index(dev_uars) -> int:
-    """Argmax over the dev-UAR history, first occurrence on ties."""
-    values = list(dev_uars)
-    if not values:
-        raise ConfigError("history is empty; no best epoch exists")
-    best = 0
-    for i, value in enumerate(values):
-        if value > values[best]:
-            best = i
-    return best
-
-
 def train_step(model: Model, state: AdamState, xb, yb, config: TrainConfig):
     """One optimizer step on the batch ``(xb, yb)``; returns (mean loss, probabilities).
 
@@ -295,7 +283,7 @@ def train(model: Model, train_set, dev_set, config: TrainConfig):
         seconds = time.perf_counter() - started  # includes the dev evaluation
         log.info("epoch %d: train loss %.6f, train UAR %.2f, dev UAR %.2f, %.2f s, %.1f samples/s",
                  epoch, loss_sum / n, train_uar, dev_uar, seconds, n / seconds)
-        if dev_uar > best_uar:  # best_epoch_index's earliest maximum, kept as it goes
+        if dev_uar > best_uar:  # a tie keeps the earliest best epoch
             best_uar, best_params = dev_uar, {name: p.data.copy() for name, p in model.params.items()}
 
     for name, arr in best_params.items():

@@ -2,8 +2,10 @@
 
 import contextlib
 import csv
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -239,17 +241,47 @@ class TestPreprocess:
             assert got.shape == raw.shape == expected.shape
             np.testing.assert_allclose(got, expected, atol=1e-7)
 
-    def test_jobs_parallel_matches_serial(self, tmp_path):
+    def test_jobs_parallel_matches_serial(self, tmp_path, capsys):
         manifest = self.make_wavs(tmp_path, n=6)
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        args = ["preprocess", "--manifest", str(manifest), "--feature", "spectrogram",
-                "--window-size", "64", "--hop-size", "32"]
-        assert run(args + ["--output-dir", str(serial)]) == 0
-        assert run(args + ["--output-dir", str(parallel), "--jobs", "3"]) == 0
-        for s, p in zip(sorted(os.listdir(serial)), sorted(os.listdir(parallel))):
-            assert s == p
-            if s.endswith(".dsfm"):
-                assert (serial / s).read_bytes() == (parallel / p).read_bytes()
+        band_pass = ["--filter", "on", "--filter-low", "2", "--filter-high", "30"]
+        for name, options in (("logmel", ["--feature", "logmel", "--window-size", "64", "--hop-size", "32",
+                                          "--n-mels", "8", *band_pass]),
+                              ("scalogram", ["--feature", "scalogram", "--fmin", "2", "--fmax", "32", *band_pass]),
+                              ("copy", ["--feature", "none", "--filter", "off"])):
+            outputs = []
+            for jobs in ("1", "2", "3"):
+                out = tmp_path / f"{name}{jobs}"
+                assert run(["preprocess", "--manifest", str(manifest), *options, "--output-dir", str(out),
+                            "--jobs", jobs]) == 0
+                outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+                assert multiprocessing.active_children() == []
+            assert len(outputs[0]) == 7 and "manifest.csv" in outputs[0]  # six maps or copies
+            assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        (tmp_path / "w1.wav").write_bytes(b"RIFF\x04\x00\x00\x00WAVE")  # row 1 runs in worker 1 at --jobs 2
+        capsys.readouterr()
+        errors = []
+        for jobs in ("1", "2"):
+            assert run(["preprocess", "--manifest", str(manifest), "--feature", "logmel", "--window-size", "64",
+                        "--hop-size", "32", "--output-dir", str(tmp_path / f"bad{jobs}"), "--jobs", jobs]) == 1
+            errors.append(capsys.readouterr().err)
+            assert multiprocessing.active_children() == []
+        assert errors[1] == errors[0] and errors[0].startswith("error: ") and "w1.wav" in errors[0]
+
+    def test_killed_worker_names_its_rows(self, tmp_path, monkeypatch, capsys):
+        caller, load = os.getpid(), cli.load_signal
+
+        def load_or_die(path, rate):
+            if os.getpid() != caller and path.endswith("w1.wav"):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return load(path, rate)
+
+        monkeypatch.setattr(cli, "load_signal", load_or_die)
+        assert run(["preprocess", "--manifest", str(self.make_wavs(tmp_path, n=6)), "--feature", "spectrogram",
+                    "--window-size", "64", "--hop-size", "32", "--output-dir", str(tmp_path / "pre"),
+                    "--jobs", "2"]) == 1
+        assert capsys.readouterr().err == ("error: the worker running rows 1, 3, 5 exited with code -9 "
+                                           "before reporting them all\n")
+        assert multiprocessing.active_children() == []
 
     def test_jobs_start_no_thread(self, tmp_path, monkeypatch):
         def refuse(thread):
@@ -283,8 +315,12 @@ class TestTrain:
         history = tmp_path / "out" / "history.csv"
         assert ckpt.exists() and history.exists()
         with open(history) as fh:
-            assert len(list(csv.reader(fh))) == 11  # header + one row per epoch
+            records = list(csv.DictReader(fh))
+        assert [r["epoch"] for r in records] == [str(e) for e in range(1, 11)]  # one row per epoch
         model, meta = load_checkpoint(ckpt)
+        dev_uars = [float(r["dev_uar"]) for r in records]
+        assert dev_uars.count(max(dev_uars)) > 1  # so the tie rule shows: the first maximum is kept
+        assert meta["epoch"] == records[dev_uars.index(max(dev_uars))]["epoch"]
         assert meta["classes"] == "neg,pos"
         assert model.n_classes == 2
 

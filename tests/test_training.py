@@ -30,7 +30,6 @@ from deepself.training import (
     AdamState,
     TrainConfig,
     adam_step,
-    best_epoch_index,
     evaluate_uar,
     fine_tune,
     inference_blocks,
@@ -263,18 +262,6 @@ class TestOptimizerChecks:
         np.testing.assert_array_equal(params["w"].data, [0.0, 0.0])
 
 
-class TestBestEpochIndex:
-    def test_first_occurrence_wins_ties(self):
-        assert best_epoch_index([50.0, 70.0, 70.0, 60.0]) == 1
-
-    def test_single_entry(self):
-        assert best_epoch_index([10.0]) == 0
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(ConfigError):
-            best_epoch_index([])
-
-
 class TestTrainLoop:
     def _train_blobs(self, seed=0, epochs=30, n_train=40, n_dev=20, lr=0.05):
         rng = np.random.default_rng(seed)
@@ -294,8 +281,7 @@ class TestTrainLoop:
     def test_returned_model_matches_best_history_entry(self):
         best, history, dev_set = self._train_blobs(seed=3, epochs=12)
         dev_uars = [rec.dev_uar for rec in history]
-        assert evaluate_uar(best, dev_set) == dev_uars[best_epoch_index(dev_uars)]
-        assert max(dev_uars) == dev_uars[best_epoch_index(dev_uars)]
+        assert evaluate_uar(best, dev_set) == dev_uars[dev_uars.index(max(dev_uars))]
 
     def test_restores_the_earliest_best_dev_epoch(self, monkeypatch):
         hypothesis = pytest.importorskip("hypothesis")
@@ -317,7 +303,7 @@ class TestTrainLoop:
             model = init_model(ModelSpec((2,), (Dense(3),), 2))
             best, history = train(model, train_set, dev_set, replace(config, epochs=len(dev_uars)))
             assert [rec.dev_uar for rec in history] == dev_uars
-            expected = seen[best_epoch_index(dev_uars)]
+            expected = seen[dev_uars.index(max(dev_uars))]
             assert {name: p.data.tobytes() for name, p in best.params.items()} == {
                 name: arr.tobytes() for name, arr in expected.items()}
 
