@@ -339,6 +339,9 @@ def linear(x, weight, bias, activation=None) -> Tensor:
 
 
 def _per_axis(value, rank, name) -> tuple[int, ...]:
+    """``value`` as ``rank`` ints; a tuple of ``rank`` exact ints (as ``models.Conv`` keeps) returns as is."""
+    if type(value) is tuple and len(value) == rank and all([type(v) is int for v in value]):
+        return value
     out = (value,) * rank if np.isscalar(value) else check_sequence(name, value)
     if len(out) != rank:
         raise ConfigError(f"{name} needs one entry per spatial axis (rank {rank}), got {out}")
@@ -437,7 +440,7 @@ def conv_nd_batched(x, kernels, stride, padding, bias, activation=None) -> Tenso
     else:
         padded = x.data
     n_win, win_size = math.prod(out_sp), math.prod(kernel_sp)
-    pmat = np.take(padded.reshape(batch, -1), idx, axis=1, mode="wrap").reshape(batch * n_win, c_in * win_size)
+    pmat = padded.reshape(batch, -1).take(idx, axis=1, mode="wrap").reshape(batch * n_win, c_in * win_size)
     kmat = kernels.data.reshape(c_out, c_in * win_size)
     prod = _matmul(pmat, kmat.T, _row_blocks(batch))  # [B*O, C_out], a product per block of samples
     prod = prod.reshape(batch, n_win, c_out).transpose(0, 2, 1)  # [B, C_out, O] view
@@ -454,9 +457,9 @@ def conv_nd_batched(x, kernels, stride, padding, bias, activation=None) -> Tenso
         d_pmat[:, -1] = 0.0
         # 0.0 + entry: no -0.0 is left to start a sum, and from +0.0 on, -0.0 adds as +0.0
         np.add((g2 @ kmat).reshape(batch, -1), 0.0, out=d_pmat[:, :-1])
-        d_x = np.take(d_pmat, inv[0], axis=1, mode="wrap")
+        d_x = d_pmat.take(inv[0], axis=1, mode="wrap")
         for entries in inv[1:]:
-            d_x += np.take(d_pmat, entries, axis=1, mode="wrap")
+            d_x += d_pmat.take(entries, axis=1, mode="wrap")
         return (d_x.reshape(x.shape), d_kernels, d_bias)
 
     # at batch 1 the rows are a view of g already, one that _sum_rows adds pairwise
@@ -509,7 +512,7 @@ def recurrent(x, w, u, b, cell: str) -> Tensor:
     scans first to last and direction 1 (D = 2) last to first, both from a
     zero state, together as one scan on a [D, B, H] state.  The outputs are
     in position order, direction d in columns d*H to (d+1)*H.  With sigmoid
-    in its tanh form:
+    in its tanh form, 0.5 * (1 + tanh(0.5 * a)):
 
     * rnn:  h' = tanh(W x + U h + b)
     * gru:  r, z = sigmoid(W x + U h + b), n = tanh(W_n x + U_n (r*h) + b_n),
@@ -521,9 +524,13 @@ def recurrent(x, w, u, b, cell: str) -> Tensor:
     on the state (gru two: its candidate reads r*h).  The biases are
     repeated once per scan into contiguous [D, B, .] arrays, so each step's
     bias add is one pass, and backward sums db over the [T*B] rows of each
-    direction in row order (``_sum_rows``).  The hand-written
-    backward pass returns one gradient per input.  All pre-activations are
-    checked for finiteness once, after the scan.
+    direction in row order (``_sum_rows``).  The GRU's forward halves the r
+    and z columns of W, U and b once, so a step's sigmoid is tanh, +1, *0.5
+    (halving is exact unless a value is subnormal); the hand-written backward
+    reads the unhalved weights and returns one gradient per input.  All
+    pre-activations (the GRU's r and z halved) are checked once for finiteness,
+    so a GRU gate saturates to 1.0 on an r or z pre-activation below twice the
+    dtype's maximum where rnn and lstm raise NumericError.
 
     The scan's buffers are time-major, [T, D, B, .] indexed by scan step s,
     and the pre-activations and gates are split into the column groups a
@@ -581,8 +588,14 @@ def recurrent(x, w, u, b, cell: str) -> Tensor:
     seq = buffer((n_dirs, blocks * steps, rows, features))
     np.stack([xt, xt[:, ::-1]][:n_dirs], out=seq.reshape(n_dirs, blocks, steps, rows, features))
     seq = seq.reshape(n_dirs, -1, features)
+    u_h, u_n = np.ascontiguousarray(u[..., :n_h]), np.ascontiguousarray(u[..., n_h:])
+    # each step adds the biases as one contiguous [D, B, .] pass, not one per sample
+    b_h, b_n = np.repeat(b[:, None, :n_h], batch, axis=1), np.repeat(b[:, None, n_h:], batch, axis=1)
+    w_x, u_x = w, u_h  # the weights the forward reads; backward reads w and u_h
+    if cell == "gru":  # r and z's columns halved: each step's sigmoid is then 0.5 * (1 + tanh(a))
+        w_x, u_x, b_h = np.concatenate([w[..., :n_h] * 0.5, w[..., n_h:]], axis=-1), u_h * 0.5, b_h * 0.5
     # W x over each block's (t, b) rows; U h and b are added per step
-    flat = _matmul(seq, w, blocks, out=_scan_buffer((n_dirs, steps * batch, width), dtype, recorded))
+    flat = _matmul(seq, w_x, blocks, out=_scan_buffer((n_dirs, steps * batch, width), dtype, recorded))
     proj = flat.reshape(n_dirs, blocks, steps, rows, width).transpose(2, 0, 1, 3, 4)  # [T, D, K, n, G*H] view
     # unrecorded, the gates, rh and cs keep only the steps in flight, indexed modulo their extent
     kept = steps if recorded else 1
@@ -598,20 +611,19 @@ def recurrent(x, w, u, b, cell: str) -> Tensor:
         _free_scan_buffers([flat])  # W x is spent
     del proj, flat
     hs[0], cs[0] = 0, 0  # every other element is written before it is read
-    u_h, u_n = np.ascontiguousarray(u[..., :n_h]), np.ascontiguousarray(u[..., n_h:])
-    # each step adds the biases as one contiguous [D, B, .] pass, not one per sample
-    b_h, b_n = np.repeat(b[:, None, :n_h], batch, axis=1), np.repeat(b[:, None, n_h:], batch, axis=1)
     # a step's U h and U_n (r*h), per direction and block through a [D, K, n, H] view of the state
     step_matmul = np.matmul if blocks == 1 else functools.partial(_matmul, blocks=blocks)
     for s in range(steps):
         slot, c_in, c_out = s % kept, s % (kept + 1), (s + 1) % (kept + 1)
         h, a_h, gates = hs[s], pre_h[s], gates_h[slot]
-        a_h += step_matmul(h, u_h)
+        a_h += step_matmul(h, u_x)
         a_h += b_h
         if cell == "rnn":
             np.tanh(a_h, out=hs[s + 1])
         elif cell == "gru":
-            _sigmoid(a_h, out=gates)
+            np.tanh(a_h, out=gates)
+            gates += 1.0
+            gates *= 0.5
             r, z, n, a_n = gates[..., :hid], gates[..., hid:], gates_n[slot], pre_n[s]
             np.multiply(r, h, out=rh[slot])
             a_n += step_matmul(rh[slot], u_n)
@@ -775,7 +787,8 @@ def softmax_cross_entropy(logits, targets) -> tuple[Tensor, Tensor]:
     probs = exps / total
     log_probs = shifted - np.log(total)
     rows = np.arange(batch)
-    loss_val = np.asarray(-log_probs[rows, targets].mean(), dtype=logits.dtype)
+    # add.reduce / batch: the sum and quotient ndarray.mean computes, without its Python wrapper
+    loss_val = np.asarray(-(np.add.reduce(log_probs[rows, targets]) / batch), dtype=logits.dtype)
 
     def _backward(g):
         d = probs.copy()

@@ -81,9 +81,8 @@ def _descend(params: dict, grads: dict, names: tuple, step):
     Every gradient must name a parameter and match its shape and dtype, and
     all parameters must share one dtype.  With no names, ``step`` is not called.
     """
-    unknown = sorted(set(names) - params.keys())
-    if unknown:
-        raise ConfigError(f"gradients for {unknown} name no parameter")
+    if not all(map(params.__contains__, names)):
+        raise ConfigError(f"gradients for {sorted(set(names) - params.keys())} name no parameter")
     if not names:
         return
     dtype = params[names[0]].data.dtype
@@ -219,7 +218,8 @@ def predict_batches(model: Model, features, batch_size: int = 64):
             rows = part.shape[0]
             whole = max(-(-rows // batch_size), 1) * batch_size
             if rows < whole:
-                part = np.pad(part, ((0, whole - rows),) + ((0, 0),) * (part.ndim - 1))
+                part, unpadded = np.zeros((whole, *part.shape[1:]), part.dtype), part  # one allocation
+                part[:rows] = unpadded
             _, probs = forward(model, part)
             out_probs.append(probs.data[:rows])
     probs = np.concatenate(out_probs)

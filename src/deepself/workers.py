@@ -1,5 +1,8 @@
 """The one process-parallel map: preprocess rows and cross-validation folds run through ``fork_map``."""
 
+import pickle
+import traceback
+
 from .errors import DeepSelfError
 
 
@@ -8,13 +11,15 @@ def fork_map(fn, names, jobs: int, noun: str):
 
     The caller, process 0, runs items ``0::jobs`` and yields them first, then
     worker w's items ``w::jobs``, sent over a one-way pipe, for w = 1, 2, ...
-    A worker's ``DeepSelfError`` or ``OSError`` is raised here with its class
-    and message, one that dies is named by ``noun`` and its items' ``names``,
-    and on any error or an early close the workers are killed.  Workers are
-    forked (none at ``jobs = 1``): they share the caller's memory copy-on-write
-    (only results and errors are pickled; no ``__main__`` guard is needed), log
-    through its handlers, so lines interleave, and cost it one minor page fault
-    per page it writes again.  Tested on Linux only (macOS is unverified).
+    A worker's exception is raised here with its class and message, as a
+    ``DeepSelfError`` naming its type if it does not pickle (the worker prints
+    the traceback of any but a ``DeepSelfError`` or ``OSError``); one that dies
+    is named by ``noun`` and its items' ``names``; on any error or an early
+    close the workers are killed.  Workers are forked (none at ``jobs = 1``):
+    they share the caller's memory copy-on-write (only results and errors are
+    pickled; no ``__main__`` guard is needed), log through its handlers, so
+    lines interleave, and cost it one minor page fault per page it writes
+    again.  Tested on Linux only (macOS is unverified).
     """
     n, workers = len(names), []
     try:
@@ -45,7 +50,13 @@ def _worker(send, fn, mine):
         try:
             for i in mine:
                 send.send(fn(i))
-        except (DeepSelfError, OSError) as exc:
+        except Exception as exc:
+            if not isinstance(exc, (DeepSelfError, OSError)):
+                traceback.print_exc()  # a program error: where it happened is on this process's stack
+            try:
+                pickle.loads(pickle.dumps(exc))  # the caller must be able to rebuild it
+            except Exception:
+                exc = DeepSelfError(f"{type(exc).__name__}: {exc} (raised in a worker, it does not pickle)")
             send.send(exc)
 
 
@@ -57,6 +68,6 @@ def _receive(proc, receive, noun, names):
         proc.join()
         raise DeepSelfError(f"the worker running {noun} {', '.join(map(str, names))} exited "
                             f"with code {proc.exitcode} before reporting them all") from None
-    if isinstance(result, (DeepSelfError, OSError)):
+    if isinstance(result, Exception):
         raise result
     return result

@@ -6,10 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from deepself.errors import ConfigError, DataError, DeepSelfError, NumericError, ShapeError
+from deepself.errors import (ConfigError, DataError, DeepSelfError, NumericError, ShapeError, check_integer,
+                             check_sequence)
 from deepself import tensor as T
 from deepself.models import Conv, ModelSpec, Recurrent, forward, init_model, plan_shapes
 from deepself.tensor import Tensor
+from gru_oracle import gru_scan
 from tape_ops import dot, reshape
 
 
@@ -430,6 +432,44 @@ def conv_spec(c_in, spatial, kernel, stride, padding):
     return ModelSpec((c_in, *spatial), (Conv(len(spatial), 2, kernel, stride, padding),), 2)
 
 
+def general_per_axis(value, rank, name):
+    """``tensor._per_axis`` without its int-tuple fast path: the oracle for it."""
+    out = (value,) * rank if np.isscalar(value) else check_sequence(name, value)
+    if len(out) != rank:
+        raise ConfigError(f"{name} needs one entry per spatial axis (rank {rank}), got {out}")
+    return tuple(check_integer(name, v) for v in out)
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` gives: its value with the type of each element, or its ConfigError's text."""
+    try:
+        value = fn(*args)
+    except ConfigError as exc:
+        return "error", str(exc)
+    return value, type(value), [type(v) for v in value]
+
+
+class TestArgumentFastPaths:
+    def test_per_axis_fast_path_equals_the_general_one(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        scalars = st.one_of(
+            st.integers(-3, 5), st.integers(-2**70, 2**70), st.integers(-3, 5).map(np.int64),
+            st.integers(0, 255).map(np.uint8), st.booleans(), st.booleans().map(np.bool_),
+            st.floats(), st.floats(width=32).map(np.float32), st.text(max_size=3),
+            st.integers(-3, 5).map(np.array), st.floats(-3, 5).map(np.array))  # 0-d arrays
+        values = st.one_of(scalars, st.lists(scalars, max_size=4), st.lists(scalars, max_size=4).map(tuple))
+
+        @hypothesis.settings(max_examples=400, deadline=None, database=None)
+        @hypothesis.given(values, st.integers(1, 3))
+        @hypothesis.example((2, 2), 2)
+        @hypothesis.example((True, 2), 2)
+        def check(value, rank):
+            assert outcome(T._per_axis, value, rank, "stride") == outcome(general_per_axis, value, rank, "stride")
+
+        check()
+
+
 class TestConvWindowCache:
     def test_cached_window_indices_are_read_only(self):
         geometry = T._conv_geometry(2, (8,), (3,), (2,), (1,))
@@ -732,6 +772,20 @@ class TestRecurrent:
         with pytest.raises(NumericError, match=f"^{cell} produced non-finite values"):
             T.recurrent(x, *fused_params(cell, 2, 2, w=1e30), cell)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("cell", ["rnn", "gru", "lstm"])
+    def test_gru_gates_saturate_below_twice_the_dtype_maximum(self, cell):
+        # W x = 4e38 in the first two gates' columns: beyond float32's maximum, so rnn and lstm raise,
+        # but the gru's halved r and z columns give 2e38, finite: r = z = 1.0 and h stays at 0
+        x = Tensor(np.full((2, 3, 1), 2e19, dtype=np.float32))
+        w, u, b = fused_params(cell, 1, 2)
+        w.data[..., :4] = 2e19
+        if cell != "gru":
+            with pytest.raises(NumericError, match=f"^{cell} produced non-finite values"):
+                T.recurrent(x, w, u, b, cell)
+        else:
+            assert T.recurrent(x, w, u, b, cell).data.tobytes() == np.zeros((2, 3, 2), np.float32).tobytes()
+
     def test_shapes_checked(self):
         x = Tensor(np.zeros((2, 3, 4)))
         w, u, b = fused_params("gru", 4, 2, directions=2)
@@ -776,6 +830,27 @@ class TestRecurrent:
         assert recorded.dtype == dtype
         np.testing.assert_array_equal(inferred.data, recorded.data)
         np.testing.assert_array_equal(frozen.data, recorded.data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("directions", [1, 2])
+    def test_gru_equals_the_sigmoid_form_oracle(self, directions, dtype):
+        # halved r and z columns against _sigmoid on the unhalved ones: same bytes on normal-range
+        # inputs (see gru_oracle for the subnormal exception), recorded and not, forward and backward
+        rng = np.random.default_rng(directions)
+        hid, features = 5, 3
+        arrays = [(0.5 * rng.standard_normal(shape)).astype(dtype) for shape in
+                  ((6, 9, features), (directions, features, 3 * hid), (directions, hid, 3 * hid), (directions, 3 * hid))]
+        upstream = rng.standard_normal((6, 9, directions * hid)).astype(dtype)
+        want, want_backward = gru_scan(*arrays)
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        out = T.recurrent(*tensors, "gru")
+        T.backward(dot(out, Tensor(upstream)))
+        assert out.data.tobytes() == want.tobytes()
+        for t, want_grad in zip(tensors, want_backward(upstream)):
+            assert t.grad.dtype == dtype and t.grad.tobytes() == want_grad.tobytes()
+        with T.no_grad():
+            assert T.recurrent(*tensors, "gru").data.tobytes() == want.tobytes()
+        assert T.recurrent(*arrays, "gru").data.tobytes() == want.tobytes()  # no input requires grad
 
     def test_inference_scan_keeps_no_gate_history(self):
         # B=16, T=64, H=32: no-grad peak below the recorded one by at least a [D, T, B, 3H] buffer

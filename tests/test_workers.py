@@ -11,6 +11,7 @@ import pytest
 
 import deepself
 from deepself import workers
+from deepself.errors import DeepSelfError
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3, 7])  # 7 jobs for 5 items
@@ -34,6 +35,41 @@ def test_a_workers_os_error_keeps_its_class_message_and_path():
     assert caught.value.filename == "missing.wav"
     assert str(caught.value) == "[Errno 2] No such file or directory: 'missing.wav'"
     assert multiprocessing.active_children() == []
+
+
+class TwoArgumentError(Exception):
+    """Pickles, but unpickling calls it with its one message argument and fails."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} in {where}")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_any_exception_of_a_worker_reaches_the_caller(jobs, capfd):
+    class LocalError(Exception):  # a local class does not pickle
+        pass
+
+    cases = [  # the error, its text, and whether it pickles
+        (ValueError("bad value in row 1"), "bad value in row 1", True),
+        (LocalError("local error in row 1"), "local error in row 1", False),
+        (TwoArgumentError("bad", "row 1"), "bad in row 1", False),
+    ]
+    for error, text, pickles in cases:
+        def fn(i):
+            if i == 1:
+                raise error
+            return i
+
+        want = type(error), text
+        if jobs > 1 and not pickles:
+            want = DeepSelfError, f"{type(error).__name__}: {text} (raised in a worker, it does not pickle)"
+        with pytest.raises(want[0]) as caught:
+            list(workers.fork_map(fn, range(4), jobs, "rows"))
+        assert (type(caught.value), str(caught.value)) == want
+        assert multiprocessing.active_children() == []
+        if jobs > 1:  # the worker printed where it happened
+            err = capfd.readouterr().err
+            assert "Traceback (most recent call last)" in err and f"{type(error).__name__}: {text}" in err
 
 
 def test_closing_early_kills_the_workers():
