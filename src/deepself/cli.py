@@ -35,7 +35,7 @@ from .dsp import (
     spectrogram,
     write_feature_map,
 )
-from .errors import ConfigError, DataError, DeepSelfError, ShapeError
+from .errors import ConfigError, DataError, DeepSelfError
 from .evaluation import (
     PredictionSet,
     confusion_matrix,
@@ -105,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model, keep the best-dev epoch")
     _add_config_flags(p)
-    p.add_argument("--dev-fraction", type=float, default=None,
-                   help="carve a dev split from unsplit manifests (0..1)")
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("evaluate", help="confusion matrix and UAR, or k-fold CV")
@@ -126,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+", metavar="PREDICTIONS_CSV")
     p.add_argument("--mode", choices=("mean", "vote"), default="mean")
     p.add_argument("--output", metavar="PATH", help="default: OUTPUT_DIR/fused.csv")
-    p.add_argument("--output-dir", dest="output_dir", default=None)
+    p.add_argument("--output-dir", dest="output_dir", default=RunConfig.output_dir)
     p.set_defaults(handler=cmd_fuse)
     return parser
 
@@ -166,31 +164,29 @@ def _is_sequence_config(cfg: RunConfig) -> bool:
     return cfg.model_type == "rnn"
 
 
-def _checkpoint_label_map(metadata: dict, n_classes: int, rows) -> dict:
-    """Map manifest label names with the class order the model was trained on."""
+def _checkpoint_label_map(metadata: dict, n_classes: int, manifest: DatasetManifest, rows) -> dict:
+    """The class order the model was trained on: the checkpoint's, else the manifest's, as ``train`` builds it."""
     stored = metadata.get("classes", "")
     if stored:
-        names = stored.split(",")
-        label_map = {name: i for i, name in enumerate(names)}
+        label_map = {name: i for i, name in enumerate(stored.split(","))}
     else:
-        log.warning("checkpoint lacks class names; assuming lexicographic order")
-        names = sorted({r.label for r in rows})
-        label_map = {name: i for i, name in enumerate(names)}
+        log.warning("checkpoint lacks class names; assuming the manifest's lexicographic order")
+        label_map = manifest.label_map
     if len(label_map) > n_classes:
         raise DataError(
             f"checkpoint predicts {n_classes} classes but mapping has {len(label_map)}")
     unknown = sorted({r.label for r in rows} - set(label_map))
     if unknown:
         raise DataError(
-            f"label {unknown[0]!r} is not among the checkpoint classes {names}")
+            f"label {unknown[0]!r} is not among the checkpoint classes {list(label_map)}")
     return label_map
 
 
-def _check_input_shape(x, spec):
-    if tuple(x.shape[1:]) != tuple(spec.input_shape):
-        raise ShapeError(
-            f"dataset samples have shape {tuple(x.shape[1:])} but the model "
-            f"expects input shape {tuple(spec.input_shape)}")
+def _predict_rows(cfg: RunConfig, model, rows, label_map):
+    """``rows``' (labels, predicted labels, probabilities, ids) under a checkpoint's ``model``."""
+    x, y, ids = _dataset(cfg, rows, label_map, _is_sequence_model(model.spec))
+    pred, probs = predict_batches(model, x, cfg.batch_size)  # forward names the input shape it expects
+    return y, pred, probs, ids
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +196,7 @@ def _check_input_shape(x, spec):
 
 def _transform_row(index: int, row: ManifestRow, cfg: RunConfig, cascades: dict):
     signal = load_signal(row.path, cfg.sample_rate)
+    fmax = cfg.fmax if cfg.fmax is not None else signal.sample_rate / 2.0
     if cfg.filter:
         rate = signal.sample_rate
         if rate not in cascades:
@@ -210,11 +207,9 @@ def _transform_row(index: int, row: ManifestRow, cfg: RunConfig, cascades: dict)
     elif cfg.feature == "spectrogram":
         fm = spectrogram(signal, cfg.window_size, cfg.hop_size)
     elif cfg.feature == "logmel":
-        fmax = cfg.fmax if cfg.fmax is not None else signal.sample_rate / 2.0
         fm = log_mel_spectrogram(signal, cfg.window_size, cfg.hop_size,
                                  cfg.n_mels, cfg.fmin, fmax)
     else:  # scalogram
-        fmax = cfg.fmax if cfg.fmax is not None else signal.sample_rate / 2.0
         fm = scalogram(signal, cfg.n_voices, cfg.fmin, fmax)
     stem = os.path.splitext(os.path.basename(row.path))[0]
     base = f"{index:05d}_{stem}.dsfm"
@@ -236,7 +231,7 @@ def _copy_row(index: int, row: ManifestRow, cfg: RunConfig, cascades: dict):
 def cmd_preprocess(args) -> int:
     cfg = _resolve_config(args)
     manifest = _manifest(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    os.makedirs(cfg.output_dir, exist_ok=True)  # before the fork: a run whose first map fails leaves it empty
     step = _copy_row if not cfg.filter and cfg.feature == "none" else _transform_row
     rows, cascades = manifest.rows, {}  # a forked worker fills its own copy of the cascade cache
     new_rows = [None] * len(rows)
@@ -260,15 +255,13 @@ def _train_dev_rows(manifest: DatasetManifest, dev_fraction, seed: int):
     if train_rows and dev_rows:
         return train_rows, dev_rows
     if dev_fraction is None:
-        raise ConfigError(
-            "manifest has no train/dev split; add a split column or pass --dev-fraction")
-    if not 0.0 < dev_fraction < 1.0:
-        raise ConfigError(f"--dev-fraction must lie in (0, 1), got {dev_fraction}")
+        raise ConfigError("manifest has no train/dev split; add a split column, "
+                          "or set [data] dev_fraction or pass --dev-fraction")
     pool = train_rows or [r for r in manifest.rows if r.split != "test"]
     order = np.random.default_rng(seed).permutation(len(pool))
     n_dev = max(1, int(round(dev_fraction * len(pool))))
     if n_dev >= len(pool):
-        raise ConfigError(f"--dev-fraction {dev_fraction} leaves no training rows")
+        raise ConfigError(f"dev_fraction {dev_fraction} leaves no training rows")
     dev_idx = set(order[:n_dev].tolist())
     return ([pool[i] for i in range(len(pool)) if i not in dev_idx],
             [pool[i] for i in sorted(dev_idx)])
@@ -281,7 +274,7 @@ def cmd_train(args) -> int:
         if "," in name or name.splitlines() != [name]:
             raise DataError(f"class name {name!r} holds a comma or a line break, "
                             "which the checkpoint's class list cannot store")
-    train_rows, dev_rows = _train_dev_rows(manifest, args.dev_fraction, cfg.seed)
+    train_rows, dev_rows = _train_dev_rows(manifest, cfg.dev_fraction, cfg.seed)
     sequence = _is_sequence_config(cfg)
     x_train, y_train, _ = _dataset(cfg, train_rows, manifest.label_map, sequence)
     x_dev, y_dev, _ = _dataset(cfg, dev_rows, manifest.label_map, sequence)
@@ -292,7 +285,6 @@ def cmd_train(args) -> int:
              cfg.model_type, len(y_train), len(y_dev))
     model, history = train(model, (x_train, y_train), (x_dev, y_dev), cfg.train_config())
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
     best = max(history, key=lambda r: r.dev_uar)  # the first maximum, the epoch train restored
     classes = [name for name, _ in sorted(manifest.label_map.items(), key=lambda kv: kv[1])]
     metadata = {
@@ -335,7 +327,6 @@ def cmd_evaluate(args) -> int:
         folds = manifest.folds()
         spec = cfg.model_spec(x.shape[1:], manifest.n_classes)
         report = kfold_cross_validate(x, y, folds, spec, cfg.train_config(), cfg.jobs)
-        os.makedirs(cfg.output_dir, exist_ok=True)
         report_path = os.path.join(cfg.output_dir, "fold_report.csv")
         write_fold_report(report, report_path)
         for fold_id, fold_uar in zip(report.fold_ids, report.uars):
@@ -348,11 +339,8 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate needs --checkpoint (or --cv for cross-validation)")
     model, metadata = load_checkpoint(args.checkpoint)
     rows, described = _eval_rows(manifest)
-    label_map = _checkpoint_label_map(metadata, model.n_classes, rows)
-    sequence = _is_sequence_model(model.spec)
-    x, y, _ = _dataset(cfg, rows, label_map, sequence)
-    _check_input_shape(x, model.spec)
-    pred, _ = predict_batches(model, x, cfg.batch_size)
+    label_map = _checkpoint_label_map(metadata, model.n_classes, manifest, rows)
+    y, pred, _, _ = _predict_rows(cfg, model, rows, label_map)
     cm = confusion_matrix(y, pred, model.n_classes)
     print(f"evaluating {len(y)} samples ({described})")
     print(format_confusion(cm))
@@ -364,12 +352,8 @@ def cmd_predict(args) -> int:
     cfg = _resolve_config(args)
     manifest = _manifest(cfg)
     model, _ = load_checkpoint(args.checkpoint)
-    sequence = _is_sequence_model(model.spec)
-    x, _, ids = _dataset(cfg, manifest.rows, manifest.label_map, sequence)
-    _check_input_shape(x, model.spec)
-    _, probs = predict_batches(model, x, cfg.batch_size)
+    _, _, probs, ids = _predict_rows(cfg, model, manifest.rows, manifest.label_map)
     pset = PredictionSet.from_probabilities(ids, probs)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     out_path = args.output or os.path.join(cfg.output_dir, "predictions.csv")
     write_predictions(pset, out_path)
     print(f"wrote {out_path}")
@@ -379,11 +363,7 @@ def cmd_predict(args) -> int:
 def cmd_fuse(args) -> int:
     sets = [read_predictions(path) for path in args.inputs]
     fused = fuse_predictions(sets, args.mode)
-    out_dir = args.output_dir or "out"
-    out_path = args.output
-    if out_path is None:
-        os.makedirs(out_dir, exist_ok=True)
-        out_path = os.path.join(out_dir, "fused.csv")
+    out_path = args.output or os.path.join(args.output_dir, "fused.csv")
     write_predictions(fused, out_path)
     print(f"wrote {out_path}")
     return 0

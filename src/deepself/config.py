@@ -110,6 +110,7 @@ class RunConfig:
     manifest: str | None = _key("data", None, str.strip)
     sample_rate: float | None = _key("data", None, _float)
     fixed_length: int | None = _key("data", None, _int, least=1)
+    dev_fraction: float | None = _key("data", None, _float)  # dev share `train` carves from a manifest with no train/dev split
     seed: int = _key("run", 0, _int)
     output_dir: str = _key("run", "out", str.strip)
     # processes for `preprocess` rows and `evaluate --cv` folds: the caller runs items 0::jobs and forked
@@ -158,6 +159,8 @@ class RunConfig:
                     f"low must be < high, got low={self.filter_low}, high={self.filter_high}")
         if self.sample_rate is not None and self.sample_rate <= 0:
             raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
+        if self.dev_fraction is not None and not 0.0 < self.dev_fraction < 1.0:
+            raise ConfigError(f"dev_fraction must lie in (0, 1), got {self.dev_fraction}")
         return self
 
     # -- derived objects ---------------------------------------------------

@@ -118,7 +118,8 @@ def atomic_write(path, text: bool = False):
     """Handle whose bytes replace ``path`` only if the block finishes.
 
     The handle is binary, or with ``text`` takes ``str`` and writes it as
-    UTF-8 with its line ends as given.
+    UTF-8 with its line ends as given.  The directory of ``path`` is
+    created first, with its parents, when it does not exist.
     The bytes go to a temporary file beside ``path``, which is moved into
     place once the block ends without an exception, so ``path`` holds
     either its old bytes or all of the new ones.  On an exception the
@@ -126,6 +127,7 @@ def atomic_write(path, text: bool = False):
     ``fsync``: a power cut may still lose the new bytes.
     """
     temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    os.makedirs(os.path.dirname(temporary) or os.curdir, exist_ok=True)
     try:
         with open(temporary, "w", encoding="utf-8", newline="") if text else open(temporary, "wb") as fh:
             yield fh

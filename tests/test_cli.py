@@ -28,7 +28,8 @@ from deepself.config import DOMAINS, METAVARS, MODEL_TYPES, SCHEMA, RunConfig
 from deepself.data import load_csv_series, load_manifest, load_sample, load_wav_pcm16
 from deepself.dsp import Signal, apply_iir, design_butterworth_bandpass, read_feature_map, scalogram
 from deepself.evaluation import read_predictions, uar_from_labels
-from deepself.training import load_checkpoint
+from deepself.errors import ConfigError
+from deepself.training import load_checkpoint, save_checkpoint
 from iir_oracle import oracle_apply_iir
 from wav_writer import write_wav_pcm16
 
@@ -371,6 +372,27 @@ class TestTrain:
         assert "--dev-fraction" in capsys.readouterr().err
         assert run(["train", "--config", str(cfg), "--dev-fraction", "0.25"]) == 0
 
+    @pytest.mark.parametrize("value", ["0", "1", "-0.25", "1.5"])
+    def test_dev_fraction_outside_the_open_unit_interval_is_a_config_error(self, tmp_path, capsys, value):
+        ini = tmp_path / "split.cfg"
+        ini.write_text(f"[data]\ndev_fraction = {value}\n")
+        parser = build_parser()
+        for argv in (["train", f"--dev-fraction={value}"], ["train", "--config", str(ini)]):
+            with pytest.raises(ConfigError, match=r"dev_fraction must lie in \(0, 1\)"):
+                _resolve_config(parser.parse_args(argv))
+        manifest = toy_dataset(tmp_path, folds=True)
+        assert run(["train", "--manifest", str(manifest), f"--dev-fraction={value}"]) == 1
+        assert "dev_fraction must lie in (0, 1)" in capsys.readouterr().err
+
+    def test_dev_fraction_from_the_file_carves_the_flags_split(self, tmp_path):
+        cfg = base_config(tmp_path, toy_dataset(tmp_path, folds=True), epochs=3)
+        ini = tmp_path / "split.cfg"
+        ini.write_text(cfg.read_text().replace("[data]\n", "[data]\ndev_fraction = 0.25\n"))
+        assert run(["train", "--config", str(cfg), "--dev-fraction", "0.25", "--output-dir", str(tmp_path / "flag")]) == 0
+        assert run(["train", "--config", str(ini), "--output-dir", str(tmp_path / "file")]) == 0
+        for name in ("best.ckpt", "history.csv"):
+            assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+
     def test_missing_manifest_config(self, tmp_path, capsys):
         assert run(["train"]) == 1
         assert "manifest" in capsys.readouterr().err
@@ -409,6 +431,31 @@ class TestEvaluate:
         capsys.readouterr()
         assert run(["evaluate", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 1
         assert "zebra" in capsys.readouterr().err
+
+    def test_checkpoint_without_class_names_takes_the_manifests_class_order(self, tmp_path, capsys):
+        rows = []
+        for label, base in zip("abc", (-1.0, 0.0, 1.0)):
+            for i in range(6):
+                write_series(tmp_path / f"{label}{i}.csv", [base + 0.01 * i] * 20)
+                split = "train" if i < 4 else "dev" if i == 4 else "test"
+                if not (split == "test" and label == "b"):  # the test split lacks class b
+                    rows.append((f"{label}{i}.csv", label, split, ""))
+        manifest = tmp_path / "manifest.csv"
+        with open(manifest, "w", newline="") as fh:
+            csv.writer(fh).writerows([("path", "label", "split", "fold"), *rows])
+        cfg = base_config(tmp_path, manifest, epochs=40)
+        assert run(["train", "--config", str(cfg)]) == 0
+        named = tmp_path / "out" / "best.ckpt"
+        model, metadata = load_checkpoint(named)
+        assert metadata["classes"] == "a,b,c"
+        bare = tmp_path / "bare.ckpt"
+        save_checkpoint(model, {}, bare)
+        uars = []
+        for ckpt in (named, bare):
+            capsys.readouterr()
+            assert run(["evaluate", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 0
+            uars.append(re.search(r"^UAR: (.+)$", capsys.readouterr().out, re.MULTILINE).group(1))
+        assert uars[1] == uars[0] == "100.00"
 
     def test_checkpoint_with_invalid_utf8_is_one_error_line(self, tmp_path, capsys):
         cfg, ckpt, _ = self.train_toy(tmp_path, epochs=1)
@@ -493,7 +540,16 @@ class TestPredict:
                     str(tmp_path / "out" / "best.ckpt"),
                     "--manifest", str(tmp_path / "short" / "manifest.csv")])
         assert code == 1
-        assert "expects input shape (1, 20)" in capsys.readouterr().err
+        assert "[B x 1 x 20]" in capsys.readouterr().err
+
+    def test_output_elsewhere_creates_no_output_dir(self, tmp_path, monkeypatch):
+        cfg = base_config(tmp_path, toy_dataset(tmp_path), epochs=2)
+        assert run(["train", "--config", str(cfg), "--output-dir", str(tmp_path / "run")]) == 0
+        monkeypatch.chdir(tmp_path)
+        assert run(["predict", "--config", str(cfg), "--checkpoint", str(tmp_path / "run" / "best.ckpt"),
+                    "--output", os.path.join("sub", "p.csv")]) == 0
+        assert len(read_predictions(tmp_path / "sub" / "p.csv").ids) == 12
+        assert not (tmp_path / "out").exists()
 
     def test_unreadable_checkpoint(self, tmp_path, capsys):
         manifest = toy_dataset(tmp_path)
@@ -570,6 +626,33 @@ class TestFuse:
         assert len(err.splitlines()) == 1
 
 
+class TestOutputDirectories:
+    """A command writing into a directory that does not exist creates it, parents included."""
+
+    def test_commands_write_into_missing_nested_directories(self, tmp_path):
+        nested = tmp_path / "a" / "b"
+        cfg = base_config(tmp_path, toy_dataset(tmp_path), epochs=2)
+        assert run(["train", "--config", str(cfg), "--output-dir", str(nested / "train")]) == 0
+        assert sorted(os.listdir(nested / "train")) == ["best.ckpt", "history.csv"]
+        assert run(["predict", "--config", str(cfg), "--checkpoint", str(nested / "train" / "best.ckpt"),
+                    "--output-dir", str(nested / "predict")]) == 0
+        predictions = nested / "predict" / "predictions.csv"
+        assert run(["fuse", str(predictions), "--output-dir", str(nested / "fuse")]) == 0
+        assert read_predictions(nested / "fuse" / "fused.csv").ids == read_predictions(predictions).ids
+        folds = tmp_path / "folds"
+        folds.mkdir()
+        cv_cfg = base_config(folds, toy_dataset(folds, folds=True), epochs=2)
+        assert run(["evaluate", "--config", str(cv_cfg), "--cv", "--output-dir", str(nested / "cv")]) == 0
+        assert os.listdir(nested / "cv") == ["fold_report.csv"]
+        assert not (tmp_path / "out").exists() and not (folds / "out").exists()
+
+    def test_fuse_defaults_to_the_configs_output_dir(self, tmp_path, monkeypatch):
+        TestFuse().write_pset(tmp_path / "p.csv", ["a", "b"], [[0.6, 0.4], [0.3, 0.7]])
+        monkeypatch.chdir(tmp_path)
+        assert run(["fuse", "p.csv"]) == 0
+        assert read_predictions(tmp_path / RunConfig().output_dir / "fused.csv").ids == ["a", "b"]
+
+
 class TestEnvironmentAndHelp:
     def test_invalid_log_level(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DEEPSELF_LOG", "verbose")
@@ -607,7 +690,7 @@ def _two_values(attr, parse):
     if attr in DOMAINS:
         return DOMAINS[attr][0], DOMAINS[attr][-1]
     return {"on|off": ("off", "on"), "N,N,...": ("4", "6")}.get(
-        METAVARS.get(parse), ("3", "5"))
+        METAVARS.get(parse), ("0.25", "0.5") if attr == "dev_fraction" else ("3", "5"))
 
 
 SCHEMA_KEYS = [(section, key, attr, parse)
@@ -645,6 +728,8 @@ class TestFlagsFromSchema:
         ("--learning-rate", "inf", "expected a finite number"),
         ("--sample-rate", "inf", "expected a finite number"),
         ("--fmin", "nan", "expected a finite number"),
+        ("--dev-fraction", "nan", "expected a finite number"),
+        ("--dev-fraction", "inf", "expected a finite number"),
     ])
     def test_unparsable_value_is_usage_error(self, flag, value, message, capsys):
         assert run(["train", flag, value]) == 2

@@ -343,3 +343,7 @@ class TestModelSpecAssembly:
         b = apply_overrides(RunConfig(), {"epochs": 21})
         assert a.digest() != b.digest()
         assert a.digest() == RunConfig().validate().digest()
+
+    def test_digest_covers_dev_fraction(self):
+        quarter, half = (apply_overrides(RunConfig(), {"dev_fraction": v}) for v in (0.25, 0.5))
+        assert quarter.digest() != half.digest()

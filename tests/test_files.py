@@ -99,6 +99,15 @@ def test_failed_write_keeps_previous_bytes_and_leaves_no_stray_file(tmp_path, mo
     assert os.listdir(tmp_path) == ["out.csv"]
 
 
+def test_atomic_write_creates_a_missing_directory_and_leaves_no_stray_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for path in (tmp_path / "a" / "b" / "nested.bin", "plain.bin"):  # a bare name writes into the working directory
+        with files.atomic_write(path) as fh:
+            fh.write(b"bytes")
+    assert sorted(os.listdir(tmp_path)) == ["a", "plain.bin"] and os.listdir(tmp_path / "a" / "b") == ["nested.bin"]
+    assert (tmp_path / "a" / "b" / "nested.bin").read_bytes() == (tmp_path / "plain.bin").read_bytes() == b"bytes"
+
+
 # (writer of a small sample file, the loader under test) per binary format
 BINARY_FORMATS = {
     "ckpt": (lambda path: save_checkpoint(init_model(ModelSpec((3,), (Dense(2),), 2, seed=0)), {"epoch": 1}, path),
